@@ -248,7 +248,8 @@ class Pencil:
         points = []
         for x, y in self.sections:
             pt = (_poly_eval(x, t0), _poly_eval(y, t0))
-            assert curve.contains(pt)
+            if not curve.contains(pt):
+                raise InputError(f"section {pt} is not on the fiber at t = {t0}")
             points.append(pt)
         return curve, points
 

@@ -117,8 +117,9 @@ class FibrationFrame:
         perp = linalg.vec_sub(
             a, linalg.vec_add(linalg.vec_scale(aP, self.classP),
                               linalg.vec_scale(aE, self.classE)))
-        assert self.form.inner(perp, self.classE) == 0
-        assert self.form.inner(perp, self.classP) == 0
+        if (self.form.inner(perp, self.classE) != 0
+                or self.form.inner(perp, self.classP) != 0):
+            raise FrameError("perp component is not orthogonal to E and P")
         return Decomposition(aP, aE, perp)
 
     def reassemble(self, d: Decomposition) -> Vector:

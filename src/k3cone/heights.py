@@ -14,6 +14,7 @@ and the normalized pairing matrix converges to the positive semidefinite
 Euclidean Gram matrix [-v_i.v_j].
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -83,6 +84,10 @@ class SyntheticFibration:
             v = linalg.vec_add(v, linalg.vec_scale(m, vi))
         return v
 
+    @cached_property
+    def _classE_f(self) -> tuple:
+        return tuple(float(c) for c in self.frame.classE)
+
     def _noise(self, point: FiberPoint, step):
         """One bounded noise vector: boundary part (norm <= M) plus scalar*E."""
         m = self.noise_bound
@@ -94,17 +99,14 @@ class SyntheticFibration:
         cap = m / math.sqrt(r)
         perp = self.chart.lattice([rng.uniform(-cap, cap) for _ in range(r)])
         scalar = rng.uniform(-m, m)
-        e = [float(c) for c in self.frame.classE]
-        return tuple(p + scalar * ei for p, ei in zip(perp, e)), scalar
-
-    def _apply_t(self, v, x):
-        return translation_image_f(self.frame, v, x)
+        return (tuple(p + scalar * ei for p, ei in zip(perp, self._classE_f)),
+                scalar)
 
     def vector_height(self, point: FiberPoint):
         """h(Q_{v,E}) = T_v h(O_E) + noise (noise keyed to the point)."""
         v = self.group_translation(point)
         base = self.base_height(point.fiber)
-        h = self._apply_t(v, base)
+        h = translation_image_f(self.frame, v, base)
         noise = self._noise(point, "point")
         if noise is not None:
             h = tuple(a + b for a, b in zip(h, noise[0]))
@@ -112,58 +114,82 @@ class SyntheticFibration:
 
     def iterated_height(self, point: FiberPoint, n: int):
         """h(tau_v^n O_E): exact translate plus per-step accumulated noise."""
-        v = self.group_translation(point)
-        nv = linalg.vec_scale(n, v)
-        exact = self._apply_t(nv, self.base_height(point.fiber))
-        err = self._iterated_error(point, n)
-        return tuple(a + b for a, b in zip(exact, err))
+        return self._iterated_heights(point, (n,))[0]
 
-    def _iterated_error(self, point: FiberPoint, n: int):
-        dim = self.frame.form.dim
-        err = (0.0,) * dim
-        if self.noise_bound == 0.0:
-            return err
+    def _iterated_heights(self, point: FiberPoint, steps):
+        """`iterated_height` at each of the ascending step counts, from one
+        pass over the error recurrence."""
         v = self.group_translation(point)
-        for k in range(n):
-            err = self._apply_t(v, err)
-            err = tuple(a + b for a, b in zip(err, self._noise(point, k)[0]))
-        return err
+        base = self.base_height(point.fiber)
+        errors = self._errors(point, v)
+        err, done = next(errors), 0
+        heights = []
+        for n in steps:
+            for _ in range(n - done):
+                err = next(errors)
+            done = n
+            exact = translation_image_f(self.frame, linalg.vec_scale(n, v),
+                                        base)
+            heights.append(tuple(a + b for a, b in zip(exact, err)))
+        return heights
+
+    def _errors(self, point: FiberPoint, v):
+        """Accumulated iterated error after steps 0, 1, 2, ... (one pass).
+
+        err_0 = 0 and err_{k+1} = T_v err_k + noise_k.  Without noise, T_v
+        maps the zero vector to itself, so the error stays zero.
+        """
+        zero = (0.0,) * self.frame.form.dim
+        if self.noise_bound == 0.0:
+            return itertools.repeat(zero)
+        step = _float_translation(self.frame, v)
+
+        def advance(err, k):
+            return tuple(a + b for a, b in zip(step(err),
+                                               self._noise(point, k)[0]))
+
+        return itertools.accumulate(itertools.count(), advance, initial=zero)
 
     def error_trace(self, point: FiberPoint, n_steps: int):
         """Per-step error decomposition for the growth-contract checks.
 
         Yields (n, boundary_error_norm, |scalar_error|) for n = 1..n_steps.
         """
-        frame = self.frame
-        ep = float(frame.form.inner(frame.classE, frame.classP))
+        form = self.frame.form
+        ep = float(form.inner(self.frame.classE, self.frame.classP))
+        pf = [float(c) for c in self.frame.classP]
+        errors = itertools.islice(
+            self._errors(point, self.group_translation(point)), 1, n_steps + 1)
         rows = []
-        dim = frame.form.dim
-        err = (0.0,) * dim
-        v = self.group_translation(point)
-        for k in range(n_steps):
-            err = self._apply_t(v, err)
-            noise = self._noise(point, k)
-            if noise is not None:
-                err = tuple(a + b for a, b in zip(err, noise[0]))
-            scalar = inner_f(frame.form, err, frame.classP) / ep
-            perp = tuple(a - scalar * float(e)
-                         for a, e in zip(err, frame.classE))
-            perp_norm = math.sqrt(max(-inner_f(frame.form, perp, perp), 0.0))
-            rows.append((k + 1, perp_norm, abs(scalar)))
+        for n, err in enumerate(errors, start=1):
+            scalar = inner_f(form, err, pf) / ep
+            perp = tuple(a - scalar * e for a, e in zip(err, self._classE_f))
+            perp_norm = math.sqrt(max(-inner_f(form, perp, perp), 0.0))
+            rows.append((n, perp_norm, abs(scalar)))
         return rows
+
+
+def _float_translation(frame, v):
+    """The float parabolic translation x -> T_v x for float vectors x, with
+    the terms that depend only on v computed once."""
+    form = frame.form
+    e = [float(c) for c in frame.classE]
+    vf = [float(c) for c in v]
+    vv = inner_f(form, vf, vf)
+
+    def apply(x):
+        xv = inner_f(form, x, vf)
+        xe = inner_f(form, x, e)
+        coeff = xv + 0.5 * xe * vv
+        return tuple(xi - coeff * ei + xe * vi
+                     for xi, ei, vi in zip(x, e, vf))
+
+    return apply
 
 
 def translation_image_f(frame, v, x):
     """Float version of the parabolic translation formula."""
-    form = frame.form
-    e = [float(c) for c in frame.classE]
-    vf = [float(c) for c in v]
-    xv = inner_f(form, x, v)
-    xe = inner_f(form, x, frame.classE)
-    vv = inner_f(form, v, v)
-    coeff = xv + 0.5 * xe * vv
-    return tuple(float(xi) - coeff * ei + xe * vi
-                 for xi, ei, vi in zip(x, e, vf))
+    return _float_translation(frame, v)([float(c) for c in x])
 
 
 def _require_ample(frame, d):
@@ -190,11 +216,8 @@ def canonical_height(fib: SyntheticFibration, point: FiberPoint, d,
     d = _require_ample(fib.frame, d)
     df = [float(c) for c in d]
     form = fib.frame.form
-
-    def h_d(n):
-        return inner_f(form, fib.iterated_height(point, n), df)
-
-    s0, s1, s2 = h_d(0), h_d(n_max), h_d(2 * n_max)
+    s0, s1, s2 = (inner_f(form, h, df) for h in
+                  fib._iterated_heights(point, (0, n_max, 2 * n_max)))
     value = (s2 - 2.0 * s1 + s0) / (2.0 * n_max * n_max)
     v = fib.group_translation(point)
     vnorm = math.sqrt(max(-inner_f(form, v, v), 0.0))
@@ -210,7 +233,7 @@ def nt_pairing(fib: SyntheticFibration, p1: FiberPoint, p2: FiberPoint, d,
         raise InputError("points lie on different fibers")
     h12, _ = canonical_height(fib, p1 + p2, d, n_max)
     h1, _ = canonical_height(fib, p1, d, n_max)
-    h2, _ = canonical_height(fib, p2, d, n_max)
+    h2 = h1 if p1 == p2 else canonical_height(fib, p2, d, n_max)[0]
     return h12 - h1 - h2
 
 

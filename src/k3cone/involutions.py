@@ -55,9 +55,10 @@ def reflection_through(form: IntersectionForm, span, description) -> EigenReflec
         cols.append(linalg.vec_sub(linalg.vec_scale(2, proj), e_j))
     m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     refl = EigenReflection(Isometry(form, m), span, description)
-    assert linalg.mat_mul(m, m) == linalg.identity(n)
-    for s in span:
-        assert refl(s) == s
+    if linalg.mat_mul(m, m) != linalg.identity(n):
+        raise FrameError(f"{description}: reflection is not an involution")
+    if any(refl(s) != s for s in span):
+        raise FrameError(f"{description}: reflection moves its fixed span")
     return refl
 
 

@@ -1,11 +1,14 @@
 """Intersection forms on Picard lattices: the Lorentz product and friends.
 
-All arithmetic is exact rational.  Floating point never enters this module;
-real-valued geometry lives in `models`.
+All arithmetic is exact rational.  The one float value here is
+`IntersectionForm.gram_f`, a double-precision copy of the Gram matrix that
+is computed once per form and read only by `models.inner_f`; real-valued
+geometry lives in `models`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import DegenerateFormError, InputError
@@ -35,6 +38,11 @@ class IntersectionForm:
     @property
     def dim(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def gram_f(self) -> tuple:
+        """The Gram matrix in double precision, converted once per form."""
+        return tuple(tuple(float(x) for x in row) for row in self.gram)
 
     def inner(self, u: Vector, v: Vector) -> Fraction:
         """The Lorentz (intersection) product u . v, exact."""
@@ -128,7 +136,9 @@ def dual_basis(form: IntersectionForm):
     for i in range(form.dim):
         for j in range(form.dim):
             e_i = tuple(Fraction(int(i == k)) for k in range(form.dim))
-            assert form.inner(e_i, duals[j]) == (1 if i == j else 0)
+            if form.inner(e_i, duals[j]) != (1 if i == j else 0):
+                raise DegenerateFormError(
+                    f"dual basis check failed: e_{i} . D_{j}* != delta_{i}{j}")
     return duals
 
 

@@ -21,13 +21,19 @@ def _floats(v):
 
 
 def inner_f(form: IntersectionForm, u, v) -> float:
-    """Lorentz product in double precision; accepts float or rational entries."""
-    g = form.gram
-    n = form.dim
+    """Lorentz product in double precision; accepts float or rational entries.
+
+    Sums u_i g_ij v_j in row-major (i, j) order over the form's cached
+    float Gram, converting each vector entry once.
+    """
+    g = form.gram_f
+    n = len(g)
     if len(u) != n or len(v) != n:
         raise InputError("vector dimension does not match the form")
-    return sum(float(u[i]) * float(g[i][j]) * float(v[j])
-               for i in range(n) for j in range(n))
+    vf = [float(x) for x in v]
+    return sum(ui * gij * vj
+               for ui, row in zip(map(float, u), g)
+               for gij, vj in zip(row, vf))
 
 
 def hyperbolic_distance(form: IntersectionForm, a, b, ample=None) -> float:
@@ -50,8 +56,9 @@ def check_boundary_class(frame, a: Vector) -> Vector:
     """Validate a rational boundary-class representative.
 
     Requires A.A = 0 (exact) and A.ample > 0; rejects multiples of the cusp
-    class [E].  Cusp positivity A.E > 0 is asserted, mirroring the fact that
-    it is forced for every non-cusp boundary ray.
+    class [E].  Cusp positivity A.E > 0 is checked too: it is forced for
+    every non-cusp boundary ray when [E] lies on the ample side, so a
+    failure means the frame itself is inconsistent.
     """
     a = vector(a)
     form = frame.form
@@ -62,7 +69,9 @@ def check_boundary_class(frame, a: Vector) -> Vector:
     ae = form.inner(a, frame.classE)
     if ae == 0:
         raise CuspError("class is proportional to the cusp [E]")
-    assert ae > 0, "null non-cusp class with A.E < 0 cannot exist on the ample side"
+    if ae < 0:
+        raise DomainError("null class pairs negatively with the cusp [E]; "
+                          "[E] is not on the ample side of this frame")
     return a
 
 
@@ -181,7 +190,7 @@ class BallModel:
         c = [sum(float(self._s_inv[i][j]) * float(x[j]) for j in range(n))
              for i in range(n)]
         w = [self._scales[k] * c[self._order[k]] for k in range(n)]
-        if getattr(self, "_flip", 1.0) < 0:
+        if self._flip < 0:
             w[0] = -w[0]
         return w
 
@@ -234,6 +243,7 @@ class BoundaryChart:
     def __init__(self, frame):
         self.frame = frame
         self.basis = frame.perp_basis()
+        self._basis_f = [[float(x) for x in b] for b in self.basis]
         r = len(self.basis)
         form = frame.form
         self.gram = linalg.matrix(
@@ -274,5 +284,6 @@ class BoundaryChart:
             s = e[i] - sum(self._low[j][i] * c[j] for j in range(i + 1, r))
             c[i] = s / self._low[i][i]
         n = self.frame.form.dim
-        return tuple(sum(c[i] * float(self.basis[i][j]) for i in range(r))
+        basis = self._basis_f
+        return tuple(sum(c[i] * basis[i][j] for i in range(r))
                      for j in range(n))

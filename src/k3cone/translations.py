@@ -39,9 +39,6 @@ class Isometry:
         return linalg.mat_mul(linalg.transpose(self.matrix),
                               linalg.mat_mul(g, self.matrix)) == g
 
-    def is_identity(self) -> bool:
-        return self.matrix == linalg.identity(self.form.dim)
-
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.matrix for x in row)
 

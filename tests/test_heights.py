@@ -124,6 +124,37 @@ def test_limit_experiment_deviation_shrinks():
         assert abs(row.deviation) <= 6.0 / h
 
 
+def _replayed_iterated_height(fib, point, n):
+    """Reference: exact translate plus the error replayed step by step."""
+    v = fib.group_translation(point)
+    err = (0.0,) * fib.frame.form.dim
+    for k in range(n):
+        err = translation_image_f(fib.frame, v, err)
+        err = tuple(a + b for a, b in zip(err, fib._noise(point, k)[0]))
+    exact = translation_image_f(fib.frame, tuple(n * c for c in v),
+                                fib.base_height(point.fiber))
+    return tuple(a + b for a, b in zip(exact, err))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_pass_heights_match_replays(seed):
+    frame = random_valid_frame(seed, dim=4 + seed)
+    fib = SyntheticFibration(frame, (10.0, 1000.0), 1.0, seed)
+    df = [float(c) for c in frame.ample]
+    rng = random.Random(seed)
+    for fiber in (0, 1):
+        point = FiberPoint(fiber, [rng.randint(-2, 2)
+                                   for _ in range(frame.rank)])
+        for n in (1, 4, 9):
+            for k in (0, n, 2 * n):
+                assert (fib.iterated_height(point, k)
+                        == _replayed_iterated_height(fib, point, k))
+            s0, s1, s2 = (inner_f(frame.form, fib.iterated_height(point, k),
+                                  df) for k in (0, n, 2 * n))
+            value, _ = canonical_height(fib, point, frame.ample, n)
+            assert value == (s2 - 2.0 * s1 + s0) / (2.0 * n * n)
+
+
 def test_error_trace_growth_contract():
     m = 0.5
     for seed in range(3):

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_boundary_class, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import CuspError, DomainError
+from k3cone.frame import FibrationFrame
 from k3cone.models import (BallModel, BoundaryChart, ball_distance,
                            boundary_distance, boundary_distance_sq,
                            check_boundary_class, euclidean_norm,
@@ -50,6 +51,20 @@ def test_check_boundary_class(f4):
         check_boundary_class(f4, f4.classE)
     with pytest.raises(DomainError):
         check_boundary_class(f4, f4.ample)
+    # with the ample class flipped, [E] lies on the wrong side: -P is null
+    # and ample-positive but pairs negatively with [E]
+    flipped = FibrationFrame(f4.form, f4.classE, f4.classO,
+                             linalg.vec_scale(-1, f4.ample))
+    with pytest.raises(DomainError, match="negatively"):
+        check_boundary_class(flipped, linalg.vec_scale(-1, f4.classP))
+
+
+def test_inner_f_matches_exact_inner(f4):
+    rng = random.Random(5)
+    for _ in range(200):
+        u = [rng.randint(-3, 3) for _ in range(f4.form.dim)]
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(f4.form.dim)]
+        assert inner_f(f4.form, u, v) == float(f4.form.inner(u, v))
 
 
 def test_phi_example_and_invariance(f4):
