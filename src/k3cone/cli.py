@@ -16,7 +16,7 @@ from .curves import (CurveQ, canonical_height as curve_canonical_height,
 from .errors import K3ConeError
 from .frame import f4_frame
 from .heights import FiberPoint, SyntheticFibration
-from .models import BallModel, BoundaryChart
+from .models import BallModel
 from .svg import RenderOptions, render_svg
 
 
@@ -84,8 +84,7 @@ def render(frame_path, model, n, out):
         classes = walls.orbit_walls(frame, n)
         labels = ["O" if d == frame.classO else "" for d in classes]
         if model == "uhs":
-            chart = BoundaryChart(frame)
-            scene = [walls.wall_circle_uhs(frame, d, chart) for d in classes]
+            scene = [walls.wall_circle_uhs(frame, d) for d in classes]
             options = RenderOptions(labels=labels, mark_infinity=True)
         else:
             ball = BallModel(frame.form, frame.ample)

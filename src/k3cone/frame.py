@@ -10,13 +10,15 @@ meets [E] once, and anchors the boundary coordinate subspace
 on which the form is negative definite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, translations
-from .errors import FrameError, InputError
+from .errors import DegenerateFormError, FrameError, InputError
 from .lattice import IntersectionForm, signature
 from .linalg import Matrix, Vector, vector
+from .models import BoundaryChart
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class FibrationFrame:
         rhs = (self.form.inner(a, self.classE), self.form.inner(a, self.classP))
         try:
             aP, aE = linalg.solve(self._split_matrix(), rhs)
-        except Exception as exc:
+        except DegenerateFormError as exc:
             raise FrameError(f"degenerate (E, P) pair: {exc}") from exc
         perp = linalg.vec_sub(
             a, linalg.vec_add(linalg.vec_scale(aP, self.classP),
@@ -162,6 +164,16 @@ class FibrationFrame:
             linalg.mat_vec(self.form.gram, self.classP),
         ])
         return linalg.nullspace(constraints)
+
+    @cached_property
+    def boundary_basis(self):
+        """`perp_basis()`, computed once per frame."""
+        return self.perp_basis()
+
+    @cached_property
+    def chart(self):
+        """The default `BoundaryChart` on V, built once per frame."""
+        return BoundaryChart(self)
 
     def change_basis(self, u: Matrix) -> "FibrationFrame":
         """Transport the frame through the basis change with matrix u.

@@ -24,7 +24,7 @@ from functools import cached_property
 from . import linalg
 from .errors import InputError
 from .linalg import Vector, vector
-from .models import BoundaryChart, inner_f
+from .models import inner_f
 from .translations import translation_image
 
 
@@ -65,10 +65,6 @@ class SyntheticFibration:
         self.noise_bound = float(noise_bound)
         self.seed = int(seed)
 
-    @cached_property
-    def chart(self) -> BoundaryChart:
-        return BoundaryChart(self.frame)
-
     def base_height(self, fiber: int):
         """h(O_E) = h(E) * P, so that h(O_E).[E] = h(E) exactly."""
         if not 0 <= fiber < len(self.fiber_heights):
@@ -95,9 +91,10 @@ class SyntheticFibration:
             return None
         rng = random.Random(
             f"{self.seed}|{point.fiber}|{point.group_vector}|{step}")
-        r = self.chart.dim
+        chart = self.frame.chart
+        r = chart.dim
         cap = m / math.sqrt(r)
-        perp = self.chart.lattice([rng.uniform(-cap, cap) for _ in range(r)])
+        perp = chart.lattice([rng.uniform(-cap, cap) for _ in range(r)])
         scalar = rng.uniform(-m, m)
         return (tuple(p + scalar * ei for p, ei in zip(perp, self._classE_f)),
                 scalar)

@@ -7,9 +7,11 @@ entrywise whenever it is constructed.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from . import linalg, translations
-from .errors import DegenerateFormError, FrameError, K3ConeError
+from .errors import DegenerateFormError, FrameError, InputError, K3ConeError
 from .lattice import IntersectionForm
 from .linalg import Vector, vector
 from .translations import Isometry
@@ -35,25 +37,31 @@ def reflection_through(form: IntersectionForm, span, description) -> EigenReflec
     """Involution fixing `span` and equal to -1 on its orthogonal complement.
 
     Requires the form restricted to the span to be nondegenerate, so that
-    the orthogonal projection is defined.
+    the orthogonal projection is defined.  With S the matrix whose columns
+    span the eigenspace and G the Gram matrix,
+
+        R = 2 S (S^T G S)^-1 S^T G - I,
+
+    which is unchanged when G or any column of S is rescaled, so it is
+    computed on integer numerators: with (S^T G S)^-1 = B / d,
+    R = (2 S B (GS)^T - d I) / d.
     """
+    n = form.dim
     span = tuple(vector(s) for s in span)
-    gram_span = linalg.matrix(
-        [[form.inner(si, sj) for sj in span] for si in span])
+    if any(len(s) != n for s in span):
+        raise InputError("vector dimension does not match the form")
+    gram, _ = form.gram_numerators
+    cols = [linalg.numerators(s)[0] for s in span]
+    gs = [[sum(map(mul, row, c)) for row in gram] for c in cols]  # rows (G s)^T
     try:
-        gram_inv = linalg.inverse(gram_span)
+        inv, d = linalg.int_inverse(
+            [[sum(map(mul, c, g)) for g in gs] for c in cols])
     except DegenerateFormError:
         raise FrameError("degenerate eigenspace: form restricted to span is singular")
-    n = form.dim
-    cols = []
-    for e_j in linalg.identity(n):
-        rhs = tuple(form.inner(si, e_j) for si in span)
-        coeffs = linalg.mat_vec(gram_inv, rhs)
-        proj = linalg.zero_vector(n)
-        for c, s in zip(coeffs, span):
-            proj = linalg.vec_add(proj, linalg.vec_scale(c, s))
-        cols.append(linalg.vec_sub(linalg.vec_scale(2, proj), e_j))
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    right = [[sum(map(mul, row, col)) for col in zip(*gs)] for row in inv]
+    m = tuple(tuple(Fraction(2 * sum(map(mul, si, rj)) - (d if i == j else 0), d)
+                    for j, rj in enumerate(zip(*right)))
+              for i, si in enumerate(zip(*cols)))
     refl = EigenReflection(Isometry(form, m), span, description)
     if linalg.mat_mul(m, m) != linalg.identity(n):
         raise FrameError(f"{description}: reflection is not an involution")

@@ -1,18 +1,22 @@
 """Intersection forms on Picard lattices: the Lorentz product and friends.
 
-All arithmetic is exact rational.  The one float value here is
-`IntersectionForm.gram_f`, a double-precision copy of the Gram matrix that
-is computed once per form and read only by `models.inner_f`; real-valued
-geometry lives in `models`.
+All arithmetic is exact rational.  Values stay `Fraction` at the API, but
+`IntersectionForm.inner` computes on integer numerators over one common
+denominator per argument, against an integer Gram matrix cached once per
+form (`gram_numerators`), and builds one canonical `Fraction` per product.
+The one float value here is `IntersectionForm.gram_f`, a double-precision
+copy of the Gram matrix that is computed once per form and read only by
+`models.inner_f`; real-valued geometry lives in `models`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .errors import DegenerateFormError, InputError
-from .linalg import Matrix, Vector, matrix, vector
+from .linalg import Matrix, Vector, matrix
 
 
 @dataclass(frozen=True)
@@ -44,19 +48,23 @@ class IntersectionForm:
         """The Gram matrix in double precision, converted once per form."""
         return tuple(tuple(float(x) for x in row) for row in self.gram)
 
+    @cached_property
+    def gram_numerators(self) -> tuple:
+        """(integer Gram rows, common denominator), computed once per form."""
+        return linalg.matrix_numerators(self.gram)
+
     def inner(self, u: Vector, v: Vector) -> Fraction:
-        """The Lorentz (intersection) product u . v, exact."""
-        u, v = vector(u), vector(v)
-        if len(u) != self.dim or len(v) != self.dim:
+        """The Lorentz (intersection) product u . v, exact.
+
+        Entries may be ints or Fractions; the result is a Fraction.
+        """
+        gram, den = self.gram_numerators
+        if len(u) != len(gram) or len(v) != len(gram):
             raise InputError("vector dimension does not match the form")
-        total = Fraction(0)
-        for ui, row in zip(u, self.gram):
-            if not ui:
-                continue
-            for g, vj in zip(row, v):
-                if g and vj:
-                    total += ui * g * vj
-        return total
+        a, da = linalg.numerators(u)
+        b, db = linalg.numerators(v)
+        total = sum(x * sum(map(mul, row, b)) for x, row in zip(a, gram) if x)
+        return Fraction(total, da * db * den)
 
     def norm2(self, v: Vector) -> Fraction:
         return self.inner(v, v)

@@ -1,11 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Matrices are tuples of tuples of `fractions.Fraction`; vectors are tuples.
-Everything here is pure and allocation-happy — dimensions in this package
-are the Picard number of a surface, i.e. tiny.
+Exact values stay `Fraction` at the API, but the kernels (`mat_vec`,
+`mat_mul`, `inverse`, `rref`) compute on integer numerators over one
+common denominator per operand and build one canonical `Fraction` per
+output entry.  Inversion and row reduction are fraction-free Gauss-Jordan
+elimination in Bareiss form (Bareiss, Math. Comp. 22, 1968): every
+intermediate entry is a minor of the input, so each division is exact.
+
+Kernel operands may mix ints and Fractions (anything with `.numerator`
+and `.denominator`).  Outside input is coerced once, by `vector` and
+`matrix` in constructors and the config loader.  Dimensions in this
+package are the Picard number of a surface, i.e. tiny.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DegenerateFormError, InputError
 
@@ -44,17 +55,37 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
+def numerators(v):
+    """(integer numerators, common denominator) of a rational vector."""
+    den = lcm(*[x.denominator for x in v])
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def matrix_numerators(m):
+    """(integer rows, common denominator) of a rational matrix."""
+    den = lcm(*[x.denominator for row in m for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in m], den
+
+
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     if len(m[0]) != len(v):
         raise InputError("dimension mismatch in mat_vec")
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in m)
+    a, da = matrix_numerators(m)
+    b, db = numerators(v)
+    den = da * db
+    return tuple(Fraction(sum(map(mul, row, b)), den) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise InputError("dimension mismatch in mat_mul")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    ia, da = matrix_numerators(a)
+    ib, db = matrix_numerators(b)
+    den = da * db
+    cols = list(zip(*ib))
+    return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
+                 for row in ia)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -74,22 +105,59 @@ def zero_vector(n: int) -> Vector:
     return tuple(Fraction(0) for _ in range(n))
 
 
-def inverse(m: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises DegenerateFormError on singular input."""
-    n = len(m)
-    a = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateFormError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
+def _gauss_jordan(a, n_cols: int):
+    """Fraction-free Gauss-Jordan on the integer rows `a`, in place.
+
+    Pivots are taken in columns < n_cols, in order, from the first row
+    with a nonzero entry.  Each step replaces every other row r by
+    (p * r - f * pivot_row) / p_prev, an exact division by Sylvester's
+    identity.  On return each pivot row holds the last pivot p at its own
+    pivot column and zeros at the others, rows past the rank are zero, and
+    dividing by p gives the reduced row echelon form.  Returns
+    (pivot columns, p); p is 1 when there is no pivot.
+    """
+    n_rows = len(a)
+    pivots = []
+    prev = 1
+    for col in range(n_cols):
+        row = len(pivots)
+        piv = next((r for r in range(row, n_rows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        pivot_row = a[row]
+        p = pivot_row[col]
+        for r in range(n_rows):
+            if r != row:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
+        pivots.append(col)
+        prev = p
+        if row + 1 == n_rows:
+            break
+    return pivots, prev
+
+
+def int_inverse(a):
+    """Inverse of a square integer matrix as (B, d): a^-1 = B / d, B integral.
+
+    Raises DegenerateFormError on singular input.
+    """
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    pivots, det = _gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise DegenerateFormError("matrix is singular")
+    # aug is now [det * I | det * a^-1]
+    return [row[n:] for row in aug], det
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Exact inverse; raises DegenerateFormError on singular input."""
+    a, den = matrix_numerators(m)
+    b, det = int_inverse(a)
+    # m = a / den, so m^-1 = den * b / det
+    return tuple(tuple(Fraction(den * x, det) for x in row) for row in b)
 
 
 def solve(m: Matrix, b: Vector) -> Vector:
@@ -98,26 +166,9 @@ def solve(m: Matrix, b: Vector) -> Vector:
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    a = [list(r) for r in m]
-    n_rows, n_cols = len(a), len(a[0]) if a else 0
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        a[row] = [x / p for x in a[row]]
-        for r in range(n_rows):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return tuple(tuple(r) for r in a), tuple(pivots)
+    a, _ = matrix_numerators(m)
+    pivots, p = _gauss_jordan(a, len(a[0]) if a else 0)
+    return tuple(tuple(Fraction(x, p) for x in row) for row in a), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -1,9 +1,11 @@
 """Models of the hyperbolic cross-section: hyperboloid, boundary, ball, UHS.
 
 Exact rational identities (boundary metric, phi) stay exact; anything
-involving square roots or arccosh is done in double precision.  Stated
-tolerances: 1e-12 for identities that are exact underneath, 1e-9 for
-cross-model agreement.
+involving square roots or hyperbolic functions is done in double
+precision.  Distances use the chord form d = 2 asinh(chord / 2) rather
+than arccosh(1 + x), which loses half the digits for points close
+together.  Stated tolerances: 1e-12 for identities that are exact
+underneath, 1e-9 for cross-model agreement.
 """
 
 import math
@@ -37,7 +39,15 @@ def inner_f(form: IntersectionForm, u, v) -> float:
 
 
 def hyperbolic_distance(form: IntersectionForm, a, b, ample=None) -> float:
-    """arccosh(A.B / (||A|| ||B||)); scale-invariant in each argument."""
+    """arccosh(A.B / (||A|| ||B||)); scale-invariant in each argument.
+
+    Evaluated as 2 asinh(sqrt(-(x - y).(x - y)) / 2) on the unit
+    hyperboloid points x = A/||A|| and y = B/||B||, written as
+    x - y = (delta + c B) / ||A|| with delta = A - B and
+    c = 1 - ||A||/||B|| = -delta.(A + B) / (||B|| (||A|| + ||B||)).
+    Every small quantity comes from delta, whose entries are exact for
+    close points, so the result stays accurate at small distances.
+    """
     aa, bb, ab = inner_f(form, a, a), inner_f(form, b, b), inner_f(form, a, b)
     if aa <= 0 or bb <= 0:
         raise DomainError("arguments must lie inside the light cone")
@@ -46,8 +56,13 @@ def hyperbolic_distance(form: IntersectionForm, a, b, ample=None) -> float:
         raise DomainError("arguments must lie on the ample side of the cone")
     if ab <= 0:
         raise DomainError("arguments lie in opposite cone components")
-    ratio = ab / math.sqrt(aa * bb)
-    return math.acosh(max(ratio, 1.0))
+    af, bf = _floats(a), _floats(b)
+    ra, rb = math.sqrt(aa), math.sqrt(bb)
+    delta = [x - y for x, y in zip(af, bf)]
+    c = -inner_f(form, delta, [x + y for x, y in zip(af, bf)]) / (rb * (ra + rb))
+    diff = [dx + c * y for dx, y in zip(delta, bf)]
+    chord = math.sqrt(max(-inner_f(form, diff, diff), 0.0)) / ra
+    return 2.0 * math.asinh(0.5 * chord)
 
 
 # -- boundary classes and the Euclidean metric at the cusp ------------------
@@ -155,7 +170,8 @@ def from_upper_half_space(frame, point: UpperHalfSpacePoint):
 def uhs_distance(frame, p1: UpperHalfSpacePoint, p2: UpperHalfSpacePoint) -> float:
     dx = [a - b for a, b in zip(p1.x, p2.x)]
     chord2 = -inner_f(frame.form, dx, dx) + (p1.z - p2.z) ** 2
-    return math.acosh(max(1.0 + chord2 / (2.0 * p1.z * p2.z), 1.0))
+    # cosh d = 1 + chord2 / (2 z1 z2), so sinh(d/2) = sqrt(chord2 / (4 z1 z2))
+    return 2.0 * math.asinh(math.sqrt(max(chord2, 0.0) / (4.0 * p1.z * p2.z)))
 
 
 # -- Poincare ball -----------------------------------------------------------
@@ -227,7 +243,8 @@ def ball_distance(b1, b2) -> float:
     d2 = sum((a - b) ** 2 for a, b in zip(b1, b2))
     n1 = sum(a * a for a in b1)
     n2 = sum(b * b for b in b2)
-    return math.acosh(max(1.0 + 2.0 * d2 / ((1.0 - n1) * (1.0 - n2)), 1.0))
+    # cosh d = 1 + 2 d2 / ((1 - n1)(1 - n2)), so sinh(d/2) = sqrt(d2 / ...)
+    return 2.0 * math.asinh(math.sqrt(d2 / ((1.0 - n1) * (1.0 - n2))))
 
 
 # -- Euclidean chart of the boundary subspace -------------------------------
@@ -242,7 +259,7 @@ class BoundaryChart:
 
     def __init__(self, frame):
         self.frame = frame
-        self.basis = frame.perp_basis()
+        self.basis = frame.boundary_basis
         self._basis_f = [[float(x) for x in b] for b in self.basis]
         r = len(self.basis)
         form = frame.form

@@ -11,6 +11,7 @@ of) v.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import FrameError, InputError
@@ -55,14 +56,32 @@ def translation_image(form: IntersectionForm, classE: Vector, v: Vector,
 
 
 def translation_matrix(form: IntersectionForm, classE: Vector, v: Vector) -> Isometry:
-    """The parabolic translation as an exact matrix; requires v.E = 0."""
-    v = vector(v)
-    if form.inner(v, classE) != 0:
+    """The parabolic translation as an exact matrix; requires v.E = 0.
+
+    Column j is the image of the basis vector e_j, so with G the Gram matrix
+
+        M = I - E (Gv)^T - (v.v/2) E (GE)^T + v (GE)^T.
+
+    With G = g/dg, v = b/dv and E = e/de on integer numerators, every entry
+    is an integer over D = 2 dg^2 dv^2 de^2.
+    """
+    gram, dg = form.gram_numerators
+    b, dv = linalg.numerators(v)
+    e, de = linalg.numerators(classE)
+    n = len(gram)
+    if len(b) != n or len(e) != n:
+        raise InputError("vector dimension does not match the form")
+    gv = [sum(map(mul, row, b)) for row in gram]  # Gv = gv / (dg dv)
+    ge = [sum(map(mul, row, e)) for row in gram]  # GE = ge / (dg de)
+    if sum(map(mul, b, ge)):
         raise InputError("translation vector must be orthogonal to the fiber class")
-    n = form.dim
-    cols = [translation_image(form, classE, v, basis_vec)
-            for basis_vec in linalg.identity(n)]
-    m = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    vv = sum(map(mul, b, gv))  # v.v = vv / (dg dv^2)
+    c = 2 * dg * dv * de
+    den = c * dg * dv * de
+    m = tuple(tuple(Fraction((den if i == j else 0) - c * (ei * gvj - bi * gej)
+                             - vv * ei * gej, den)
+                    for j, (gvj, gej) in enumerate(zip(gv, ge)))
+              for i, (ei, bi) in enumerate(zip(e, b)))
     return Isometry(form, m)
 
 

@@ -71,7 +71,7 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     d = vector(d)
     if frame.form.norm2(d) != -2:
         raise InputError("wall class must have self-intersection -2")
-    chart = chart or BoundaryChart(frame)
+    chart = chart or frame.chart
     delta = frame.form.inner(d, frame.classE)
     dec = frame.decompose(d)
     if delta == 0:
@@ -140,7 +140,7 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     pts = []
     if circle.model == "uhs":
         frame = frame_or_form
-        chart = chart or BoundaryChart(frame)
+        chart = chart or frame.chart
         dirs = []
         r = chart.dim
         for idx in range(k):

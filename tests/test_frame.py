@@ -7,7 +7,7 @@ import pytest
 from conftest import (random_orthogonal_to_fiber, random_unimodular,
                       random_valid_frame)
 from k3cone import configio, f4_frame, linalg
-from k3cone.errors import InputError
+from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
 
@@ -163,3 +163,17 @@ def test_pencil_from_dict_rejects_bad_section():
         configio.pencil_from_dict(
             {"a": [0, 0, -1], "b": [0, 0, 1],
              "sections": [{"x": [1], "y": [0, 1]}]})
+
+
+def test_decompose_wraps_only_a_degenerate_pair(f4, monkeypatch):
+    # E = 0 makes the (E, P) system singular: that is a frame error
+    flat = FibrationFrame(f4.form, (0, 0, 0, 0), f4.classO, f4.ample)
+    with pytest.raises(FrameError, match="degenerate"):
+        flat.decompose(f4.ample)
+
+    def broken_solve(m, b):
+        raise TypeError("broken solve")
+
+    monkeypatch.setattr(linalg, "solve", broken_solve)
+    with pytest.raises(TypeError, match="broken solve"):
+        f4.decompose(f4.ample)

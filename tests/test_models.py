@@ -1,18 +1,22 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_boundary_class, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import CuspError, DomainError
 from k3cone.frame import FibrationFrame
-from k3cone.models import (BallModel, BoundaryChart, ball_distance,
-                           boundary_distance, boundary_distance_sq,
-                           check_boundary_class, euclidean_norm,
-                           from_upper_half_space, hyperbolic_distance,
-                           inner_f, phi, to_upper_half_space, uhs_distance)
+from k3cone.models import (BallModel, BoundaryChart, UpperHalfSpacePoint,
+                           ball_distance, boundary_distance,
+                           boundary_distance_sq, check_boundary_class,
+                           euclidean_norm, from_upper_half_space,
+                           hyperbolic_distance, inner_f, phi,
+                           to_upper_half_space, uhs_distance)
 from k3cone.translations import translation
 
 
@@ -170,3 +174,103 @@ def test_boundary_chart_isometry(f4):
                    + inner_f(f4.form, u, u)) < 1e-9
         back = chart.lattice(e)
         assert max(abs(float(a) - b) for a, b in zip(u, back)) < 1e-9
+
+
+# -- distances of close and far pairs ----------------------------------------
+
+def _exact_quad(form, u, v):
+    return sum(Fraction(ui) * g * Fraction(vj)
+               for ui, row in zip(u, form.gram) for g, vj in zip(row, v))
+
+
+def _distance_from_cosh_excess(excess):
+    """d from the exact value of cosh(d) - 1, via 2 asinh(sqrt(excess / 2))."""
+    return 2.0 * math.asinh(math.sqrt(float(excess) / 2.0))
+
+
+def _exact_hyperbolic_distance(form, x, y):
+    """Distance of float points x, y, from exact products and 60 digits."""
+    aa, bb, ab = (_exact_quad(form, x, x), _exact_quad(form, y, y),
+                  _exact_quad(form, x, y))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = [Decimal(q.numerator) / Decimal(q.denominator)
+               for q in (aa, bb, ab)]
+        root = (dec[0] * dec[1]).sqrt()
+        excess = (dec[2] - root) / root
+    return _distance_from_cosh_excess(excess)
+
+
+def _unit_tangent(form, x, rng):
+    """Random t with x.t = 0 and t.t = -1, for x on the unit hyperboloid."""
+    r = [rng.uniform(-1.0, 1.0) for _ in range(form.dim)]
+    rx = inner_f(form, r, x)
+    t = [ri - rx * xi for ri, xi in zip(r, x)]
+    s = math.sqrt(-inner_f(form, t, t))
+    return [ti / s for ti in t]
+
+
+frames = st.builds(random_valid_frame, st.integers(0, 10 ** 6),
+                   dim=st.integers(3, 8))
+
+
+@given(frames, st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_distances_accurate_for_close_points(frame, seed):
+    """At distance ~1e-8 every model distance has relative error < 1e-6.
+
+    arccosh(1 + x) returns 0 or about 2.1e-8 here.  Each reference is the
+    exact distance of the float inputs the function was given.
+    """
+    rng = random.Random(seed)
+    x = _random_interior(frame, rng)
+    y = [xi + 1e-8 * ti
+         for xi, ti in zip(x, _unit_tangent(frame.form, x, rng))]
+    exact = _exact_hyperbolic_distance(frame.form, x, y)
+    assert abs(hyperbolic_distance(frame.form, x, y) - exact) < 1e-6 * exact
+
+    p1 = to_upper_half_space(frame, x)
+    step = frame.chart.lattice([1e-8 * rng.uniform(-1.0, 1.0)
+                                for _ in range(frame.chart.dim)])
+    p2 = UpperHalfSpacePoint(tuple(a + b for a, b in zip(p1.x, step)),
+                             p1.z * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0)))
+    dx = [Fraction(a) - Fraction(b) for a, b in zip(p1.x, p2.x)]
+    z1, z2 = Fraction(p1.z), Fraction(p2.z)
+    exact = _distance_from_cosh_excess(
+        (-_exact_quad(frame.form, dx, dx) + (z1 - z2) ** 2) / (2 * z1 * z2))
+    assert abs(uhs_distance(frame, p1, p2) - exact) < 1e-6 * exact
+
+    b1 = BallModel(frame.form, frame.ample).ball_point(x)
+    b2 = tuple(a + 1e-8 * rng.uniform(-1.0, 1.0) for a in b1)
+    e1, e2 = [Fraction(a) for a in b1], [Fraction(a) for a in b2]
+    exact = _distance_from_cosh_excess(
+        2 * sum((a - b) ** 2 for a, b in zip(e1, e2))
+        / ((1 - sum(a * a for a in e1)) * (1 - sum(b * b for b in e2))))
+    assert abs(ball_distance(b1, b2) - exact) < 1e-6 * exact
+
+
+@given(frames, st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_distances_of_far_points_match_arccosh(frame, seed):
+    """Away from 0 the chord forms agree with the arccosh forms to 1e-9."""
+    rng = random.Random(seed)
+    x, y = _random_interior(frame, rng), _random_interior(frame, rng)
+    form = frame.form
+    aa, bb, ab = inner_f(form, x, x), inner_f(form, y, y), inner_f(form, x, y)
+    d = math.acosh(ab / math.sqrt(aa * bb))
+    if d < 0.1:
+        return
+    assert abs(hyperbolic_distance(form, x, y) - d) < 1e-9
+
+    p1, p2 = to_upper_half_space(frame, x), to_upper_half_space(frame, y)
+    dx = [a - b for a, b in zip(p1.x, p2.x)]
+    chord2 = -inner_f(form, dx, dx) + (p1.z - p2.z) ** 2
+    assert abs(uhs_distance(frame, p1, p2)
+               - math.acosh(1.0 + chord2 / (2.0 * p1.z * p2.z))) < 1e-9
+
+    ball = BallModel(form, frame.ample)
+    b1, b2 = ball.ball_point(x), ball.ball_point(y)
+    d2 = sum((a - b) ** 2 for a, b in zip(b1, b2))
+    n1, n2 = sum(a * a for a in b1), sum(b * b for b in b2)
+    assert abs(ball_distance(b1, b2)
+               - math.acosh(1.0 + 2.0 * d2 / ((1.0 - n1) * (1.0 - n2)))) < 1e-9

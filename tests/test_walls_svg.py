@@ -131,3 +131,20 @@ def test_render_rejects_bad_input(f4):
     circles, options = golden_scene(f4)
     with pytest.raises(InputError):
         render_svg(circles, RenderOptions(labels=["only-one"]))
+
+
+def test_default_chart_is_built_once_per_frame(monkeypatch):
+    frame = f4_frame()
+    built = []
+    init = BoundaryChart.__init__
+
+    def counting_init(self, frame):
+        built.append(frame)
+        init(self, frame)
+
+    monkeypatch.setattr(BoundaryChart, "__init__", counting_init)
+    for d in orbit_walls(frame, 1):
+        circle = wall_circle_uhs(frame, d)
+        sample_wall_circle(frame, circle, 4)
+    assert built == [frame]
+    assert frame.chart.basis == frame.perp_basis()
