@@ -9,13 +9,12 @@ from fractions import Fraction
 
 import click
 
-from . import configio, heights, translations, walls
+from . import configio, heights, walls
 from .curves import (CurveQ, canonical_height as curve_canonical_height,
                      naive_height, nt_pairing as curve_nt_pairing,
                      specialization_scan)
 from .errors import K3ConeError
-from .frame import f4_frame
-from .heights import FiberPoint, SyntheticFibration
+from .heights import SyntheticFibration
 from .models import BallModel
 from .svg import RenderOptions, render_svg
 

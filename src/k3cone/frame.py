@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import linalg, translations
+from . import linalg
 from .errors import DegenerateFormError, FrameError, InputError
 from .lattice import IntersectionForm, signature
 from .linalg import Matrix, Vector, vector
 from .models import BoundaryChart
+from .translations import section_translate
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class FibrationFrame:
         proto = cls(form, classE, classO, ample)
         vs = tuple(proto.boundary_rep(v) for v in translations)
         frame = cls(form, classE, classO, ample, vs)
-        sections = tuple(_section_translate(frame, v) for v in vs)
+        sections = tuple(section_translate(frame, v) for v in vs)
         return cls(form, classE, classO, ample, vs, sections)
 
     @property
@@ -98,6 +99,13 @@ class FibrationFrame:
     @property
     def rank(self) -> int:
         return len(self.translations)
+
+    def translation_sum(self, ms) -> Vector:
+        """w = sum m_i v_i over the frame's translation vectors."""
+        w = linalg.zero_vector(self.form.dim)
+        for m, v in zip(ms, self.translations):
+            w = linalg.vec_add(w, linalg.vec_scale(m, v))
+        return w
 
     # -- splitting ---------------------------------------------------------
 
@@ -242,10 +250,6 @@ class FibrationFrame:
             "whether the translations come from automorphisms is not "
             "decidable from lattice data"))
         return ValidationReport(tuple(checks))
-
-
-def _section_translate(frame: FibrationFrame, v: Vector) -> Vector:
-    return translations.section_translate(frame, v)
 
 
 def f4_frame() -> FibrationFrame:

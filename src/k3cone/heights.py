@@ -18,14 +18,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg
 from .errors import InputError
 from .linalg import Vector, vector
 from .models import inner_f
-from .translations import translation_image
+from .translations import parabolic_translation
 
 
 @dataclass(frozen=True)
@@ -75,14 +74,16 @@ class SyntheticFibration:
     def group_translation(self, point: FiberPoint) -> Vector:
         if len(point.group_vector) != self.frame.rank:
             raise InputError("group vector length does not match the frame rank")
-        v = linalg.zero_vector(self.frame.form.dim)
-        for m, vi in zip(point.group_vector, self.frame.translations):
-            v = linalg.vec_add(v, linalg.vec_scale(m, vi))
-        return v
+        return self.frame.translation_sum(point.group_vector)
 
     @cached_property
     def _classE_f(self) -> tuple:
         return tuple(float(c) for c in self.frame.classE)
+
+    def _translation_f(self, v):
+        """The float parabolic translation x -> T_v x on float vectors x."""
+        return parabolic_translation(partial(inner_f, self.frame.form),
+                                     self._classE_f, [float(c) for c in v])
 
     def _noise(self, point: FiberPoint, step):
         """One bounded noise vector: boundary part (norm <= M) plus scalar*E."""
@@ -103,7 +104,7 @@ class SyntheticFibration:
         """h(Q_{v,E}) = T_v h(O_E) + noise (noise keyed to the point)."""
         v = self.group_translation(point)
         base = self.base_height(point.fiber)
-        h = translation_image_f(self.frame, v, base)
+        h = self._translation_f(v)(base)
         noise = self._noise(point, "point")
         if noise is not None:
             h = tuple(a + b for a, b in zip(h, noise[0]))
@@ -125,8 +126,7 @@ class SyntheticFibration:
             for _ in range(n - done):
                 err = next(errors)
             done = n
-            exact = translation_image_f(self.frame, linalg.vec_scale(n, v),
-                                        base)
+            exact = self._translation_f(linalg.vec_scale(n, v))(base)
             heights.append(tuple(a + b for a, b in zip(exact, err)))
         return heights
 
@@ -139,7 +139,7 @@ class SyntheticFibration:
         zero = (0.0,) * self.frame.form.dim
         if self.noise_bound == 0.0:
             return itertools.repeat(zero)
-        step = _float_translation(self.frame, v)
+        step = self._translation_f(v)
 
         def advance(err, k):
             return tuple(a + b for a, b in zip(step(err),
@@ -164,29 +164,6 @@ class SyntheticFibration:
             perp_norm = math.sqrt(max(-inner_f(form, perp, perp), 0.0))
             rows.append((n, perp_norm, abs(scalar)))
         return rows
-
-
-def _float_translation(frame, v):
-    """The float parabolic translation x -> T_v x for float vectors x, with
-    the terms that depend only on v computed once."""
-    form = frame.form
-    e = [float(c) for c in frame.classE]
-    vf = [float(c) for c in v]
-    vv = inner_f(form, vf, vf)
-
-    def apply(x):
-        xv = inner_f(form, x, vf)
-        xe = inner_f(form, x, e)
-        coeff = xv + 0.5 * xe * vv
-        return tuple(xi - coeff * ei + xe * vi
-                     for xi, ei, vi in zip(x, e, vf))
-
-    return apply
-
-
-def translation_image_f(frame, v, x):
-    """Float version of the parabolic translation formula."""
-    return _float_translation(frame, v)([float(c) for c in x])
 
 
 def _require_ample(frame, d):

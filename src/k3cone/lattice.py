@@ -53,6 +53,11 @@ class IntersectionForm:
         """(integer Gram rows, common denominator), computed once per form."""
         return linalg.matrix_numerators(self.gram)
 
+    @cached_property
+    def diagonalization(self) -> tuple:
+        """`congruent_diagonalization(self)`, computed once per form."""
+        return congruent_diagonalization(self)
+
     def inner(self, u: Vector, v: Vector) -> Fraction:
         """The Lorentz (intersection) product u . v, exact.
 
@@ -128,7 +133,7 @@ def congruent_diagonalization(form: IntersectionForm):
 
 def signature(form: IntersectionForm):
     """Exact inertia (pos, neg, zero) by rational congruence diagonalization."""
-    _, diag = congruent_diagonalization(form)
+    _, diag = form.diagonalization
     pos = sum(1 for d in diag if d > 0)
     neg = sum(1 for d in diag if d < 0)
     return pos, neg, len(diag) - pos - neg

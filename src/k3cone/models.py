@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CuspError, DomainError, InputError
-from .lattice import IntersectionForm, congruent_diagonalization
+from .lattice import IntersectionForm
 from .linalg import Vector, vector
 
 
@@ -189,38 +189,32 @@ class BallModel:
         form.require_lorentzian()
         self.form = form
         self.ample = vector(ample)
-        s, diag = congruent_diagonalization(form)
-        self._s = s
-        self._s_inv = linalg.inverse(s)
+        s, diag = form.diagonalization
+        self._s = [_floats(row) for row in s]
+        self._s_inv = [_floats(row) for row in linalg.inverse(s)]
         pos = [i for i, d in enumerate(diag) if d > 0]
         order = pos + [i for i in range(form.dim) if i not in pos]
         self._order = order
         self._scales = [math.sqrt(abs(float(diag[i]))) for i in order]
-        self._flip = 1.0
+        # orient the time axis toward the ample class: the sign rides on
+        # the first scale, and (-s) c == -(s c) exactly in floats
         if self.signature_coords(self.ample)[0] < 0:
-            self._flip = -1.0
+            self._scales[0] = -self._scales[0]
 
     def signature_coords(self, x):
         """Real coordinates w with x.x = w0^2 - w1^2 - ... - w_{n-1}^2."""
         n = self.form.dim
-        c = [sum(float(self._s_inv[i][j]) * float(x[j]) for j in range(n))
-             for i in range(n)]
-        w = [self._scales[k] * c[self._order[k]] for k in range(n)]
-        if self._flip < 0:
-            w[0] = -w[0]
-        return w
+        xf = [float(x[j]) for j in range(n)]
+        c = [sum(a * b for a, b in zip(row, xf)) for row in self._s_inv]
+        return [self._scales[k] * c[self._order[k]] for k in range(n)]
 
     def from_signature_coords(self, w):
         """Inverse of `signature_coords` (float lattice vector)."""
         n = self.form.dim
         c = [0.0] * n
         for k in range(n):
-            wk = w[k]
-            if k == 0 and self._flip < 0:
-                wk = -wk
-            c[self._order[k]] = wk / self._scales[k]
-        return tuple(sum(float(self._s[i][j]) * c[j] for j in range(n))
-                     for i in range(n))
+            c[self._order[k]] = w[k] / self._scales[k]
+        return tuple(sum(a * b for a, b in zip(row, c)) for row in self._s)
 
     def ball_point(self, x):
         """Project a closed-light-cone vector to the ball (interior) or sphere

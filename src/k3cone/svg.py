@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .walls import WallCircle
+from .walls import WallCircle, ball_circle_points
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,6 @@ def _pad2(coords):
 
 
 def _ball_circle_points(circle: WallCircle, samples: int):
-    import math
-
-    from .walls import _plane_frame
     if len(circle.center) == 2:
         # 2-dimensional ball: the trace is a pair of boundary points
         normal = circle.normal
@@ -73,16 +70,8 @@ def _ball_circle_points(circle: WallCircle, samples: int):
         return [(circle.center[0] + s * circle.radius * e1[0],
                  circle.center[1] + s * circle.radius * e1[1])
                 for s in (1.0, -1.0)]
-    basis = _plane_frame(list(circle.normal))
-    e1 = basis[0]
-    e2 = basis[1] if len(basis) > 1 else [0.0] * len(e1)
-    pts = []
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        p = [c + circle.radius * (math.cos(theta) * a + math.sin(theta) * b)
-             for c, a, b in zip(circle.center, e1, e2)]
-        pts.append((p[0], p[1]))  # orthographic projection
-    return pts
+    # orthographic projection to the first two coordinates
+    return [(p[0], p[1]) for p in ball_circle_points(circle, samples)]
 
 
 def render_svg(scene: Sequence[WallCircle],

@@ -44,15 +44,30 @@ class Isometry:
         return all(x.denominator == 1 for row in self.matrix for x in row)
 
 
+def parabolic_translation(inner, classE, v):
+    """The map x -> x - (x.v + (x.E)(v.v)/2) E + (x.E) v, for v.E = 0.
+
+    `inner` is the bilinear product, and the scalars are whatever it and
+    the entries of E, v and x are: `IntersectionForm.inner` on rational
+    vectors gives the exact map, `models.inner_f` on float vectors the
+    float one.  v.v/2 is computed once per v.
+    """
+    half_vv = inner(v, v) / 2
+
+    def apply(x):
+        xe = inner(x, classE)
+        coeff = inner(x, v) + xe * half_vv
+        return tuple(xi - coeff * ei + xe * vi
+                     for xi, ei, vi in zip(x, classE, v))
+
+    return apply
+
+
 def translation_image(form: IntersectionForm, classE: Vector, v: Vector,
                       x: Vector) -> Vector:
-    """Image of x under the parabolic translation attached to v."""
-    xv = form.inner(x, v)
-    xe = form.inner(x, classE)
-    vv = form.norm2(v)
-    coeff = xv + Fraction(1, 2) * xe * vv
-    return tuple(xi - coeff * ei + xe * vi
-                 for xi, ei, vi in zip(vector(x), vector(classE), vector(v)))
+    """Image of x under the parabolic translation attached to v, exactly."""
+    return parabolic_translation(form.inner, vector(classE), vector(v))(
+        vector(x))
 
 
 def translation_matrix(form: IntersectionForm, classE: Vector, v: Vector) -> Isometry:

@@ -50,10 +50,7 @@ def orbit_walls(frame, n: int):
     seen = set()
     out = []
     for ms in itertools.product(range(-n, n + 1), repeat=r):
-        w = linalg.zero_vector(frame.form.dim)
-        for m, v in zip(ms, frame.translations):
-            w = linalg.vec_add(w, linalg.vec_scale(m, v))
-        d = translations.section_translate(frame, w)
+        d = translations.section_translate(frame, frame.translation_sum(ms))
         if d not in seen:
             seen.add(d)
             out.append(d)
@@ -129,6 +126,18 @@ def _plane_frame(normal):
     return basis
 
 
+def ball_circle_points(circle: WallCircle, k: int):
+    """k points center + r (cos t e1 + sin t e2), t = 2 pi idx / k, on a
+    ball wall circle; e1, e2 span the complement of the circle's normal
+    (e2 = 0 when the ball is 2-dimensional)."""
+    basis = _plane_frame(list(circle.normal))
+    e1 = basis[0]
+    e2 = basis[1] if len(basis) > 1 else [0.0] * len(e1)
+    thetas = (2.0 * math.pi * idx / k for idx in range(k))
+    return [[c + circle.radius * (math.cos(t) * a + math.sin(t) * b)
+             for c, a, b in zip(circle.center, e1, e2)] for t in thetas]
+
+
 def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
                        chart: Optional[BoundaryChart] = None,
                        ball: Optional[BallModel] = None):
@@ -162,14 +171,7 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     elif circle.model == "ball":
         if ball is None:
             raise InputError("ball model required to sample ball circles")
-        basis = _plane_frame(list(circle.normal))
-        e1 = basis[0]
-        e2 = basis[1] if len(basis) > 1 else [0.0] * len(e1)
-        for idx in range(k):
-            theta = 2.0 * math.pi * idx / k
-            u = [c + circle.radius * (math.cos(theta) * a + math.sin(theta) * b)
-                 for c, a, b in zip(circle.center, e1, e2)]
-            pts.append(ball.null_lift(u))
+        pts = [ball.null_lift(u) for u in ball_circle_points(circle, k)]
     else:
         raise InputError(f"unknown circle model {circle.model!r}")
     return pts

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -6,10 +5,11 @@ import pytest
 
 from conftest import (random_orthogonal_to_fiber, random_unimodular,
                       random_valid_frame)
-from k3cone import configio, f4_frame, linalg
+from k3cone import configio, lattice, linalg
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
+from k3cone.models import BallModel
 
 F4_DOC = {
     "gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -4, 0], [0, 0, 0, -4]],
@@ -124,6 +124,21 @@ def test_cauchy_schwarz_exact(f4):
 def test_frame_from_dict_round_trip(f4):
     frame = configio.frame_from_dict(dict(F4_DOC))
     assert frame == f4
+
+
+def test_form_is_diagonalized_once_per_frame(monkeypatch):
+    calls = []
+    diagonalize = lattice.congruent_diagonalization
+
+    def counting(form):
+        calls.append(form)
+        return diagonalize(form)
+
+    monkeypatch.setattr(lattice, "congruent_diagonalization", counting)
+    frame = configio.frame_from_dict(dict(F4_DOC))
+    assert frame.validate().passed
+    BallModel(frame.form, frame.ample)
+    assert calls == [frame.form]
 
 
 def test_frame_from_dict_checks_sections():

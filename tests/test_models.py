@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_boundary_class, random_valid_frame
-from k3cone import f4_frame, linalg
+from k3cone import linalg
 from k3cone.errors import CuspError, DomainError
 from k3cone.frame import FibrationFrame
 from k3cone.models import (BallModel, BoundaryChart, UpperHalfSpacePoint,

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_orthogonal_to_fiber, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import InputError
-from k3cone.translations import (compose, power, section_translate,
-                                 translation, translation_image,
-                                 translation_matrix)
+from k3cone.models import inner_f
+from k3cone.translations import (compose, parabolic_translation, power,
+                                 section_translate, translation,
+                                 translation_image)
 
 
 def test_f4_translation_matrix():
@@ -84,6 +88,30 @@ def test_translation_image_matches_matrix():
     x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
               for _ in range(4))
     assert t(x) == translation_image(frame.form, frame.classE, v, x)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 8))
+@settings(max_examples=40, deadline=None)
+def test_exact_and_float_translations_agree(seed, dim):
+    """One formula serves both scalar types: with `form.inner` it is the
+    exact matrix action, with `inner_f` it is that image rounded."""
+    frame = random_valid_frame(seed, dim)
+    rng = random.Random(seed)
+    v = random_orthogonal_to_fiber(frame, rng)
+    x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+              for _ in range(dim))
+    exact = parabolic_translation(frame.form.inner, frame.classE, v)(x)
+    assert all(isinstance(c, Fraction) for c in exact)
+    assert exact == translation(frame, v)(x)
+    assert exact == translation_image(frame.form, frame.classE, v, x)
+
+    def floats(u):
+        return [float(c) for c in u]
+
+    approx = parabolic_translation(partial(inner_f, frame.form),
+                                   floats(frame.classE), floats(v))(floats(x))
+    scale = max(abs(c) for c in floats(exact))
+    assert max(abs(a - float(b)) for a, b in zip(approx, exact)) <= 1e-9 * scale
 
 
 def test_boundary_action_is_euclidean_translation():

@@ -11,7 +11,9 @@ from k3cone.translations import translation
 from k3cone.walls import (max_residual, orbit_walls, sample_wall_circle,
                           wall_circle_ball, wall_circle_uhs)
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_uhs.svg"
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_uhs.svg"
+GOLDEN_BALL = DATA / "golden_ball.svg"
 
 
 def golden_scene(frame):
@@ -114,6 +116,16 @@ def test_render_svg_deterministic(f4):
 def test_render_matches_golden(f4):
     circles, options = golden_scene(f4)
     assert render_svg(circles, options).encode() == GOLDEN.read_bytes()
+
+
+def test_render_ball_matches_golden(f4):
+    # the scene of `k3cone render configs/f4_frame.json --model ball --N 2`
+    ball = BallModel(f4.form, f4.ample)
+    classes = orbit_walls(f4, 2)
+    circles = [wall_circle_ball(f4.form, d, ball) for d in classes]
+    labels = ["O" if d == f4.classO else "" for d in classes]
+    doc = render_svg(circles, RenderOptions(labels=labels, scale=280.0))
+    assert doc.encode() == GOLDEN_BALL.read_bytes()
 
 
 def test_render_ball_scene(f4):
