@@ -39,13 +39,16 @@ def frame_from_dict(doc: dict) -> FibrationFrame:
     return frame
 
 
-def load_frame(path) -> FibrationFrame:
+def _load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
-    return frame_from_dict(doc)
+
+
+def load_frame(path) -> FibrationFrame:
+    return frame_from_dict(_load_json(path))
 
 
 def pencil_from_dict(doc: dict) -> Pencil:
@@ -59,9 +62,4 @@ def pencil_from_dict(doc: dict) -> Pencil:
 
 
 def load_pencil(path) -> Pencil:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
-    return pencil_from_dict(doc)
+    return pencil_from_dict(_load_json(path))

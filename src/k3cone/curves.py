@@ -19,6 +19,7 @@ from .linalg import to_fraction
 Point = Optional[Tuple[Fraction, Fraction]]  # None encodes the point at infinity
 
 INFINITY: Point = None
+MAX_DOUBLINGS = 9  # doubling cap of `canonical_height`
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,6 @@ class CurveQ:
             raise InputError("singular curve: discriminant vanishes")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def discriminant(self) -> Fraction:
-        return -16 * (4 * self.a ** 3 + 27 * self.b ** 2)
 
     def contains(self, p: Point) -> bool:
         if p is None:
@@ -88,12 +85,17 @@ class CurveQ:
         return result
 
 
+def _log_height(num: int, den: int) -> float:
+    """log max(|num|, den, 1): the height of num/den in lowest terms."""
+    return math.log(max(abs(num), den, 1))
+
+
 def naive_height(p: Point) -> float:
     """log max(|num|, |den|) of the x-coordinate in lowest terms."""
     if p is None:
         return 0.0
     x = to_fraction(p[0])
-    return math.log(max(abs(x.numerator), x.denominator, 1))
+    return _log_height(x.numerator, x.denominator)
 
 
 def _x_double(num: int, den: int, a: Fraction, b: Fraction):
@@ -123,7 +125,6 @@ def _x_double(num: int, den: int, a: Fraction, b: Fraction):
 
 
 def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
-                     max_doublings: int = 9,
                      digit_budget: int = 10 ** 6) -> float:
     """Doubling-limit canonical height: h([2^m]P) / 4^m until stable.
 
@@ -139,8 +140,8 @@ def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
         return 0.0
     x = to_fraction(p[0])
     num, den = x.numerator, x.denominator
-    est = math.log(max(abs(num), den, 1))
-    for m in range(1, max_doublings + 1):
+    est = _log_height(num, den)
+    for m in range(1, MAX_DOUBLINGS + 1):
         step = _x_double(num, den, curve.a, curve.b)
         if step is None:
             return 0.0  # reached infinity: P is torsion
@@ -150,7 +151,7 @@ def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
             raise ResourceError(
                 f"x-coordinate exceeded {digit_budget} digits at doubling {m}",
                 partial=est)
-        new_est = math.log(max(abs(num), den, 1)) / 4.0 ** m
+        new_est = _log_height(num, den) / 4.0 ** m
         done = abs(new_est - est) < tolerance / 2.0
         est = new_est
         if done:
@@ -204,10 +205,6 @@ def _poly_add(p, q):
             for i in range(n)]
 
 
-def _poly_is_zero(p):
-    return all(c == 0 for c in p)
-
-
 @dataclass(frozen=True)
 class Pencil:
     """A family y^2 = x^3 + a(t) x + b(t) with polynomial sections.
@@ -234,7 +231,7 @@ class Pencil:
             rhs = _poly_mul(_poly_mul(list(x), list(x)), list(x))
             rhs = _poly_add(rhs, _poly_mul(list(a), list(x)))
             rhs = _poly_add(rhs, list(b))
-            if not _poly_is_zero(_poly_add(lhs, [-c for c in rhs])):
+            if any(_poly_add(lhs, [-c for c in rhs])):
                 raise InputError(f"section {idx} does not satisfy the pencil "
                                  "equation identically")
 
@@ -262,7 +259,7 @@ def default_pencil() -> Pencil:
 
 def parameter_height(t0) -> float:
     t0 = to_fraction(t0)
-    return math.log(max(abs(t0.numerator), t0.denominator, 1))
+    return _log_height(t0.numerator, t0.denominator)
 
 
 @dataclass(frozen=True)
@@ -280,13 +277,9 @@ class ScanResult:
     max_entry_diffs: tuple  # successive differences of normalized matrices
     slopes: tuple  # per-entry linear-fit slope of pairing vs height
 
-    @property
-    def final_diff(self):
-        return self.max_entry_diffs[-1] if self.max_entry_diffs else None
 
-
-def specialization_scan(pencil: Pencil, t_values, tolerance: float = 1e-4,
-                        digit_budget: int = 10 ** 6) -> ScanResult:
+def specialization_scan(pencil: Pencil, t_values,
+                        tolerance: float = 1e-4) -> ScanResult:
     """Pairing matrices of the specialized sections along a parameter sweep.
 
     Singular fibers are skipped with a recorded reason.  Diagnostics:
@@ -307,8 +300,7 @@ def specialization_scan(pencil: Pencil, t_values, tolerance: float = 1e-4,
         def hhat(key, pt):
             if key not in heights:
                 try:
-                    heights[key] = canonical_height(curve, pt, tolerance,
-                                                    digit_budget=digit_budget)
+                    heights[key] = canonical_height(curve, pt, tolerance)
                 except ResourceError as exc:
                     heights[key] = float(exc.partial)
             return heights[key]

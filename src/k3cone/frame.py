@@ -7,18 +7,19 @@ meets [E] once, and anchors the boundary coordinate subspace
 
     V = { x : x.E = x.P = 0 },
 
-on which the form is negative definite.
+on which the form is negative definite.  A class splits as aP*P + aE*E +
+perp with perp in V by `split` (exact) or `split_f` (float), built once.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import linalg
-from .errors import DegenerateFormError, FrameError, InputError
-from .lattice import IntersectionForm, signature
+from .errors import FrameError, InputError
+from .lattice import IntersectionForm, plane_splitting, signature
 from .linalg import Matrix, Vector, vector
-from .models import BoundaryChart
+from .models import BoundaryChart, inner_f
 from .translations import section_translate
 
 
@@ -92,9 +93,17 @@ class FibrationFrame:
         sections = tuple(section_translate(frame, v) for v in vs)
         return cls(form, classE, classO, ample, vs, sections)
 
-    @property
+    @cached_property
     def classP(self) -> Vector:
         return linalg.vec_add(self.classO, self.classE)
+
+    @cached_property
+    def classE_f(self) -> tuple:
+        return tuple(float(c) for c in self.classE)
+
+    @cached_property
+    def classP_f(self) -> tuple:
+        return tuple(float(c) for c in self.classP)
 
     @property
     def rank(self) -> int:
@@ -109,24 +118,20 @@ class FibrationFrame:
 
     # -- splitting ---------------------------------------------------------
 
-    def _split_matrix(self):
-        e, p = self.classE, self.classP
-        return linalg.matrix([
-            [self.form.inner(p, e), self.form.norm2(e)],
-            [self.form.norm2(p), self.form.inner(e, p)],
-        ])
+    @cached_property
+    def split(self):
+        """x -> (aP, aE, perp), exact: `plane_splitting` over the form."""
+        return plane_splitting(self.form.inner, self.classE, self.classP)
+
+    @cached_property
+    def split_f(self):
+        """x -> (w, v, perp) in double precision, over `models.inner_f`."""
+        return plane_splitting(partial(inner_f, self.form),
+                               self.classE_f, self.classP_f)
 
     def decompose(self, a: Vector) -> Decomposition:
         """Split A = aP*P + aE*E + perp with perp.E = perp.P = 0, exactly."""
-        a = vector(a)
-        rhs = (self.form.inner(a, self.classE), self.form.inner(a, self.classP))
-        try:
-            aP, aE = linalg.solve(self._split_matrix(), rhs)
-        except DegenerateFormError as exc:
-            raise FrameError(f"degenerate (E, P) pair: {exc}") from exc
-        perp = linalg.vec_sub(
-            a, linalg.vec_add(linalg.vec_scale(aP, self.classP),
-                              linalg.vec_scale(aE, self.classE)))
+        aP, aE, perp = self.split(vector(a))
         if (self.form.inner(perp, self.classE) != 0
                 or self.form.inner(perp, self.classP) != 0):
             raise FrameError("perp component is not orthogonal to E and P")
@@ -144,6 +149,8 @@ class FibrationFrame:
         if self.form.inner(v, self.classE) != 0:
             raise InputError("vector is not orthogonal to the fiber class")
         ep = self.form.inner(self.classE, self.classP)
+        if ep == 0:
+            raise FrameError("fiber class is orthogonal to P = O + E")
         shift = self.form.inner(v, self.classP) / ep
         return linalg.vec_sub(v, linalg.vec_scale(shift, self.classE))
 

@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 from . import linalg
 from .errors import InputError
@@ -69,21 +69,18 @@ class SyntheticFibration:
         if not 0 <= fiber < len(self.fiber_heights):
             raise InputError(f"no fiber with index {fiber}")
         h = self.fiber_heights[fiber]
-        return tuple(h * float(c) for c in self.frame.classP)
+        return tuple(h * c for c in self.frame.classP_f)
 
     def group_translation(self, point: FiberPoint) -> Vector:
         if len(point.group_vector) != self.frame.rank:
             raise InputError("group vector length does not match the frame rank")
         return self.frame.translation_sum(point.group_vector)
 
-    @cached_property
-    def _classE_f(self) -> tuple:
-        return tuple(float(c) for c in self.frame.classE)
-
     def _translation_f(self, v):
         """The float parabolic translation x -> T_v x on float vectors x."""
         return parabolic_translation(partial(inner_f, self.frame.form),
-                                     self._classE_f, [float(c) for c in v])
+                                     self.frame.classE_f,
+                                     [float(c) for c in v])
 
     def _noise(self, point: FiberPoint, step):
         """One bounded noise vector: boundary part (norm <= M) plus scalar*E."""
@@ -97,7 +94,8 @@ class SyntheticFibration:
         cap = m / math.sqrt(r)
         perp = chart.lattice([rng.uniform(-cap, cap) for _ in range(r)])
         scalar = rng.uniform(-m, m)
-        return (tuple(p + scalar * ei for p, ei in zip(perp, self._classE_f)),
+        return (tuple(p + scalar * ei
+                      for p, ei in zip(perp, self.frame.classE_f)),
                 scalar)
 
     def vector_height(self, point: FiberPoint):
@@ -154,13 +152,13 @@ class SyntheticFibration:
         """
         form = self.frame.form
         ep = float(form.inner(self.frame.classE, self.frame.classP))
-        pf = [float(c) for c in self.frame.classP]
         errors = itertools.islice(
             self._errors(point, self.group_translation(point)), 1, n_steps + 1)
         rows = []
         for n, err in enumerate(errors, start=1):
-            scalar = inner_f(form, err, pf) / ep
-            perp = tuple(a - scalar * e for a, e in zip(err, self._classE_f))
+            scalar = inner_f(form, err, self.frame.classP_f) / ep
+            perp = tuple(a - scalar * e
+                         for a, e in zip(err, self.frame.classE_f))
             perp_norm = math.sqrt(max(-inner_f(form, perp, perp), 0.0))
             rows.append((n, perp_norm, abs(scalar)))
         return rows

@@ -7,6 +7,10 @@ form (`gram_numerators`), and builds one canonical `Fraction` per product.
 The one float value here is `IntersectionForm.gram_f`, a double-precision
 copy of the Gram matrix that is computed once per form and read only by
 `models.inner_f`; real-valued geometry lives in `models`.
+
+`plane_splitting`, a closure over a bilinear product, is the one
+splitting x = wP + vE + perp: exact over `inner`, float over
+`models.inner_f`.
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .errors import DegenerateFormError, InputError
+from .errors import DegenerateFormError, FrameError, InputError
 from .linalg import Matrix, Vector, matrix
 
 
@@ -160,6 +164,30 @@ def in_light_cone(form: IntersectionForm, x: Vector, ample: Vector) -> bool:
     if form.norm2(ample) <= 0:
         raise InputError("reference vector must have positive self-product")
     return form.norm2(x) > 0 and form.inner(x, ample) > 0
+
+
+def plane_splitting(inner, classE, classP):
+    """x -> (w, v, x - wP - vE), the last part orthogonal to E and P.
+
+    Cramer's rule on x.E = w E.P + v E.E, x.P = w P.P + v E.P, with E.E,
+    P.P, E.P and the determinant computed once; a degenerate plane raises
+    `FrameError`.  Scalars are whatever `inner` and the entries are, as in
+    `translations.parabolic_translation`.
+    """
+    ee, pp = inner(classE, classE), inner(classP, classP)
+    ep = inner(classE, classP)
+    det = ep * ep - ee * pp
+    if not det:
+        raise FrameError("degenerate (E, P) pair: determinant 0")
+
+    def split(x):
+        xe, xp = inner(x, classE), inner(x, classP)
+        w = (xe * ep - xp * ee) / det
+        v = (xp * ep - xe * pp) / det
+        return w, v, tuple(xi - w * pi - v * ei
+                           for xi, pi, ei in zip(x, classP, classE))
+
+    return split
 
 
 def form_from_dict(doc: dict) -> IntersectionForm:

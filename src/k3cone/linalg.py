@@ -28,9 +28,7 @@ def to_fraction(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise InputError(f"not an exact rational: {x!r}")
 

@@ -4,8 +4,10 @@ Exact rational identities (boundary metric, phi) stay exact; anything
 involving square roots or hyperbolic functions is done in double
 precision.  Distances use the chord form d = 2 asinh(chord / 2) rather
 than arccosh(1 + x), which loses half the digits for points close
-together.  Stated tolerances: 1e-12 for identities that are exact
-underneath, 1e-9 for cross-model agreement.
+together.  The upper-half-space maps use the frame's float splitting
+`FibrationFrame.split_f` and its cached float E and P.  Stated
+tolerances: 1e-12 for identities that are exact underneath, 1e-9 for
+cross-model agreement.
 """
 
 import math
@@ -138,20 +140,9 @@ class UpperHalfSpacePoint:
             raise DomainError("upper-half-space height must be positive")
 
 
-def _decompose_f(frame, u):
-    """Float splitting U = w P + v E + uperp (valid frames: E.E=P.P=0, E.P=1)."""
-    e, p = _floats(frame.classE), _floats(frame.classP)
-    ep = inner_f(frame.form, frame.classE, frame.classP)
-    w = inner_f(frame.form, u, frame.classE) / ep
-    v = (inner_f(frame.form, u, frame.classP)
-         - w * inner_f(frame.form, frame.classP, frame.classP)) / ep
-    uperp = [float(ui) - w * pi - v * ei for ui, pi, ei in zip(u, p, e)]
-    return w, v, uperp
-
-
 def to_upper_half_space(frame, u) -> UpperHalfSpacePoint:
     """Hyperboloid point U = wP + vE + u maps to (u/w, 1/w); needs U.E > 0."""
-    w, _, uperp = _decompose_f(frame, u)
+    w, _, uperp = frame.split_f(u)
     if w <= 0:
         raise DomainError("point does not pair positively with the fiber class")
     return UpperHalfSpacePoint(tuple(ui / w for ui in uperp), 1.0 / w)
@@ -163,8 +154,8 @@ def from_upper_half_space(frame, point: UpperHalfSpacePoint):
     uperp = [xi * w for xi in point.x]
     uu = inner_f(frame.form, uperp, uperp)
     v = (1.0 - uu) / (2.0 * w)
-    e, p = _floats(frame.classE), _floats(frame.classP)
-    return tuple(w * pi + v * ei + ui for pi, ei, ui in zip(p, e, uperp))
+    return tuple(w * pi + v * ei + ui
+                 for pi, ei, ui in zip(frame.classP_f, frame.classE_f, uperp))
 
 
 def uhs_distance(frame, p1: UpperHalfSpacePoint, p2: UpperHalfSpacePoint) -> float:
@@ -204,6 +195,8 @@ class BallModel:
     def signature_coords(self, x):
         """Real coordinates w with x.x = w0^2 - w1^2 - ... - w_{n-1}^2."""
         n = self.form.dim
+        if len(x) != n:
+            raise InputError("vector dimension does not match the form")
         xf = [float(x[j]) for j in range(n)]
         c = [sum(a * b for a, b in zip(row, xf)) for row in self._s_inv]
         return [self._scales[k] * c[self._order[k]] for k in range(n)]
@@ -211,6 +204,8 @@ class BallModel:
     def from_signature_coords(self, w):
         """Inverse of `signature_coords` (float lattice vector)."""
         n = self.form.dim
+        if len(w) != n:
+            raise InputError("vector dimension does not match the form")
         c = [0.0] * n
         for k in range(n):
             c[self._order[k]] = w[k] / self._scales[k]

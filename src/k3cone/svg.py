@@ -10,17 +10,19 @@ from typing import Optional, Sequence
 from .errors import InputError
 from .walls import WallCircle, ball_circle_points
 
+WIDTH = 640
+HEIGHT = 640
+STROKE_WIDTH = 1.0
+STROKE = "#1a1a1a"
+SAMPLES = 64  # polyline resolution for 3d ball circles
+_STROKE_ATTRS = f' stroke="{STROKE}" stroke-width="{STROKE_WIDTH:.6f}"'
+
 
 @dataclass(frozen=True)
 class RenderOptions:
-    width: int = 640
-    height: int = 640
     scale: float = 60.0  # pixels per model unit
-    stroke_width: float = 1.0
-    stroke: str = "#1a1a1a"
     labels: Optional[Sequence[str]] = None  # parallel to the scene
     mark_infinity: bool = False  # annotate the cusp for uhs scenes
-    samples: int = 64  # polyline resolution for 3d ball circles
 
 
 def _fmt(v: float) -> str:
@@ -29,16 +31,15 @@ def _fmt(v: float) -> str:
 
 
 def _px(options: RenderOptions, x: float, y: float):
-    cx = options.width / 2.0 + options.scale * x
-    cy = options.height / 2.0 - options.scale * y
+    cx = WIDTH / 2.0 + options.scale * x
+    cy = HEIGHT / 2.0 - options.scale * y
     return cx, cy
 
 
 def _circle_elem(options, x, y, r, extra=""):
     cx, cy = _px(options, x, y)
     return (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r * options.scale)}"'
-            f' fill="none" stroke="{options.stroke}"'
-            f' stroke-width="{_fmt(options.stroke_width)}"{extra}/>')
+            f' fill="none"{_STROKE_ATTRS}{extra}/>')
 
 
 def _text_elem(options, x, y, text):
@@ -53,8 +54,7 @@ def _path_elem(options, points):
         cx, cy = _px(options, x, y)
         parts.append(f"{'M' if i == 0 else 'L'} {_fmt(cx)} {_fmt(cy)}")
     parts.append("Z")
-    return (f'<path d="{" ".join(parts)}" fill="none" stroke="{options.stroke}"'
-            f' stroke-width="{_fmt(options.stroke_width)}"/>')
+    return f'<path d="{" ".join(parts)}" fill="none"{_STROKE_ATTRS}/>'
 
 
 def _pad2(coords):
@@ -62,7 +62,7 @@ def _pad2(coords):
     return xs[0], xs[1]
 
 
-def _ball_circle_points(circle: WallCircle, samples: int):
+def _ball_circle_points(circle: WallCircle):
     if len(circle.center) == 2:
         # 2-dimensional ball: the trace is a pair of boundary points
         normal = circle.normal
@@ -71,7 +71,7 @@ def _ball_circle_points(circle: WallCircle, samples: int):
                  circle.center[1] + s * circle.radius * e1[1])
                 for s in (1.0, -1.0)]
     # orthographic projection to the first two coordinates
-    return [(p[0], p[1]) for p in ball_circle_points(circle, samples)]
+    return [(p[0], p[1]) for p in ball_circle_points(circle, SAMPLES)]
 
 
 def render_svg(scene: Sequence[WallCircle],
@@ -92,20 +92,18 @@ def render_svg(scene: Sequence[WallCircle],
             nx, ny = _pad2(circle.degenerate.normal)
             off = circle.degenerate.offset
             # line through off*(nx, ny), direction (-ny, nx), clipped crudely
-            span = max(options.width, options.height) / options.scale
+            span = max(WIDTH, HEIGHT) / options.scale
             p1 = (off * nx - span * ny, off * ny + span * nx)
             p2 = (off * nx + span * ny, off * ny - span * nx)
             c1, c2 = _px(options, *p1), _px(options, *p2)
             body.append(f'<line x1="{_fmt(c1[0])}" y1="{_fmt(c1[1])}"'
                         f' x2="{_fmt(c2[0])}" y2="{_fmt(c2[1])}"'
-                        f' stroke="{options.stroke}"'
-                        f' stroke-width="{_fmt(options.stroke_width)}"/>')
+                        f'{_STROKE_ATTRS}/>')
         elif circle.model == "uhs":
             x, y = _pad2(circle.center)
             body.append(_circle_elem(options, x, y, circle.radius))
         elif circle.model == "ball":
-            body.append(_path_elem(
-                options, _ball_circle_points(circle, options.samples)))
+            body.append(_path_elem(options, _ball_circle_points(circle)))
         else:
             raise InputError(f"unknown circle model {circle.model!r}")
         if labels is not None and labels[idx]:
@@ -115,6 +113,6 @@ def render_svg(scene: Sequence[WallCircle],
         body.append(f'<text x="8" y="16" font-size="12" font-family="monospace">'
                     f"[E] at infinity</text>")
     header = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-              f'width="{options.width}" height="{options.height}" '
-              f'viewBox="0 0 {options.width} {options.height}">')
+              f'width="{WIDTH}" height="{HEIGHT}" '
+              f'viewBox="0 0 {WIDTH} {HEIGHT}">')
     return "\n".join([header, *body, "</svg>"]) + "\n"

@@ -12,13 +12,12 @@ classes).
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from . import linalg, translations
+from . import translations
 from .errors import InputError
 from .linalg import Vector, vector
-from .models import BallModel, BoundaryChart, inner_f
+from .models import BallModel, BoundaryChart, inner_f, phi
 
 
 @dataclass(frozen=True)
@@ -70,19 +69,15 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
         raise InputError("wall class must have self-intersection -2")
     chart = chart or frame.chart
     delta = frame.form.inner(d, frame.classE)
+    if delta != 0:
+        return WallCircle("uhs", chart.euclid(phi(frame, d)),
+                          math.sqrt(2.0) / abs(float(delta)), d)
     dec = frame.decompose(d)
-    if delta == 0:
-        normal = chart.euclid(dec.perp)
-        norm = math.sqrt(sum(x * x for x in normal)) or 1.0
-        unit = tuple(x / norm for x in normal)
-        # wall equation <a, dperp>_euc = aE-coefficient of D
-        offset = float(dec.aE) / norm
-        return WallCircle("uhs", (), 0.0, d,
-                          degenerate=Hyperplane(unit, offset))
-    center_perp = linalg.vec_scale(Fraction(1) / delta, dec.perp)
-    center = chart.euclid(center_perp)
-    radius = math.sqrt(2.0) / abs(float(delta))
-    return WallCircle("uhs", center, radius, d)
+    normal = chart.euclid(dec.perp)
+    norm = math.sqrt(sum(x * x for x in normal)) or 1.0
+    # wall equation <a, dperp>_euc = aE-coefficient of D
+    return WallCircle("uhs", (), 0.0, d, degenerate=Hyperplane(
+        tuple(x / norm for x in normal), float(dec.aE) / norm))
 
 
 def wall_circle_ball(form, d: Vector, ball: BallModel) -> WallCircle:
@@ -150,7 +145,6 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     if circle.model == "uhs":
         frame = frame_or_form
         chart = chart or frame.chart
-        dirs = []
         r = chart.dim
         for idx in range(k):
             theta = 2.0 * math.pi * idx / k
@@ -158,16 +152,12 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
             e[0] = math.cos(theta)
             if r > 1:
                 e[1] = math.sin(theta)
-            dirs.append(e)
-        for e in dirs:
             a_coords = [c + circle.radius * x for c, x in zip(circle.center, e)]
             aperp = chart.lattice(a_coords)
             # null lift: A = P + aE * E + a with aE = -(a.a)/2
             a_e = -inner_f(frame.form, aperp, aperp) / 2.0
-            ef = [float(c) for c in frame.classE]
-            pf = [float(c) for c in frame.classP]
-            pts.append(tuple(p + a_e * ev + u
-                             for p, ev, u in zip(pf, ef, aperp)))
+            pts.append(tuple(p + a_e * ev + u for p, ev, u
+                             in zip(frame.classP_f, frame.classE_f, aperp)))
     elif circle.model == "ball":
         if ball is None:
             raise InputError("ball model required to sample ball circles")

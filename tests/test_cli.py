@@ -9,6 +9,7 @@ from k3cone.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FRAME = str(ROOT / "configs" / "f4_frame.json")
 PENCIL = str(ROOT / "configs" / "default_pencil.json")
+DATA = ROOT / "tests" / "data"
 
 
 @pytest.fixture
@@ -31,6 +32,9 @@ def test_validate_fails_on_broken_frame(runner, tmp_path):
     bad.write_text(json.dumps(doc))
     result = runner.invoke(main, ["validate", str(bad)])
     assert result.exit_code == 1
+    # E.P = 0: a reported frame error, not an uncaught exception
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tFrameError\t" in result.output
 
 
 def test_validate_reports_input_error(runner, tmp_path):
@@ -135,3 +139,25 @@ def test_specialize_scan_rejects_bad_range(runner):
         main, ["specialize-scan", PENCIL, "--t-min", "0", "--t-max", "8"])
     assert result.exit_code == 1
     assert "ERROR" in result.output
+
+
+# Generated by the CLI before the (E, P) splitting was rewritten; any
+# refactor must leave these outputs byte-identical.
+GOLDEN_RUNS = [
+    (["validate", FRAME], "cli_validate_f4.txt"),
+    (["orbit", FRAME, "--N", "3"], "cli_orbit_f4_N3.tsv"),
+    (["synthetic-pair", FRAME, "--noise", "1", "--seed", "7"],
+     "cli_synthetic_pair_noise1_seed7.tsv"),
+    (["specialize-scan", PENCIL, "--t-min", "8", "--t-max", "32",
+      "--tolerance", "1e-3"], "cli_specialize_scan_8_32.tsv"),
+    (["curve-heights", "--a", "0", "--b", "-2", "--point", "3,5",
+      "--tolerance", "1e-3"], "cli_curve_heights_3_5.tsv"),
+]
+
+
+@pytest.mark.parametrize("args, golden", GOLDEN_RUNS,
+                         ids=[g.split(".")[0] for _, g in GOLDEN_RUNS])
+def test_cli_output_matches_golden(runner, args, golden):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (DATA / golden).read_bytes()

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (random_orthogonal_to_fiber, random_unimodular,
                       random_valid_frame)
 from k3cone import configio, lattice, linalg
+from k3cone import frame as frame_module
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
@@ -40,6 +43,47 @@ def test_decompose_reassemble_round_trip(f4):
         assert f4.reassemble(dec) == a
         assert f4.form.inner(dec.perp, f4.classE) == 0
         assert f4.form.inner(dec.perp, f4.classP) == 0
+
+
+def _assert_float_split_close(frame, a):
+    """split_f of float(a) is within 1e-9 relative of the exact split of
+    the same float input, measured against its largest component."""
+    af = [float(x) for x in a]
+    exact = frame.split(tuple(Fraction(x) for x in af))
+    exact = (exact[0], exact[1], *exact[2])
+    w, v, perp = frame.split_f(af)
+    scale = max(abs(x) for x in exact)
+    for got, want in zip((w, v, *perp), exact):
+        assert abs(Fraction(got) - want) <= Fraction(1e-9) * scale
+
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 8), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_splitting_round_trips(seed, dim, vec_seed):
+    """Exact decompose round-trips on valid frames and on a nondegenerate
+    frame whose E is not null; the float split tracks the exact one."""
+    frame = random_valid_frame(seed, dim=dim)
+    rng = random.Random(vec_seed)
+    a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+              for _ in range(dim))
+    # E' = E + b with b in V: E'.E' = b.b < 0 and the plane has
+    # determinant 1 + 2 b.b, nonzero once b.b != -1/2
+    b = frame.boundary_basis[0]
+    if frame.form.norm2(b) == Fraction(-1, 2):
+        b = linalg.vec_scale(2, b)
+    skew = FibrationFrame(frame.form, linalg.vec_add(frame.classE, b),
+                          frame.classO, frame.ample)
+    assert skew.form.norm2(skew.classE) < 0
+    for fr in (frame, skew):
+        inner, e, p = fr.form.inner, fr.classE, fr.classP
+        dec = fr.decompose(a)
+        assert fr.reassemble(dec) == a
+        assert inner(dec.perp, e) == 0 and inner(dec.perp, p) == 0
+        # the 2x2 system the splitting solves, by an independent solver
+        assert (dec.aP, dec.aE) == linalg.solve(
+            [[inner(p, e), inner(e, e)], [inner(p, p), inner(e, p)]],
+            (inner(a, e), inner(a, p)))
+        _assert_float_split_close(fr, a)
 
 
 def test_decompose_example(f4):
@@ -181,14 +225,15 @@ def test_pencil_from_dict_rejects_bad_section():
 
 
 def test_decompose_wraps_only_a_degenerate_pair(f4, monkeypatch):
-    # E = 0 makes the (E, P) system singular: that is a frame error
+    # E = 0 makes the (E, P) plane degenerate: that is a frame error
     flat = FibrationFrame(f4.form, (0, 0, 0, 0), f4.classO, f4.ample)
     with pytest.raises(FrameError, match="degenerate"):
         flat.decompose(f4.ample)
 
-    def broken_solve(m, b):
-        raise TypeError("broken solve")
+    def broken_splitting(inner, classE, classP):
+        raise TypeError("broken splitting")
 
-    monkeypatch.setattr(linalg, "solve", broken_solve)
-    with pytest.raises(TypeError, match="broken solve"):
-        f4.decompose(f4.ample)
+    monkeypatch.setattr(frame_module, "plane_splitting", broken_splitting)
+    fresh = FibrationFrame(f4.form, f4.classE, f4.classO, f4.ample)
+    with pytest.raises(TypeError, match="broken splitting"):
+        fresh.decompose(f4.ample)

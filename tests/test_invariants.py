@@ -7,7 +7,7 @@ check still fires.  Plain `assert` would vanish under `python -O`.
 
 import pytest
 
-from k3cone import curves, f4_frame, involutions, lattice, linalg
+from k3cone import curves, f4_frame, frame, involutions, lattice, linalg
 from k3cone.errors import DegenerateFormError, FrameError, InputError
 from k3cone.translations import Isometry
 
@@ -16,8 +16,8 @@ def _wrong_inverse(m):
     return linalg.identity(len(m))
 
 
-def _wrong_solve(m, b):
-    return (0, 0)
+def _wrong_splitting(inner, classE, classP):
+    return lambda x: (0, 0, x)
 
 
 def _negate(self, v):
@@ -31,7 +31,7 @@ def _never_contains(self, p):
 CASES = [
     ("dual_basis", linalg, "inverse", _wrong_inverse,
      lambda f: lattice.dual_basis(f.form), DegenerateFormError),
-    ("decompose", linalg, "solve", _wrong_solve,
+    ("decompose", frame, "plane_splitting", _wrong_splitting,
      lambda f: f.decompose(f.ample), FrameError),
     ("reflection_through", Isometry, "__call__", _negate,
      involutions.sigma0_pullback, FrameError),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_boundary_class, random_valid_frame
 from k3cone import linalg
-from k3cone.errors import CuspError, DomainError
+from k3cone.errors import CuspError, DomainError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.models import (BallModel, BoundaryChart, UpperHalfSpacePoint,
                            ball_distance, boundary_distance,
@@ -158,6 +158,18 @@ def test_null_lift_is_null(f4):
     u = [0.6, 0.0, 0.8]
     lifted = ball.null_lift(u)
     assert abs(inner_f(f4.form, lifted, lifted)) < 1e-9
+
+
+def test_ball_model_rejects_wrong_length(f4):
+    ball = BallModel(f4.form, f4.ample)
+    with pytest.raises(InputError):
+        ball.signature_coords((2, 1, 0, 0, 99))
+    with pytest.raises(InputError):
+        ball.signature_coords((2, 1, 0))
+    with pytest.raises(InputError):
+        ball.from_signature_coords([1.0, 0.0])
+    with pytest.raises(InputError):
+        ball.null_lift([0.6, 0.8, 0.0, 5.0])
 
 
 def test_boundary_chart_isometry(f4):
