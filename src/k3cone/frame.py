@@ -9,6 +9,8 @@ meets [E] once, and anchors the boundary coordinate subspace
 
 on which the form is negative definite.  A class splits as aP*P + aE*E +
 perp with perp in V by `split` (exact) or `split_f` (float), built once.
+`cusp` gives the float cusp coordinates (w, v, y) of an exact class, with
+y the chart coordinates of perp.
 """
 
 from dataclasses import dataclass
@@ -128,6 +130,12 @@ class FibrationFrame:
         """x -> (w, v, perp) in double precision, over `models.inner_f`."""
         return plane_splitting(partial(inner_f, self.form),
                                self.classE_f, self.classP_f)
+
+    def cusp(self, x) -> tuple:
+        """Cusp coordinates (w, v, y) of x = wP + vE + sum y_k b_k in doubles:
+        the exact `split`, then `chart.euclid` of perp, rounded once."""
+        w, v, perp = self.split(vector(x))
+        return (float(w), float(v)) + self.chart.euclid(perp)
 
     def decompose(self, a: Vector) -> Decomposition:
         """Split A = aP*P + aE*E + perp with perp.E = perp.P = 0, exactly."""

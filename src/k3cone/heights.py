@@ -8,6 +8,11 @@ translation automorphisms up to bounded, seeded noise:
 
 iterated noise obeys the growth contract |perp| <= M n, |scalar| <= M |v| n^2.
 
+Heights live in cusp coordinates (w, v, y) = wP + vE + sum y_k b_k
+(`FibrationFrame.cusp`, product `models.cusp_inner`): the base height is
+(h(E), 0, 0...), noise is (0, scalar, perp), and exact classes (the group
+translation, the reference divisor D) are converted once each.
+
 Sign convention: the Lorentz product is negative definite on the boundary
 subspace, so the canonical height comes out as -h(E) (v.v) ([E].D) / 2 >= 0
 and the normalized pairing matrix converges to the positive semidefinite
@@ -18,12 +23,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 
-from . import linalg
-from .errors import InputError
+from .errors import FrameError, InputError
 from .linalg import Vector, vector
-from .models import inner_f
+from .models import cusp_inner
 from .translations import parabolic_translation
 
 
@@ -41,6 +44,8 @@ class FiberPoint:
     def __add__(self, other: "FiberPoint") -> "FiberPoint":
         if self.fiber != other.fiber:
             raise InputError("points lie on different fibers")
+        if len(self.group_vector) != len(other.group_vector):
+            raise InputError("group vectors have different lengths")
         return FiberPoint(self.fiber,
                           tuple(a + b for a, b in zip(self.group_vector,
                                                       other.group_vector)))
@@ -51,126 +56,118 @@ class SyntheticFibration:
 
     fiber_heights are the base heights h(E); noise_bound M caps both the
     boundary and scalar noise components; all draws are reproducible from
-    the seed.
+    the seed.  The frame must have E.E = P.P = 0 and E.P = 1, the
+    hypothesis of the cusp product.
     """
 
     def __init__(self, frame, fiber_heights, noise_bound=0.0, seed=0):
-        if noise_bound < 0:
-            raise InputError("noise bound must be nonnegative")
-        if any(h <= 0 for h in fiber_heights):
-            raise InputError("fiber heights must be positive")
-        self.frame = frame
-        self.fiber_heights = tuple(float(h) for h in fiber_heights)
         self.noise_bound = float(noise_bound)
+        self.fiber_heights = tuple(float(h) for h in fiber_heights)
+        if not 0.0 <= self.noise_bound < math.inf:
+            raise InputError("noise bound must be finite and nonnegative")
+        if not all(0.0 < h < math.inf for h in self.fiber_heights):
+            raise InputError("fiber heights must be finite and positive")
+        form, e, p = frame.form, frame.classE, frame.classP
+        if (form.norm2(e), form.norm2(p), form.inner(e, p)) != (0, 0, 1):
+            raise FrameError("synthetic oracle needs E.E = P.P = 0, E.P = 1")
+        self.frame = frame
         self.seed = int(seed)
+        self.classE = (0.0, 1.0) + (0.0,) * (form.dim - 2)
 
     def base_height(self, fiber: int):
-        """h(O_E) = h(E) * P, so that h(O_E).[E] = h(E) exactly."""
+        """h(O_E) = h(E) P = (h(E), 0, 0...), so h(O_E).[E] = h(E) exactly."""
         if not 0 <= fiber < len(self.fiber_heights):
             raise InputError(f"no fiber with index {fiber}")
-        h = self.fiber_heights[fiber]
-        return tuple(h * c for c in self.frame.classP_f)
+        return (self.fiber_heights[fiber], 0.0) + self.classE[2:]
 
     def group_translation(self, point: FiberPoint) -> Vector:
         if len(point.group_vector) != self.frame.rank:
             raise InputError("group vector length does not match the frame rank")
         return self.frame.translation_sum(point.group_vector)
 
-    def _translation_f(self, v):
-        """The float parabolic translation x -> T_v x on float vectors x."""
-        return parabolic_translation(partial(inner_f, self.frame.form),
-                                     self.frame.classE_f,
-                                     [float(c) for c in v])
+    def _translation(self, u):
+        """x -> T_u x on cusp coordinates, u the cusp coordinates of v."""
+        return parabolic_translation(cusp_inner, self.classE, u)
+
+    def _cusp_translation(self, point: FiberPoint):
+        return self.frame.cusp(self.group_translation(point))
 
     def _noise(self, point: FiberPoint, step):
-        """One bounded noise vector: boundary part (norm <= M) plus scalar*E."""
+        """One bounded noise vector (0, scalar, perp), |perp| <= M."""
         m = self.noise_bound
-        if m == 0.0:
-            return None
         rng = random.Random(
             f"{self.seed}|{point.fiber}|{point.group_vector}|{step}")
-        chart = self.frame.chart
-        r = chart.dim
-        cap = m / math.sqrt(r)
-        perp = chart.lattice([rng.uniform(-cap, cap) for _ in range(r)])
-        scalar = rng.uniform(-m, m)
-        return (tuple(p + scalar * ei
-                      for p, ei in zip(perp, self.frame.classE_f)),
-                scalar)
+        cap = m / math.sqrt(max(len(self.classE) - 2, 1))
+        perp = tuple(rng.uniform(-cap, cap) for _ in self.classE[2:])
+        return (0.0, rng.uniform(-m, m)) + perp
 
     def vector_height(self, point: FiberPoint):
         """h(Q_{v,E}) = T_v h(O_E) + noise (noise keyed to the point)."""
-        v = self.group_translation(point)
-        base = self.base_height(point.fiber)
-        h = self._translation_f(v)(base)
-        noise = self._noise(point, "point")
-        if noise is not None:
-            h = tuple(a + b for a, b in zip(h, noise[0]))
-        return h
+        h = self._translation(self._cusp_translation(point))(
+            self.base_height(point.fiber))
+        return tuple(a + b for a, b in zip(h, self._noise(point, "point")))
 
     def iterated_height(self, point: FiberPoint, n: int):
         """h(tau_v^n O_E): exact translate plus per-step accumulated noise."""
-        return self._iterated_heights(point, (n,))[0]
+        return self._iterated_heights(point, self._cusp_translation(point),
+                                      (n,))[0]
 
-    def _iterated_heights(self, point: FiberPoint, steps):
+    def _iterated_heights(self, point: FiberPoint, u, steps):
         """`iterated_height` at each of the ascending step counts, from one
-        pass over the error recurrence."""
-        v = self.group_translation(point)
+        pass over the error recurrence; u is the cusp translation."""
         base = self.base_height(point.fiber)
-        errors = self._errors(point, v)
-        err, done = next(errors), 0
-        heights = []
-        for n in steps:
-            for _ in range(n - done):
-                err = next(errors)
-            done = n
-            exact = self._translation_f(linalg.vec_scale(n, v))(base)
-            heights.append(tuple(a + b for a, b in zip(exact, err)))
-        return heights
+        errors = list(itertools.islice(self._errors(point, u), steps[-1] + 1))
+        exact = (self._translation(tuple(n * c for c in u))(base) for n in steps)
+        return [tuple(a + b for a, b in zip(h, errors[n]))
+                for h, n in zip(exact, steps)]
 
-    def _errors(self, point: FiberPoint, v):
+    def _errors(self, point: FiberPoint, u):
         """Accumulated iterated error after steps 0, 1, 2, ... (one pass).
 
-        err_0 = 0 and err_{k+1} = T_v err_k + noise_k.  Without noise, T_v
-        maps the zero vector to itself, so the error stays zero.
+        err_0 = 0 and err_{k+1} = T_u err_k + noise_k.  Without noise, T_u
+        maps the zero vector to itself, so the error stays zero.  Every
+        error has w = 0.0 exactly.
         """
-        zero = (0.0,) * self.frame.form.dim
+        zero = (0.0,) * len(self.classE)
         if self.noise_bound == 0.0:
             return itertools.repeat(zero)
-        step = self._translation_f(v)
+        step = self._translation(u)
 
         def advance(err, k):
             return tuple(a + b for a, b in zip(step(err),
-                                               self._noise(point, k)[0]))
+                                               self._noise(point, k)))
 
         return itertools.accumulate(itertools.count(), advance, initial=zero)
 
     def error_trace(self, point: FiberPoint, n_steps: int):
-        """Per-step error decomposition for the growth-contract checks.
-
-        Yields (n, boundary_error_norm, |scalar_error|) for n = 1..n_steps.
-        """
-        form = self.frame.form
-        ep = float(form.inner(self.frame.classE, self.frame.classP))
-        errors = itertools.islice(
-            self._errors(point, self.group_translation(point)), 1, n_steps + 1)
-        rows = []
-        for n, err in enumerate(errors, start=1):
-            scalar = inner_f(form, err, self.frame.classP_f) / ep
-            perp = tuple(a - scalar * e
-                         for a, e in zip(err, self.frame.classE_f))
-            perp_norm = math.sqrt(max(-inner_f(form, perp, perp), 0.0))
-            rows.append((n, perp_norm, abs(scalar)))
-        return rows
+        """(n, |y|, |v|) of the error (0, v, y) for n = 1..n_steps: its
+        boundary norm and E-component, for the growth-contract checks."""
+        u = self._cusp_translation(point)
+        errors = itertools.islice(self._errors(point, u), 1, n_steps + 1)
+        return [(n, math.hypot(*err[2:]), abs(err[1]))
+                for n, err in enumerate(errors, start=1)]
 
 
-def _require_ample(frame, d):
+def _reference(fib: SyntheticFibration, d, n_max: int):
+    """Validate D and n_max once per public call; return D in cusp
+    coordinates, whose w is [E].D."""
+    if n_max < 1:
+        raise InputError("n_max must be at least 1")
+    frame = fib.frame
     d = vector(d)
     if frame.form.norm2(d) <= 0 or frame.form.inner(d, frame.ample) <= 0:
         raise InputError("height reference divisor must be ample")
     if frame.form.inner(d, frame.classE) <= 0:
         raise InputError("reference divisor must pair positively with the fiber")
-    return d
+    return frame.cusp(d)
+
+
+def _height(fib: SyntheticFibration, point: FiberPoint, dc, n_max: int):
+    u = fib._cusp_translation(point)
+    s0, s1, s2 = (cusp_inner(h, dc) for h in
+                  fib._iterated_heights(point, u, (0, n_max, 2 * n_max)))
+    value = (s2 - 2.0 * s1 + s0) / (2.0 * n_max * n_max)
+    return value, 3.0 * fib.noise_bound * math.hypot(*u[2:]) * dc[0]
 
 
 def canonical_height(fib: SyntheticFibration, point: FiberPoint, d,
@@ -183,30 +180,20 @@ def canonical_height(fib: SyntheticFibration, point: FiberPoint, d,
     n_max.  Returns (value, error_bound); the bound is the worst-case noise
     contribution 3 M |v| ([E].D).
     """
-    if n_max < 1:
-        raise InputError("n_max must be at least 1")
-    d = _require_ample(fib.frame, d)
-    df = [float(c) for c in d]
-    form = fib.frame.form
-    s0, s1, s2 = (inner_f(form, h, df) for h in
-                  fib._iterated_heights(point, (0, n_max, 2 * n_max)))
-    value = (s2 - 2.0 * s1 + s0) / (2.0 * n_max * n_max)
-    v = fib.group_translation(point)
-    vnorm = math.sqrt(max(-inner_f(form, v, v), 0.0))
-    ed = float(form.inner(d, fib.frame.classE))
-    bound = 3.0 * fib.noise_bound * vnorm * ed
-    return value, bound
+    return _height(fib, point, _reference(fib, d, n_max), n_max)
+
+
+def _pairing(fib, p1, p2, dc, n_max):
+    h12, _ = _height(fib, p1 + p2, dc, n_max)
+    h1, _ = _height(fib, p1, dc, n_max)
+    h2 = h1 if p1 == p2 else _height(fib, p2, dc, n_max)[0]
+    return h12 - h1 - h2
 
 
 def nt_pairing(fib: SyntheticFibration, p1: FiberPoint, p2: FiberPoint, d,
                n_max: int = 200) -> float:
     """hhat(p1 + p2) - hhat(p1) - hhat(p2); symmetric in its arguments."""
-    if p1.fiber != p2.fiber:
-        raise InputError("points lie on different fibers")
-    h12, _ = canonical_height(fib, p1 + p2, d, n_max)
-    h1, _ = canonical_height(fib, p1, d, n_max)
-    h2 = h1 if p1 == p2 else canonical_height(fib, p2, d, n_max)[0]
-    return h12 - h1 - h2
+    return _pairing(fib, p1, p2, _reference(fib, d, n_max), n_max)
 
 
 @dataclass(frozen=True)
@@ -225,18 +212,16 @@ def limit_experiment(fib: SyntheticFibration, i: int, j: int, d,
     Emits pairing / (h(E) ([E].D)) for every fiber; the target is the
     Euclidean value -v_i.v_j, approached as h(E) grows.
     """
-    d = _require_ample(fib.frame, d)
+    dc = _reference(fib, d, n_max)
     frame = fib.frame
     vi, vj = frame.translations[i], frame.translations[j]
     target = float(-frame.form.inner(vi, vj))  # exact negation avoids -0.0
-    ed = float(frame.form.inner(d, frame.classE))
     rows = []
-    r = frame.rank
     for fiber, h_e in enumerate(fib.fiber_heights):
-        p1 = FiberPoint(fiber, tuple(int(k == i) for k in range(r)))
-        p2 = FiberPoint(fiber, tuple(int(k == j) for k in range(r)))
-        pairing = nt_pairing(fib, p1, p2, d, n_max)
-        normalized = pairing / (h_e * ed)
+        p1 = FiberPoint(fiber, tuple(int(k == i) for k in range(frame.rank)))
+        p2 = FiberPoint(fiber, tuple(int(k == j) for k in range(frame.rank)))
+        pairing = _pairing(fib, p1, p2, dc, n_max)
+        normalized = pairing / (h_e * dc[0])
         rows.append(LimitRow(h_e, pairing, normalized, target,
                              normalized - target))
     return rows

@@ -10,7 +10,8 @@ copy of the Gram matrix that is computed once per form and read only by
 
 `plane_splitting`, a closure over a bilinear product, is the one
 splitting x = wP + vE + perp: exact over `inner`, float over
-`models.inner_f`.
+`models.inner_f`.  The exact split is the first step of the float cusp
+coordinates (w, v, y) of `FibrationFrame.cusp`.
 """
 
 from dataclasses import dataclass

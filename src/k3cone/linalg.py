@@ -67,7 +67,7 @@ def matrix_numerators(m):
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    if len(m[0]) != len(v):
+    if (len(m[0]) if m else 0) != len(v):
         raise InputError("dimension mismatch in mat_vec")
     a, da = matrix_numerators(m)
     b, db = numerators(v)

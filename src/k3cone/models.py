@@ -5,14 +5,16 @@ involving square roots or hyperbolic functions is done in double
 precision.  Distances use the chord form d = 2 asinh(chord / 2) rather
 than arccosh(1 + x), which loses half the digits for points close
 together.  The upper-half-space maps use the frame's float splitting
-`FibrationFrame.split_f` and its cached float E and P.  Stated
-tolerances: 1e-12 for identities that are exact underneath, 1e-9 for
-cross-model agreement.
+`FibrationFrame.split_f` and its cached float E and P; the synthetic
+height oracle uses `cusp_inner` in cusp coordinates, O(r) and free of a
+scrambled basis's cancellation.  Stated tolerances: 1e-12 for identities
+that are exact underneath, 1e-9 for cross-model agreement.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import CuspError, DomainError, InputError
@@ -38,6 +40,14 @@ def inner_f(form: IntersectionForm, u, v) -> float:
     return sum(ui * gij * vj
                for ui, row in zip(map(float, u), g)
                for gij, vj in zip(row, vf))
+
+
+def cusp_inner(x, y) -> float:
+    """wv' + vw' - <y, y'>: the product of cusp coordinates (w, v, y) from
+    `FibrationFrame.cusp`, on a frame with E.E = P.P = 0 and E.P = 1."""
+    if len(x) != len(y):
+        raise InputError("cusp coordinate vectors differ in length")
+    return x[0] * y[1] + x[1] * y[0] - sum(map(mul, x[2:], y[2:]))
 
 
 def hyperbolic_distance(form: IntersectionForm, a, b, ample=None) -> float:
@@ -117,13 +127,6 @@ def phi(frame, a: Vector) -> Vector:
     if ae == 0:
         raise CuspError("phi is undefined at the cusp")
     return linalg.vec_scale(Fraction(1) / ae, frame.decompose(a).perp)
-
-
-def euclidean_norm(frame, u: Vector) -> float:
-    q = -inner_f(frame.form, u, u)
-    if q < -1e-12:
-        raise DomainError("vector is not in the negative definite subspace")
-    return math.sqrt(max(q, 0.0))
 
 
 # -- upper half space --------------------------------------------------------

@@ -49,8 +49,11 @@ def parabolic_translation(inner, classE, v):
 
     `inner` is the bilinear product, and the scalars are whatever it and
     the entries of E, v and x are: `IntersectionForm.inner` on rational
-    vectors gives the exact map, `models.inner_f` on float vectors the
-    float one.  v.v/2 is computed once per v.
+    vectors gives the exact map, `models.inner_f` on float vectors a float
+    one.  Over `models.cusp_inner`, with E = (0, 1, 0...) and v = (0, 0, u)
+    in cusp coordinates, it is the O(r) Euclidean translation (w, v, y) ->
+    (w, v + <y, u> + w|u|^2/2, y + w u) seen from the cusp [E].  v.v/2 is
+    computed once per v.
     """
     half_vv = inner(v, v) / 2
 

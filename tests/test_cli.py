@@ -91,6 +91,15 @@ def test_synthetic_pair_noiseless(runner):
         assert float(fields[6]) == 0.0
 
 
+@pytest.mark.parametrize("args", [["--noise", "nan"], ["--noise", "inf"],
+                                  ["--fibers", "10,nan"], ["--fibers", "inf"]])
+def test_synthetic_pair_rejects_non_finite(runner, args):
+    result = runner.invoke(main, ["synthetic-pair", FRAME] + args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+
+
 def test_synthetic_pair_seed_reproducible(runner):
     args = ["synthetic-pair", FRAME, "--noise", "1", "--seed", "7",
             "--fibers", "10", "--n-max", "50"]

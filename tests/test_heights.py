@@ -1,29 +1,28 @@
 import math
 import random
-from functools import partial
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_valid_frame
-from k3cone import f4_frame
-from k3cone.errors import InputError
+from k3cone import f4_frame, linalg
+from k3cone.errors import FrameError, InputError
+from k3cone.frame import FibrationFrame
 from k3cone.heights import (FiberPoint, SyntheticFibration, canonical_height,
                             limit_experiment, nt_pairing)
-from k3cone.models import inner_f
-from k3cone.translations import parabolic_translation
+from k3cone.lattice import IntersectionForm
+from k3cone.linalg import vector
+from k3cone.models import cusp_inner
+from k3cone.translations import parabolic_translation, translation_image
 
 
 def _fib(noise=0.0, seed=0, heights=(10.0, 100.0)):
     return SyntheticFibration(f4_frame(), heights, noise, seed)
 
 
-def _translate_f(frame, v, x):
-    """Float T_v x from the shared translation formula."""
-    def floats(u):
-        return [float(c) for c in u]
-
-    return parabolic_translation(partial(inner_f, frame.form),
-                                 floats(frame.classE), floats(v))(floats(x))
+def _translate_cusp(fib, u, x):
+    """Float T_u x on cusp coordinates from the shared translation formula."""
+    return parabolic_translation(cusp_inner, fib.classE, u)(x)
 
 
 def test_fiber_point_addition():
@@ -31,6 +30,14 @@ def test_fiber_point_addition():
     assert p.group_vector == (1, 2)
     with pytest.raises(InputError):
         FiberPoint(0, (1, 0)) + FiberPoint(1, (1, 0))
+
+
+def test_fiber_point_addition_rejects_length_mismatch():
+    with pytest.raises(InputError):
+        FiberPoint(0, (1, 0, 5)) + FiberPoint(0, (1, 0))
+    with pytest.raises(InputError):
+        canonical_height(_fib(), FiberPoint(0, (1, 0)) + FiberPoint(0, (1,)),
+                         f4_frame().ample)
 
 
 def test_input_validation():
@@ -45,13 +52,46 @@ def test_input_validation():
         fib.group_translation(FiberPoint(0, (1,)))
 
 
+@pytest.mark.parametrize("heights, noise", [
+    ((float("nan"),), 0.0), ((math.inf,), 0.0), ((10.0, -math.inf), 0.0),
+    ((10.0,), float("nan")), ((10.0,), math.inf)])
+def test_non_finite_inputs_rejected(heights, noise):
+    with pytest.raises(InputError):
+        SyntheticFibration(f4_frame(), heights, noise)
+
+
+@pytest.mark.parametrize("classE, classO", [
+    ((1, 0, 1, 0), (-1, 1, 0, 0)),  # E.E = -4
+    ((2, 0, 0, 0), (-1, 1, 0, 0)),  # E null, but E.P = 2 and P.P = 2
+])
+def test_invalid_frame_rejected(classE, classO):
+    f4 = f4_frame()
+    frame = FibrationFrame(f4.form, classE, classO, f4.ample, f4.translations)
+    with pytest.raises(FrameError):
+        SyntheticFibration(frame, (10.0,))
+
+
+def test_rank_zero_frame():
+    form = IntersectionForm(((0, 1), (1, 0)))
+    frame = FibrationFrame.create(form, (1, 0), (-1, 1), (2, 1), ())
+    point = FiberPoint(0, ())
+    assert frame.cusp(frame.ample) == (1.0, 2.0)
+    for noise in (0.0, 1.0):
+        fib = SyntheticFibration(frame, (10.0,), noise, seed=1)
+        value, bound = canonical_height(fib, point, frame.ample, 5)
+        assert bound == 0.0
+        assert value == 0.0 if noise == 0.0 else abs(value) <= 1.0
+        assert all(perp == 0.0 for _, perp, _ in fib.error_trace(point, 3))
+
+
 def test_base_height_pairs_to_fiber_height():
     fib = _fib()
     frame = fib.frame
+    assert fib.classE == frame.cusp(frame.classE) == (0.0, 1.0, 0.0, 0.0)
     for fiber, h in enumerate(fib.fiber_heights):
         base = fib.base_height(fiber)
-        assert inner_f(frame.form, base,
-                       [float(c) for c in frame.classE]) == h
+        assert base == frame.cusp(linalg.vec_scale(int(h), frame.classP))
+        assert cusp_inner(base, fib.classE) == h
 
 
 def test_vector_height_noiseless_is_exact_translate():
@@ -60,8 +100,13 @@ def test_vector_height_noiseless_is_exact_translate():
     point = FiberPoint(0, (1, 0))
     h = fib.vector_height(point)
     v = fib.group_translation(point)
-    expected = _translate_f(frame, v, fib.base_height(0))
-    assert h == expected
+    u = frame.cusp(v)
+    assert h == _translate_cusp(fib, u, fib.base_height(0))
+    # T_u (w, v, y) = (w, v + <y, u> + w |u|^2 / 2, y + w u) with |u| = 2
+    assert h == (10.0, 20.0, 20.0, 0.0)
+    exact = translation_image(frame.form, frame.classE, v,
+                              linalg.vec_scale(10, frame.classP))
+    assert h == frame.cusp(exact)
 
 
 def test_vector_height_noise_is_reproducible_and_bounded():
@@ -71,11 +116,12 @@ def test_vector_height_noise_is_reproducible_and_bounded():
     point = FiberPoint(0, (1, 1))
     assert fib1.vector_height(point) == fib2.vector_height(point)
     assert fib1.vector_height(point) != fib3.vector_height(point)
-    noise, scalar = fib1._noise(point, "point")
-    assert abs(scalar) <= 1.0
-    perp = tuple(n - scalar * float(e)
-                 for n, e in zip(noise, fib1.frame.classE))
-    assert -inner_f(fib1.frame.form, perp, perp) <= 1.0 + 1e-12
+    noise = fib1._noise(point, "point")
+    assert fib1.vector_height(point) == tuple(
+        a + b for a, b in zip(_fib().vector_height(point), noise))
+    assert noise[0] == 0.0
+    assert abs(noise[1]) <= 1.0
+    assert math.hypot(*noise[2:]) <= 1.0 + 1e-12
 
 
 def test_canonical_height_noiseless_closed_form():
@@ -137,13 +183,13 @@ def test_limit_experiment_deviation_shrinks():
 
 def _replayed_iterated_height(fib, point, n):
     """Reference: exact translate plus the error replayed step by step."""
-    v = fib.group_translation(point)
-    err = (0.0,) * fib.frame.form.dim
+    u = fib.frame.cusp(fib.group_translation(point))
+    err = (0.0,) * len(u)
     for k in range(n):
-        err = _translate_f(fib.frame, v, err)
-        err = tuple(a + b for a, b in zip(err, fib._noise(point, k)[0]))
-    exact = _translate_f(fib.frame, tuple(n * c for c in v),
-                         fib.base_height(point.fiber))
+        err = _translate_cusp(fib, u, err)
+        err = tuple(a + b for a, b in zip(err, fib._noise(point, k)))
+    exact = _translate_cusp(fib, tuple(n * c for c in u),
+                            fib.base_height(point.fiber))
     return tuple(a + b for a, b in zip(exact, err))
 
 
@@ -151,7 +197,7 @@ def _replayed_iterated_height(fib, point, n):
 def test_one_pass_heights_match_replays(seed):
     frame = random_valid_frame(seed, dim=4 + seed)
     fib = SyntheticFibration(frame, (10.0, 1000.0), 1.0, seed)
-    df = [float(c) for c in frame.ample]
+    dc = frame.cusp(frame.ample)
     rng = random.Random(seed)
     for fiber in (0, 1):
         point = FiberPoint(fiber, [rng.randint(-2, 2)
@@ -160,8 +206,8 @@ def test_one_pass_heights_match_replays(seed):
             for k in (0, n, 2 * n):
                 assert (fib.iterated_height(point, k)
                         == _replayed_iterated_height(fib, point, k))
-            s0, s1, s2 = (inner_f(frame.form, fib.iterated_height(point, k),
-                                  df) for k in (0, n, 2 * n))
+            s0, s1, s2 = (cusp_inner(fib.iterated_height(point, k), dc)
+                          for k in (0, n, 2 * n))
             value, _ = canonical_height(fib, point, frame.ample, n)
             assert value == (s2 - 2.0 * s1 + s0) / (2.0 * n * n)
 
@@ -193,3 +239,75 @@ def test_random_frame_synthetic_consistency():
         frame.form.inner(frame.ample, frame.classE)) / 2.0
     value, _ = canonical_height(fib, point, frame.ample)
     assert abs(value - expected) < 1e-6 * max(1.0, abs(expected))
+
+
+# -- exact reference for the noisy oracle -------------------------------------
+
+def _exact_cusp(frame, x):
+    """Cusp coordinates (w, v, y): w, v exact, y the chart's doubles."""
+    w, v, perp = frame.split(vector(x))
+    return (w, v) + tuple(Fraction(c) for c in frame.chart.euclid(perp))
+
+
+def _exact_dot(x, y):
+    return x[0] * y[1] + x[1] * y[0] - sum(a * b for a, b in zip(x[2:], y[2:]))
+
+
+def _exact_noise(fib, point, step):
+    """The oracle's noise draw for one step, (0, scalar, perp), as Fractions.
+
+    Replays the documented keying: one `random.Random` per (seed, fiber,
+    group vector, step), r boundary draws in [-M/sqrt(r), M/sqrt(r)] and
+    then the scalar in [-M, M].
+    """
+    m, r = fib.noise_bound, fib.frame.form.dim - 2
+    rng = random.Random(
+        f"{fib.seed}|{point.fiber}|{point.group_vector}|{step}")
+    cap = m / math.sqrt(r)
+    perp = tuple(Fraction(rng.uniform(-cap, cap)) for _ in range(r))
+    return (Fraction(0), Fraction(rng.uniform(-m, m))) + perp
+
+
+def _exact_model(fib, point, n_max):
+    """Exact iterated heights h_0..h_{2 n_max} of the oracle's own model.
+
+    Same inputs as the float oracle (the converted translation and the
+    noise draws), evaluated in `Fraction`s with the cusp product.
+    """
+    u = _exact_cusp(fib.frame, fib.group_translation(point))
+    e = (0, 1) + (0,) * (len(u) - 2)
+    base = (Fraction(fib.fiber_heights[point.fiber]),) + (0,) * (len(u) - 1)
+    step = parabolic_translation(_exact_dot, e, u)
+    errors = [(Fraction(0),) * len(u)]
+    for k in range(2 * n_max):
+        errors.append(tuple(a + b for a, b in zip(
+            step(errors[-1]), _exact_noise(fib, point, k))))
+    heights = []
+    for n, err in enumerate(errors):
+        exact = parabolic_translation(_exact_dot, e,
+                                      tuple(n * c for c in u))(base)
+        heights.append(tuple(a + b for a, b in zip(exact, err)))
+    return heights, errors
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+def test_noisy_oracle_matches_exact_reference(dim):
+    n_max, tol = 40, 1e-12
+    frame = random_valid_frame(dim, dim=dim)
+    fib = SyntheticFibration(frame, (10.0, 1000.0), 1.0, seed=dim)
+    dc = _exact_cusp(frame, frame.ample)
+    rng = random.Random(dim)
+    for fiber in (0, 1):
+        group = [rng.choice((-2, -1, 1, 2)) for _ in range(frame.rank)]
+        point = FiberPoint(fiber, group)
+        heights, errors = _exact_model(fib, point, n_max)
+        s0, s1, s2 = (_exact_dot(heights[k], dc)
+                      for k in (0, n_max, 2 * n_max))
+        want = (s2 - 2 * s1 + s0) / (2 * n_max * n_max)
+        value, _ = canonical_height(fib, point, frame.ample, n_max)
+        assert abs(value - want) <= tol * abs(want)
+        for n, perp, scalar in fib.error_trace(point, 2 * n_max):
+            err = errors[n]
+            want_perp = math.sqrt(sum(c * c for c in err[2:]))
+            assert abs(perp - want_perp) <= tol * want_perp
+            assert abs(scalar - abs(err[1])) <= tol * abs(err[1])

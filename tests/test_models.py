@@ -14,7 +14,7 @@ from k3cone.frame import FibrationFrame
 from k3cone.models import (BallModel, BoundaryChart, UpperHalfSpacePoint,
                            ball_distance, boundary_distance,
                            boundary_distance_sq, check_boundary_class,
-                           euclidean_norm, from_upper_half_space,
+                           from_upper_half_space,
                            hyperbolic_distance, inner_f, phi,
                            to_upper_half_space, uhs_distance)
 from k3cone.translations import translation
@@ -96,12 +96,6 @@ def test_boundary_metric_equals_chart_norm(f4):
         b = random_boundary_class(f4, rng)
         diff = linalg.vec_sub(phi(f4, a), phi(f4, b))
         assert boundary_distance_sq(f4, a, b) == -f4.form.norm2(diff)
-
-
-def test_euclidean_norm_domain(f4):
-    assert euclidean_norm(f4, (0, 0, 1, 0)) == 2.0
-    with pytest.raises(DomainError):
-        euclidean_norm(f4, f4.ample)
 
 
 def test_uhs_round_trip(f4):
