@@ -10,12 +10,14 @@ meets [E] once, and anchors the boundary coordinate subspace
 on which the form is negative definite.  A class splits as aP*P + aE*E +
 perp with perp in V by `split` (exact) or `split_f` (float), built once.
 `cusp` gives the float cusp coordinates (w, v, y) of an exact class, with
-y the chart coordinates of perp.
+y the chart coordinates of perp.  `section_map`, also built once, gives
+the section translates D_m = T_w([O]) on integer numerators.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from operator import mul
 
 from . import linalg
 from .errors import FrameError, InputError
@@ -117,6 +119,49 @@ class FibrationFrame:
         for m, v in zip(ms, self.translations):
             w = linalg.vec_add(w, linalg.vec_scale(m, v))
         return w
+
+    @cached_property
+    def section_map(self):
+        """(m -> integer numerators of D_m = T_w([O]), their denominator),
+        for w = sum m_i v_i, built once per frame.
+
+        At x = O the translation is D_m = O + k w - (a.m + k m^T h m) E with
+        k = O.E (1 on a valid frame), a_i = O.v_i and h_ij = v_i.v_j/2.
+        O, E and the v_i are numerators over one denominator q, the
+        scalars k, a and k h over a second s, so every D_m is an integer
+        vector over the fixed q s: equal classes have equal numerators.
+        Each image is checked on the integer Gram, D.D = -2 and D.E = 1,
+        and raises the `FrameError` of `translations.section_translate`.
+        """
+        inner = self.form.inner
+        gram, dg = self.form.gram_numerators
+        vs = self.translations
+        k = inner(self.classO, self.classE)
+        (o, e, *v_num), q = linalg.matrix_numerators(
+            (self.classO, self.classE) + vs)
+        # rows of different lengths: (k, a_1..a_r), then the rows of k h
+        ((k_num, *lin), *quad), s = linalg.matrix_numerators(
+            [[k] + [inner(self.classO, v) for v in vs]]
+            + [[k * inner(vi, vj) / 2 for vj in vs] for vi in vs])
+        base = [s * x for x in o]
+        steps = [[k_num * x for x in v] for v in v_num]
+        den = q * s
+        dd, de = -2 * dg * den * den, dg * den * q
+
+        def image(ms):
+            c = sum(m * (a + sum(map(mul, row, ms)))
+                    for m, a, row in zip(ms, lin, quad))
+            d = [x - c * y for x, y in zip(base, e)]
+            for m, step in zip(ms, steps):
+                if m:
+                    d = [x + m * y for x, y in zip(d, step)]
+            gd = [sum(map(mul, row, d)) for row in gram]
+            if sum(map(mul, d, gd)) != dd or sum(map(mul, gd, e)) != de:
+                raise FrameError(
+                    "translated section is not a section class; frame invalid")
+            return tuple(d)
+
+        return image, den
 
     # -- splitting ---------------------------------------------------------
 

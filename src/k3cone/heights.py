@@ -167,7 +167,9 @@ def _height(fib: SyntheticFibration, point: FiberPoint, dc, n_max: int):
     s0, s1, s2 = (cusp_inner(h, dc) for h in
                   fib._iterated_heights(point, u, (0, n_max, 2 * n_max)))
     value = (s2 - 2.0 * s1 + s0) / (2.0 * n_max * n_max)
-    return value, 3.0 * fib.noise_bound * math.hypot(*u[2:]) * dc[0]
+    m = fib.noise_bound
+    return value, (3.0 * m * math.hypot(*u[2:]) * dc[0]
+                   + 2.0 * m * (dc[0] + math.hypot(*dc[2:])) / n_max)
 
 
 def canonical_height(fib: SyntheticFibration, point: FiberPoint, d,
@@ -177,8 +179,18 @@ def canonical_height(fib: SyntheticFibration, point: FiberPoint, d,
     The quadratic growth coefficient of n -> h_D(tau_v^n O_E) is extracted
     with the exact-for-quadratics second difference over steps {0, n, 2n},
     so with zero noise the result equals -h(E) (v.v) ([E].D) / 2 for every
-    n_max.  Returns (value, error_bound); the bound is the worst-case noise
-    contribution 3 M |v| ([E].D).
+    n_max.  Returns (value, error_bound), the bound on the noise's share
+    of the value.
+
+    In cusp coordinates let v be (0, 0, u) and D be (w_D, v_D, y_D), with
+    w_D = [E].D and n = n_max.  With noise (0, s_k, c_k), |s_k| <= M and
+    |c_k| <= M, the error (0, e_k, y_k) after k steps obeys
+    y_{k+1} = y_k + c_k and e_{k+1} = e_k + <y_k, u> + s_k from zero, so
+    |y_k| <= kM and |e_k| <= M|u| k^2/2 + kM.  Its share of the value,
+    ((e_2n - 2 e_n) w_D - <y_2n - 2 y_n, y_D>) / (2 n^2), is therefore at
+    most w_D (1.5 M|u| + 2M/n) + 2M|y_D|/n.  The returned bound
+    3 M|u| w_D + 2M (w_D + |y_D|) / n covers it; it is nonzero with noise
+    even for a zero group vector.
     """
     return _height(fib, point, _reference(fib, d, n_max), n_max)
 

@@ -246,7 +246,8 @@ class BoundaryChart:
 
     Built from a deterministic exact basis of V and a Cholesky factor of its
     (negated, positive definite) Gram matrix, so that the 2-norm of the
-    coordinates equals sqrt(-u.u).
+    coordinates equals sqrt(-u.u).  The exact inverse of that Gram matrix
+    is computed once, at construction.
     """
 
     def __init__(self, frame):
@@ -270,12 +271,13 @@ class BoundaryChart:
                 else:
                     low[i][j] = s / low[j][j]
         self._low = low
+        self._gram_inv = linalg.inverse(self.gram)
         self.dim = r
 
     def coefficients(self, u) -> Vector:
         """Exact coordinates of u in the stored basis of V."""
         rhs = tuple(-self.frame.form.inner(b, vector(u)) for b in self.basis)
-        return linalg.solve(self.gram, rhs)
+        return linalg.mat_vec(self._gram_inv, rhs)
 
     def euclid(self, u):
         """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u)."""

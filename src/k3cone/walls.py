@@ -1,5 +1,15 @@
 """Wall enumeration and boundary-circle geometry for the ample cone.
 
+The section walls are the translates D_m = T_w([O]), w = sum m_i v_i, of
+the zero section under the Mordell-Weil group.  On a valid frame
+
+    D_m = O + w - (O.w + w.w/2) E,    D_m.O = -2 - w.w/2,
+
+so Shioda's height <m, m> = 4 + 2 D_m.O (Comment. Math. Univ. St. Paul.
+39, 1990) is -w.w, the Neron-Tate form the synthetic pairing targets.
+`orbit_walls` evaluates this closed form on integers through
+`FibrationFrame.section_map`.
+
 Every -2 class D cuts the hyperbolic cross-section along a hyperplane.
 Seen from the cusp [E] in the upper-half-space model, a wall with D.E != 0
 traces a circle on the Euclidean boundary; with D.E = 0 it degenerates to a
@@ -12,9 +22,9 @@ classes).
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from . import translations
 from .errors import InputError
 from .linalg import Vector, vector
 from .models import BallModel, BoundaryChart, inner_f, phi
@@ -39,20 +49,24 @@ class WallCircle:
 
 
 def orbit_walls(frame, n: int):
-    """Translates T_w([O]) for w = sum m_i v_i with |m_i| <= n, deduplicated.
+    """Translates D_m = T_w([O]) for w = sum m_i v_i with |m_i| <= n,
+    deduplicated, in `itertools.product` order.
 
     Every output has self-intersection -2 and meets the fiber class once.
+    The integer numerators of each D_m come from `frame.section_map` over
+    one fixed denominator, so they dedupe as they are; `Fraction`s are
+    built only for the walls kept.
     """
     if n < 0:
         raise InputError("orbit box size must be nonnegative")
-    r = frame.rank
+    image, den = frame.section_map
     seen = set()
     out = []
-    for ms in itertools.product(range(-n, n + 1), repeat=r):
-        d = translations.section_translate(frame, frame.translation_sum(ms))
+    for ms in itertools.product(range(-n, n + 1), repeat=frame.rank):
+        d = image(ms)
         if d not in seen:
             seen.add(d)
-            out.append(d)
+            out.append(tuple(Fraction(x, den) for x in d))
     return out
 
 

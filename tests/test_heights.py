@@ -79,8 +79,9 @@ def test_rank_zero_frame():
     for noise in (0.0, 1.0):
         fib = SyntheticFibration(frame, (10.0,), noise, seed=1)
         value, bound = canonical_height(fib, point, frame.ample, 5)
-        assert bound == 0.0
-        assert value == 0.0 if noise == 0.0 else abs(value) <= 1.0
+        # 2 M ([E].ample + |y_D|) / n_max with [E].ample = 1 and y_D = ()
+        assert bound == 2.0 * noise / 5
+        assert value == 0.0 if noise == 0.0 else abs(value) <= bound
         assert all(perp == 0.0 for _, perp, _ in fib.error_trace(point, 3))
 
 
@@ -168,8 +169,33 @@ def test_noisy_canonical_height_within_bound():
         fib = _fib(noise=1.0, seed=seed, heights=(10.0,))
         point = FiberPoint(0, (1, 0))
         value, bound = canonical_height(fib, point, fib.frame.ample)
-        assert bound == 6.0  # 3 M |v| ([E].ample) = 3 * 1 * 2 * 1
-        assert abs(value - 20.0) <= bound
+        # 3 M |v| ([E].ample) + 2 M ([E].ample + |y_D|) / n_max
+        assert bound == 6.0 + 2 / 200
+        assert abs(value - 20.0) <= 6.0
+
+
+def test_noisy_zero_vector_height_has_a_bound():
+    fib = _fib(noise=1.0, seed=0, heights=(10.0,))
+    value, bound = canonical_height(fib, FiberPoint(0, (0, 0)),
+                                    fib.frame.ample, 5)
+    assert value != 0.0
+    assert bound == 2.0 / 5
+    assert abs(value) <= bound
+
+
+def test_noisy_canonical_height_deviation_within_bound():
+    exact = _fib(heights=(10.0, 1000.0))
+    refs = ((2, 1, 0, 0), (3, 1, 1, 0), (5, 2, 1, -1))
+    points = [FiberPoint(f, gv) for f in (0, 1)
+              for gv in ((0, 0), (1, 0), (1, -2), (3, 1))]
+    for seed in range(8):
+        fib = _fib(noise=1.0, seed=seed, heights=(10.0, 1000.0))
+        for d in refs:
+            for point in points:
+                for n_max in (1, 2, 5, 40):
+                    value, bound = canonical_height(fib, point, d, n_max)
+                    target, _ = canonical_height(exact, point, d, n_max)
+                    assert abs(value - target) <= bound
 
 
 def test_limit_experiment_deviation_shrinks():

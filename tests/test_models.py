@@ -182,6 +182,23 @@ def test_boundary_chart_isometry(f4):
         assert max(abs(float(a) - b) for a, b in zip(u, back)) < 1e-9
 
 
+def test_chart_inverse_built_once(monkeypatch):
+    frame = random_valid_frame(3, 6)
+    chart = BoundaryChart(frame)
+    inverses = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse",
+                        lambda m: inverses.append(m) or inverse(m))
+    coeffs = (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7))
+    u = linalg.zero_vector(frame.form.dim)
+    for c, b in zip(coeffs, chart.basis):
+        u = linalg.vec_add(u, linalg.vec_scale(c, b))
+    assert chart.coefficients(u) == coeffs
+    for v in frame.translations:
+        chart.euclid(v)
+    assert inverses == []
+
+
 # -- distances of close and far pairs ----------------------------------------
 
 def _exact_quad(form, u, v):

@@ -1,13 +1,19 @@
+import itertools
 import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_valid_frame
 from k3cone import f4_frame, linalg
-from k3cone.errors import InputError
+from k3cone.errors import FrameError, InputError
+from k3cone.frame import FibrationFrame
+from k3cone.lattice import IntersectionForm
 from k3cone.models import BallModel, BoundaryChart
 from k3cone.svg import RenderOptions, render_svg
-from k3cone.translations import translation
+from k3cone.translations import section_translate, translation
 from k3cone.walls import (max_residual, orbit_walls, sample_wall_circle,
                           wall_circle_ball, wall_circle_uhs)
 
@@ -30,6 +36,63 @@ def test_orbit_walls_counts(f4):
     assert len(orbit_walls(f4, 2)) == 25
     with pytest.raises(InputError):
         orbit_walls(f4, -1)
+
+
+def reference_orbit(frame, n):
+    """The orbit wall by wall through `section_translate`, deduplicated in
+    `itertools.product` order."""
+    out = []
+    for ms in itertools.product(range(-n, n + 1), repeat=frame.rank):
+        d = section_translate(frame, frame.translation_sum(ms))
+        if d not in out:
+            out.append(d)
+    return out
+
+
+# largest n with at most 729 walls per rank (rank 1 capped lower)
+ORBIT_N = {1: 12, 2: 13, 3: 4, 4: 2, 5: 1, 6: 1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(3, 8),
+       scrambled=st.booleans(), data=st.data())
+def test_orbit_walls_match_section_translates(seed, dim, scrambled, data):
+    frame = random_valid_frame(seed, dim, scrambled)
+    n = data.draw(st.integers(0, ORBIT_N[dim - 2]))
+    assert orbit_walls(frame, n) == reference_orbit(frame, n)
+
+
+def test_orbit_walls_special_frames(f4):
+    # rational Gram and translations with denominators, in a moved basis
+    form = IntersectionForm(linalg.matrix(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, "-7/3", "1/2"],
+         [0, 0, "1/2", -4]]))
+    frame = FibrationFrame.create(form, (1, 0, 0, 0), (-1, 1, 0, 0),
+                                  (2, 1, 0, 0),
+                                  [("1/3", 0, "1/2", 0), (0, 0, "1/2", "-5/3")])
+    moved = frame.change_basis(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2),
+                                (0, 0, 0, 1)))
+    # dependent translations, one with an E-component: duplicate walls
+    raw = FibrationFrame(f4.form, f4.classE, f4.classO, f4.ample,
+                         ((0, 0, 1, 0), (3, 0, 2, 0)))
+    for fr in (frame, moved, raw):
+        assert orbit_walls(fr, 3) == reference_orbit(fr, 3)
+    assert len(orbit_walls(raw, 3)) == 19  # w = (m1 + 2 m2) f1 + 3 m2 E
+    rank0 = FibrationFrame.create(IntersectionForm(((0, 1), (1, 0))),
+                                  (1, 0), (-1, 1), (2, 1), ())
+    assert orbit_walls(rank0, 4) == [rank0.classO]
+
+
+@pytest.mark.parametrize("classO", [(0, 1, 0, 0), (-1, 2, 0, 0)])
+def test_orbit_walls_reject_inconsistent_frame(f4, classO):
+    # O.O = 0, and O.O = -4 with O.E = 2: no translate is a section class
+    frame = FibrationFrame(f4.form, f4.classE, classO, f4.ample,
+                           f4.translations)
+    for n in (0, 2):
+        with pytest.raises(FrameError, match="not a section class"):
+            orbit_walls(frame, n)
+    with pytest.raises(FrameError, match="not a section class"):
+        section_translate(frame, f4.translations[0])
 
 
 def test_orbit_walls_are_sections(f4):
