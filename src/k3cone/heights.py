@@ -13,6 +13,12 @@ Heights live in cusp coordinates (w, v, y) = wP + vE + sum y_k b_k
 (h(E), 0, 0...), noise is (0, scalar, perp), and exact classes (the group
 translation, the reference divisor D) are converted once each.
 
+Canonical heights are memoized per fibration, keyed by (point, D in cusp
+coordinates, n_max): `canonical_height`, `nt_pairing` and
+`limit_experiment` run the error recurrence once per distinct height.
+This is safe because every other input of a height (frame, seed, noise
+bound, fiber heights) is fixed when the fibration is built.
+
 Sign convention: the Lorentz product is negative definite on the boundary
 subspace, so the canonical height comes out as -h(E) (v.v) ([E].D) / 2 >= 0
 and the normalized pairing matrix converges to the positive semidefinite
@@ -58,6 +64,12 @@ class SyntheticFibration:
     boundary and scalar noise components; all draws are reproducible from
     the seed.  The frame must have E.E = P.P = 0 and E.P = 1, the
     hypothesis of the cusp product.
+
+    Canonical heights are memoized on the fibration, keyed by (point, D in
+    cusp coordinates, n_max) and holding (value, bound).  The memo is exact
+    because the frame, seed, noise bound and fiber heights are fixed at
+    construction and the noise is keyed to (seed, fiber, group vector,
+    step); none of them may be reassigned afterwards.
     """
 
     def __init__(self, frame, fiber_heights, noise_bound=0.0, seed=0):
@@ -73,6 +85,7 @@ class SyntheticFibration:
         self.frame = frame
         self.seed = int(seed)
         self.classE = (0.0, 1.0) + (0.0,) * (form.dim - 2)
+        self._heights = {}
 
     def base_height(self, fiber: int):
         """h(O_E) = h(E) P = (h(E), 0, 0...), so h(O_E).[E] = h(E) exactly."""
@@ -163,13 +176,18 @@ def _reference(fib: SyntheticFibration, d, n_max: int):
 
 
 def _height(fib: SyntheticFibration, point: FiberPoint, dc, n_max: int):
-    u = fib._cusp_translation(point)
-    s0, s1, s2 = (cusp_inner(h, dc) for h in
-                  fib._iterated_heights(point, u, (0, n_max, 2 * n_max)))
-    value = (s2 - 2.0 * s1 + s0) / (2.0 * n_max * n_max)
-    m = fib.noise_bound
-    return value, (3.0 * m * math.hypot(*u[2:]) * dc[0]
-                   + 2.0 * m * (dc[0] + math.hypot(*dc[2:])) / n_max)
+    """(value, bound) of `canonical_height`, from the fibration's memo."""
+    key = (point, dc, n_max)
+    if key not in fib._heights:
+        u = fib._cusp_translation(point)
+        s0, s1, s2 = (cusp_inner(h, dc) for h in
+                      fib._iterated_heights(point, u, (0, n_max, 2 * n_max)))
+        value = (s2 - 2.0 * s1 + s0) / (2.0 * n_max * n_max)
+        m = fib.noise_bound
+        fib._heights[key] = (
+            value, 3.0 * m * math.hypot(*u[2:]) * dc[0]
+            + 2.0 * m * (dc[0] + math.hypot(*dc[2:])) / n_max)
+    return fib._heights[key]
 
 
 def canonical_height(fib: SyntheticFibration, point: FiberPoint, d,
@@ -196,10 +214,8 @@ def canonical_height(fib: SyntheticFibration, point: FiberPoint, d,
 
 
 def _pairing(fib, p1, p2, dc, n_max):
-    h12, _ = _height(fib, p1 + p2, dc, n_max)
-    h1, _ = _height(fib, p1, dc, n_max)
-    h2 = h1 if p1 == p2 else _height(fib, p2, dc, n_max)[0]
-    return h12 - h1 - h2
+    return (_height(fib, p1 + p2, dc, n_max)[0]
+            - _height(fib, p1, dc, n_max)[0] - _height(fib, p2, dc, n_max)[0])
 
 
 def nt_pairing(fib: SyntheticFibration, p1: FiberPoint, p2: FiberPoint, d,
@@ -222,10 +238,14 @@ def limit_experiment(fib: SyntheticFibration, i: int, j: int, d,
     """Normalized pairing per fiber against the Euclidean Gram target.
 
     Emits pairing / (h(E) ([E].D)) for every fiber; the target is the
-    Euclidean value -v_i.v_j, approached as h(E) grows.
+    Euclidean value -v_i.v_j, approached as h(E) grows.  Both indices
+    must lie in range(rank).
     """
-    dc = _reference(fib, d, n_max)
     frame = fib.frame
+    if i not in range(frame.rank) or j not in range(frame.rank):
+        raise InputError(
+            f"translation indices must lie in range({frame.rank})")
+    dc = _reference(fib, d, n_max)
     vi, vj = frame.translations[i], frame.translations[j]
     target = float(-frame.form.inner(vi, vj))  # exact negation avoids -0.0
     rows = []

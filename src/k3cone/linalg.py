@@ -76,7 +76,7 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise InputError("dimension mismatch in mat_mul")
     ia, da = matrix_numerators(a)
     ib, db = matrix_numerators(b)

@@ -246,8 +246,10 @@ class BoundaryChart:
 
     Built from a deterministic exact basis of V and a Cholesky factor of its
     (negated, positive definite) Gram matrix, so that the 2-norm of the
-    coordinates equals sqrt(-u.u).  The exact inverse of that Gram matrix
-    is computed once, at construction.
+    coordinates equals sqrt(-u.u).  The exact map u -> G^-1 (-B J u) to
+    coordinates in that basis (G the chart Gram, B the basis rows, J the
+    lattice Gram) is built once, at construction, as integer numerators
+    over one denominator.
     """
 
     def __init__(self, frame):
@@ -271,13 +273,22 @@ class BoundaryChart:
                 else:
                     low[i][j] = s / low[j][j]
         self._low = low
-        self._gram_inv = linalg.inverse(self.gram)
+        # G^-1 (-B J) = -(G^-1 B J): negate the denominator, not every entry
+        rows, den = linalg.matrix_numerators(linalg.mat_mul(
+            linalg.inverse(self.gram), linalg.mat_mul(self.basis, form.gram)))
+        self._coeff_rows, self._coeff_den = rows, -den
         self.dim = r
 
     def coefficients(self, u) -> Vector:
-        """Exact coordinates of u in the stored basis of V."""
-        rhs = tuple(-self.frame.form.inner(b, vector(u)) for b in self.basis)
-        return linalg.mat_vec(self._gram_inv, rhs)
+        """Exact coordinates of u in the stored basis of V: one integer
+        mat-vec, then one canonical `Fraction` per coordinate."""
+        u = vector(u)
+        if len(u) != self.frame.form.dim:
+            raise InputError("vector dimension does not match the form")
+        a, da = linalg.numerators(u)
+        den = self._coeff_den * da
+        return tuple(Fraction(sum(map(mul, row, a)), den)
+                     for row in self._coeff_rows)
 
     def euclid(self, u):
         """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u)."""

@@ -207,6 +207,66 @@ def test_limit_experiment_deviation_shrinks():
         assert abs(row.deviation) <= 6.0 / h
 
 
+@pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_limit_experiment_rejects_out_of_range_indices(i, j):
+    fib = _fib()
+    with pytest.raises(InputError):
+        limit_experiment(fib, i, j, fib.frame.ample)
+
+
+# -- the per-fibration height memo --------------------------------------------
+
+@pytest.mark.parametrize("noise", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("dim", [None, 3, 4, 5, 6, 7, 8])
+def test_memoized_tables_equal_fresh_tables(dim, noise):
+    frame = f4_frame() if dim is None else random_valid_frame(dim, dim)
+    heights, seed, n_max = (10.0, 1000.0), 5, 20
+    fib = SyntheticFibration(frame, heights, noise, seed)
+    pairs = [(i, j) for i in range(frame.rank) for j in range(frame.rank)] * 2
+    random.Random(dim).shuffle(pairs)
+    for i, j in pairs:
+        fresh = SyntheticFibration(frame, heights, noise, seed)
+        assert (limit_experiment(fib, i, j, frame.ample, n_max)
+                == limit_experiment(fresh, i, j, frame.ample, n_max))
+
+
+def _count_errors(monkeypatch):
+    """Record the fiber of every run of the error recurrence."""
+    fibers = []
+    errors = SyntheticFibration._errors
+
+    def counted(self, point, u):
+        fibers.append(point.fiber)
+        return errors(self, point, u)
+
+    monkeypatch.setattr(SyntheticFibration, "_errors", counted)
+    return fibers
+
+
+def test_pairing_tables_run_each_height_once(monkeypatch):
+    fibers = _count_errors(monkeypatch)
+    fib = _fib(noise=1.0, seed=7)
+    for i in range(2):
+        for j in range(2):
+            limit_experiment(fib, i, j, fib.frame.ample, 20)
+    # 2e0, e0, e0 + e1, e1, 2e1 on each fiber
+    assert sorted(fibers) == [0] * 5 + [1] * 5
+
+
+def test_memo_keys_on_reference_and_n_max(monkeypatch):
+    point, ample = FiberPoint(0, (1, 0)), f4_frame().ample
+    cases = [(ample, 20), (ample, 20), (ample, 21), ((3, 1, 1, 0), 20),
+             ((3, 1, 1, 0), 20)]
+    fresh = [canonical_height(_fib(noise=1.0, seed=7), point, d, n_max)
+             for d, n_max in cases]
+    fibers = _count_errors(monkeypatch)
+    fib = _fib(noise=1.0, seed=7)
+    assert [canonical_height(fib, point, d, n_max)
+            for d, n_max in cases] == fresh
+    # a different D or n_max is a new height; a repeat is served from the memo
+    assert len(fibers) == 3
+
+
 def _replayed_iterated_height(fib, point, n):
     """Reference: exact translate plus the error replayed step by step."""
     u = fib.frame.cusp(fib.group_translation(point))

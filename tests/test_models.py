@@ -199,6 +199,22 @@ def test_chart_inverse_built_once(monkeypatch):
     assert inverses == []
 
 
+@given(st.integers(0, 10 ** 6), st.integers(3, 8), st.booleans(),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_chart_coefficients_solve_the_gram_system(seed, dim, scrambled,
+                                                  vec_seed):
+    frame = random_valid_frame(seed, dim, scrambled)
+    chart = frame.chart
+    rng = random.Random(vec_seed)
+    u = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+              for _ in range(dim))
+    rhs = tuple(-frame.form.inner(b, u) for b in chart.basis)
+    coeffs = chart.coefficients(u)
+    assert coeffs == linalg.solve(chart.gram, rhs)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
 # -- distances of close and far pairs ----------------------------------------
 
 def _exact_quad(form, u, v):
