@@ -19,6 +19,12 @@ coordinates, n_max): `canonical_height`, `nt_pairing` and
 This is safe because every other input of a height (frame, seed, noise
 bound, fiber heights) is fixed when the fibration is built.
 
+Cost model: a height at n_max runs 2 n_max steps of the error recurrence,
+each one reseed of the noise generator plus O(r) float work, and three
+exact translates.  The error (0, e, y) is advanced as two scalars,
+e += <y, u> + s and y += c: its w is 0.0 exactly, so every other term of
+the translation T_u is +-0.0 and the doubles equal those of T_u err + noise.
+
 Sign convention: the Lorentz product is negative definite on the boundary
 subspace, so the canonical height comes out as -h(E) (v.v) ([E].D) / 2 >= 0
 and the normalized pairing matrix converges to the positive semidefinite
@@ -29,11 +35,36 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import add, index, mul
 
 from .errors import FrameError, InputError
 from .linalg import Vector, vector
 from .models import cusp_inner
 from .translations import parabolic_translation
+
+
+def _integer(n, name: str, least=None) -> int:
+    """n as an int, validated once on entry: InputError unless it has an
+    integer type (1.0 has not) and, if `least` is given, n >= least."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, not {n!r}") from None
+    if least is not None and n < least:
+        raise InputError(f"{name} must be at least {least}")
+    return n
+
+
+def _group_entry(m) -> int:
+    """A group-vector entry as an int; InputError unless its value is an
+    integer (2, 2.0 and Fraction(4, 2) pass; 2.5 is not truncated)."""
+    try:
+        k = int(m)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"group vector entry {m!r} is not an integer") from None
+    if k != m:
+        raise InputError(f"group vector entry {m!r} is not an integer")
+    return k
 
 
 @dataclass(frozen=True)
@@ -44,8 +75,9 @@ class FiberPoint:
     group_vector: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "fiber", _integer(self.fiber, "fiber index"))
         object.__setattr__(self, "group_vector",
-                           tuple(int(m) for m in self.group_vector))
+                           tuple(_group_entry(m) for m in self.group_vector))
 
     def __add__(self, other: "FiberPoint") -> "FiberPoint":
         if self.fiber != other.fiber:
@@ -105,14 +137,33 @@ class SyntheticFibration:
     def _cusp_translation(self, point: FiberPoint):
         return self.frame.cusp(self.group_translation(point))
 
+    def _noise_draws(self, point: FiberPoint, steps):
+        """(scalar, perp) of the noise (0, scalar, perp) at each step.
+
+        The draws of one step are those of a fresh
+        random.Random(f"{seed}|{fiber}|{group vector}|{step}"): r draws of
+        uniform(-M/sqrt(r), M/sqrt(r)) for perp, so |perp| <= M, then
+        uniform(-M, M) for the scalar.  One generator is reseeded per step
+        (seeding with a str sets the same state as the constructor), and
+        uniform(a, b) is spelled as the stdlib's own a + (b - a) random().
+        """
+        m = self.noise_bound
+        r = len(self.classE) - 2
+        cap = m / math.sqrt(max(r, 1))
+        lo, width = -cap, cap - -cap
+        lo_s, width_s = -m, m - -m
+        rng = random.Random()
+        draw = rng.random
+        prefix = f"{self.seed}|{point.fiber}|{point.group_vector}|"
+        for step in steps:
+            rng.seed(prefix + str(step))
+            perp = [lo + width * draw() for _ in range(r)]
+            yield lo_s + width_s * draw(), perp
+
     def _noise(self, point: FiberPoint, step):
         """One bounded noise vector (0, scalar, perp), |perp| <= M."""
-        m = self.noise_bound
-        rng = random.Random(
-            f"{self.seed}|{point.fiber}|{point.group_vector}|{step}")
-        cap = m / math.sqrt(max(len(self.classE) - 2, 1))
-        perp = tuple(rng.uniform(-cap, cap) for _ in self.classE[2:])
-        return (0.0, rng.uniform(-m, m)) + perp
+        scalar, perp = next(self._noise_draws(point, (step,)))
+        return (0.0, scalar) + tuple(perp)
 
     def vector_height(self, point: FiberPoint):
         """h(Q_{v,E}) = T_v h(O_E) + noise (noise keyed to the point)."""
@@ -122,39 +173,50 @@ class SyntheticFibration:
 
     def iterated_height(self, point: FiberPoint, n: int):
         """h(tau_v^n O_E): exact translate plus per-step accumulated noise."""
+        n = _integer(n, "step count", least=0)
         return self._iterated_heights(point, self._cusp_translation(point),
                                       (n,))[0]
 
     def _iterated_heights(self, point: FiberPoint, u, steps):
-        """`iterated_height` at each of the ascending step counts, from one
-        pass over the error recurrence; u is the cusp translation."""
+        """`iterated_height` at each of the distinct ascending step counts,
+        from one pass over the error recurrence; u is the cusp translation.
+        Only the errors at those steps are kept."""
         base = self.base_height(point.fiber)
-        errors = list(itertools.islice(self._errors(point, u), steps[-1] + 1))
+        errors = itertools.islice(self._errors(point, u), steps[-1] + 1)
+        kept = [err for k, err in enumerate(errors) if k in steps]
         exact = (self._translation(tuple(n * c for c in u))(base) for n in steps)
-        return [tuple(a + b for a, b in zip(h, errors[n]))
-                for h, n in zip(exact, steps)]
+        return [tuple(a + b for a, b in zip(h, err))
+                for h, err in zip(exact, kept)]
 
     def _errors(self, point: FiberPoint, u):
-        """Accumulated iterated error after steps 0, 1, 2, ... (one pass).
+        """Accumulated iterated error (0, e, y) after steps 0, 1, 2, ...
 
-        err_0 = 0 and err_{k+1} = T_u err_k + noise_k.  Without noise, T_u
-        maps the zero vector to itself, so the error stays zero.  Every
-        error has w = 0.0 exactly.
+        err_0 = 0 and err_{k+1} = T_u err_k + noise_k, noise_k = (0, s, c).
+        Every error has w = 0.0 exactly, so in T_u (w, e, y) =
+        (w, e + <y, u> + w|u|^2/2, y + w u) each term that carries w (or
+        x.E = w) is +-0.0.  The scalar recurrence e += <y, u> + s, y += c
+        therefore gives the translated error bit for bit on finite values:
+        a +-0.0 term can change only the sign of a zero, and adding the
+        draw, which is never -0.0, makes that sum the same.  <y, u> is
+        sum(map(mul, y, u)) in the order of `models.cusp_inner`.
+
+        Each step costs one reseed of the noise generator and O(r) float
+        work.  Without noise the error stays zero and nothing is drawn.
         """
-        zero = (0.0,) * len(self.classE)
+        zero = (0.0,) * len(u)
+        yield zero
         if self.noise_bound == 0.0:
-            return itertools.repeat(zero)
-        step = self._translation(u)
-
-        def advance(err, k):
-            return tuple(a + b for a, b in zip(step(err),
-                                               self._noise(point, k)))
-
-        return itertools.accumulate(itertools.count(), advance, initial=zero)
+            yield from itertools.repeat(zero)
+        e, y, uy = 0.0, zero[2:], u[2:]
+        for s, c in self._noise_draws(point, itertools.count()):
+            e = e + sum(map(mul, y, uy)) + s
+            y = tuple(map(add, y, c))
+            yield (0.0, e) + y
 
     def error_trace(self, point: FiberPoint, n_steps: int):
         """(n, |y|, |v|) of the error (0, v, y) for n = 1..n_steps: its
         boundary norm and E-component, for the growth-contract checks."""
+        n_steps = _integer(n_steps, "n_steps", least=0)
         u = self._cusp_translation(point)
         errors = itertools.islice(self._errors(point, u), 1, n_steps + 1)
         return [(n, math.hypot(*err[2:]), abs(err[1]))
@@ -164,8 +226,7 @@ class SyntheticFibration:
 def _reference(fib: SyntheticFibration, d, n_max: int):
     """Validate D and n_max once per public call; return D in cusp
     coordinates, whose w is [E].D."""
-    if n_max < 1:
-        raise InputError("n_max must be at least 1")
+    _integer(n_max, "n_max", least=1)
     frame = fib.frame
     d = vector(d)
     if frame.form.norm2(d) <= 0 or frame.form.inner(d, frame.ample) <= 0:

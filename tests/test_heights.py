@@ -40,6 +40,46 @@ def test_fiber_point_addition_rejects_length_mismatch():
                          f4_frame().ample)
 
 
+@pytest.mark.parametrize("fiber, group", [
+    (0, (1.5, 0)), (0, (Fraction(5, 2), 0)), (0, (float("nan"), 0)),
+    (0, (math.inf, 0)), (0, ("1", 0)), (0, (None, 0)),
+    (1.0, (1, 0)), ("0", (1, 0)), (None, (1, 0))],
+    ids=["entry-1.5", "entry-5/2", "entry-nan", "entry-inf", "entry-str",
+         "entry-None", "fiber-1.0", "fiber-str", "fiber-None"])
+def test_fiber_point_rejects_non_integers(fiber, group):
+    # a fractional entry is not truncated, a float fiber is not an index
+    with pytest.raises(InputError):
+        FiberPoint(fiber, group)
+
+
+def test_fiber_point_normalizes_integral_entries():
+    point = FiberPoint(0, (2.0, Fraction(-4, 2)))
+    assert point.group_vector == (2, -2)
+    assert all(type(m) is int for m in point.group_vector)
+    fib = _fib(noise=1.0, seed=3)
+    plain = FiberPoint(0, (2, -2))
+    assert fib._noise(point, 0) == fib._noise(plain, 0)
+    assert (canonical_height(fib, point, fib.frame.ample, 5)
+            == canonical_height(_fib(noise=1.0, seed=3), plain,
+                                fib.frame.ample, 5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda fib, p, d: fib.iterated_height(p, -1),
+    lambda fib, p, d: fib.iterated_height(p, 2.5),
+    lambda fib, p, d: fib.error_trace(p, -3),
+    lambda fib, p, d: fib.error_trace(p, 2.5),
+    lambda fib, p, d: canonical_height(fib, p, d, n_max=2.5),
+    lambda fib, p, d: nt_pairing(fib, p, p, d, n_max=2.5),
+    lambda fib, p, d: limit_experiment(fib, 0, 0, d, n_max=2.5),
+], ids=["iterated-neg", "iterated-float", "trace-neg", "trace-float",
+        "canonical", "pairing", "limit"])
+def test_step_counts_validated_on_entry(call):
+    fib = _fib(noise=1.0)
+    with pytest.raises(InputError):
+        call(fib, FiberPoint(0, (1, 0)), fib.frame.ample)
+
+
 def test_input_validation():
     with pytest.raises(InputError):
         SyntheticFibration(f4_frame(), [10.0], noise_bound=-1.0)
@@ -71,9 +111,13 @@ def test_invalid_frame_rejected(classE, classO):
         SyntheticFibration(frame, (10.0,))
 
 
-def test_rank_zero_frame():
+def _rank_zero_frame():
     form = IntersectionForm(((0, 1), (1, 0)))
-    frame = FibrationFrame.create(form, (1, 0), (-1, 1), (2, 1), ())
+    return FibrationFrame.create(form, (1, 0), (-1, 1), (2, 1), ())
+
+
+def test_rank_zero_frame():
+    frame = _rank_zero_frame()
     point = FiberPoint(0, ())
     assert frame.cusp(frame.ample) == (1.0, 2.0)
     for noise in (0.0, 1.0):
@@ -267,35 +311,73 @@ def test_memo_keys_on_reference_and_n_max(monkeypatch):
     assert len(fibers) == 3
 
 
-def _replayed_iterated_height(fib, point, n):
-    """Reference: exact translate plus the error replayed step by step."""
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_noise_is_one_fresh_generator_per_key(dim):
+    """The noise contract: step k of a point draws from a fresh
+    random.Random keyed "seed|fiber|group vector|k", r boundary draws of
+    uniform(-M/sqrt(r), M/sqrt(r)) and then the scalar uniform(-M, M)."""
+    frame = _rank_zero_frame() if dim == 2 else random_valid_frame(dim, dim)
+    m, r = 0.37, dim - 2
+    cap = m / math.sqrt(max(r, 1))
+    fib = SyntheticFibration(frame, (10.0, 1000.0), m, seed=11)
+    rng = random.Random(dim)
+    for fiber in (0, 1):
+        point = FiberPoint(fiber, [rng.randint(-2, 2) for _ in range(r)])
+        for step in (0, 1, 7, 399, "point"):
+            want = random.Random(
+                f"11|{fiber}|{point.group_vector}|{step}")
+            perp = tuple(want.uniform(-cap, cap) for _ in range(r))
+            assert fib._noise(point, step) == (0.0, want.uniform(-m, m)) + perp
+
+
+def _replayed_errors(fib, point, n):
+    """Reference: the errors after steps 0..n, replayed step by step with
+    the shared translation formula, err_{k+1} = T_u err_k + noise_k."""
     u = fib.frame.cusp(fib.group_translation(point))
-    err = (0.0,) * len(u)
+    errors = [(0.0,) * len(u)]
     for k in range(n):
-        err = _translate_cusp(fib, u, err)
-        err = tuple(a + b for a, b in zip(err, fib._noise(point, k)))
+        err = _translate_cusp(fib, u, errors[-1])
+        errors.append(tuple(a + b for a, b in zip(err, fib._noise(point, k))))
+    return errors
+
+
+def _replayed_iterated_height(fib, point, n, errors):
+    """Reference: exact translate plus the replayed error after n steps."""
+    u = fib.frame.cusp(fib.group_translation(point))
     exact = _translate_cusp(fib, tuple(n * c for c in u),
                             fib.base_height(point.fiber))
-    return tuple(a + b for a, b in zip(exact, err))
+    return tuple(a + b for a, b in zip(exact, errors[n]))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_pass_heights_match_replays(seed):
-    frame = random_valid_frame(seed, dim=4 + seed)
-    fib = SyntheticFibration(frame, (10.0, 1000.0), 1.0, seed)
+# (frame seed, dimension, noise); dimension 2 is the rank-0 frame
+_REPLAY_CASES = (
+    [pytest.param(seed, 4 + seed, 1.0, id=str(seed)) for seed in (0, 1, 2)]
+    + [pytest.param(dim, dim, noise, id=f"dim{dim}-{noise}")
+       for dim in range(2, 9) for noise in (0.37, 1.0)])
+
+
+@pytest.mark.parametrize("seed, dim, noise", _REPLAY_CASES)
+def test_one_pass_heights_match_replays(seed, dim, noise):
+    frame = _rank_zero_frame() if dim == 2 else random_valid_frame(seed, dim)
+    fib = SyntheticFibration(frame, (10.0, 1000.0), noise, seed)
     dc = frame.cusp(frame.ample)
     rng = random.Random(seed)
+    n_last = 200  # the synthetic_pairing workload's n_max
     for fiber in (0, 1):
         point = FiberPoint(fiber, [rng.randint(-2, 2)
                                    for _ in range(frame.rank)])
-        for n in (1, 4, 9):
+        errors = _replayed_errors(fib, point, 2 * n_last)
+        for n in (1, 4, 9, n_last):
             for k in (0, n, 2 * n):
                 assert (fib.iterated_height(point, k)
-                        == _replayed_iterated_height(fib, point, k))
+                        == _replayed_iterated_height(fib, point, k, errors))
             s0, s1, s2 = (cusp_inner(fib.iterated_height(point, k), dc)
                           for k in (0, n, 2 * n))
             value, _ = canonical_height(fib, point, frame.ample, n)
             assert value == (s2 - 2.0 * s1 + s0) / (2.0 * n * n)
+        assert fib.error_trace(point, 2 * n_last) == [
+            (k, math.hypot(*err[2:]), abs(err[1]))
+            for k, err in enumerate(errors[1:], start=1)]
 
 
 def test_error_trace_growth_contract():
