@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from operator import mul
 
-from . import linalg
+from . import involutions, linalg
 from .errors import FrameError, InputError
 from .lattice import IntersectionForm, plane_splitting, signature
 from .linalg import Matrix, Vector, vector
@@ -162,6 +162,12 @@ class FibrationFrame:
             return tuple(d)
 
         return image, den
+
+    @cached_property
+    def sigma0(self):
+        """`involutions.sigma0_pullback(self)`, built once per frame: every
+        `involutions.tau_pushforward` multiplies by its numerators."""
+        return involutions.sigma0_pullback(self)
 
     # -- splitting ---------------------------------------------------------
 

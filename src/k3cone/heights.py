@@ -115,7 +115,7 @@ class SyntheticFibration:
         if (form.norm2(e), form.norm2(p), form.inner(e, p)) != (0, 0, 1):
             raise FrameError("synthetic oracle needs E.E = P.P = 0, E.P = 1")
         self.frame = frame
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed")
         self.classE = (0.0, 1.0) + (0.0,) * (form.dim - 2)
         self._heights = {}
 

@@ -4,10 +4,15 @@ The negation involution fixes span{[E], [O]} and is -1 on its orthogonal
 complement; the i-th reflection fixes span{[E], [O] + D_i}.  Their product
 is the parabolic translation attached to v_i, and that equality is verified
 entrywise whenever it is constructed.
+
+Each reflection is built as integer rows N over one denominator d, R = N / d,
+and every check runs on those integers: N N == d^2 I (an involution),
+N s == d s on the fixed span, and the product of two reflections against
+the translation's numerators by cross-multiplying.  The negation pullback
+does not depend on i, so a frame builds it once (`FibrationFrame.sigma0`).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import linalg, translations
@@ -44,7 +49,8 @@ def reflection_through(form: IntersectionForm, span, description) -> EigenReflec
 
     which is unchanged when G or any column of S is rescaled, so it is
     computed on integer numerators: with (S^T G S)^-1 = B / d,
-    R = (2 S B (GS)^T - d I) / d.
+    R = N / d for N = 2 S B (GS)^T - d I.  Both checks run on N: the
+    involution check N N == d^2 I and the fixed-span check N S == d S.
     """
     n = form.dim
     span = tuple(vector(s) for s in span)
@@ -59,19 +65,25 @@ def reflection_through(form: IntersectionForm, span, description) -> EigenReflec
     except DegenerateFormError:
         raise FrameError("degenerate eigenspace: form restricted to span is singular")
     right = [[sum(map(mul, row, col)) for col in zip(*gs)] for row in inv]
-    m = tuple(tuple(Fraction(2 * sum(map(mul, si, rj)) - (d if i == j else 0), d)
-                    for j, rj in enumerate(zip(*right)))
-              for i, si in enumerate(zip(*cols)))
-    refl = EigenReflection(Isometry(form, m), span, description)
-    if linalg.mat_mul(m, m) != linalg.identity(n):
+    rows = [[2 * sum(map(mul, si, rj)) - (d if i == j else 0)
+             for j, rj in enumerate(zip(*right))]
+            for i, si in enumerate(zip(*cols))]
+    if linalg.int_mat_mul(rows, rows) != [[d * d if i == j else 0
+                                           for j in range(n)] for i in range(n)]:
         raise FrameError(f"{description}: reflection is not an involution")
-    if any(refl(s) != s for s in span):
+    span_rows = list(zip(*cols))
+    if linalg.int_mat_mul(rows, span_rows) != [[d * x for x in row]
+                                               for row in span_rows]:
         raise FrameError(f"{description}: reflection moves its fixed span")
-    return refl
+    return EigenReflection(Isometry.from_numerators(form, rows, d), span,
+                           description)
 
 
 def sigma0_pullback(frame) -> EigenReflection:
-    """Pullback of fiberwise negation: +1 on span{[E], [O]}, -1 across it."""
+    """Pullback of fiberwise negation: +1 on span{[E], [O]}, -1 across it.
+
+    Built fresh on every call; `FibrationFrame.sigma0` keeps one per frame.
+    """
     return reflection_through(frame.form, (frame.classE, frame.classO),
                               "fiberwise negation")
 
@@ -89,17 +101,21 @@ def sigma_i_pullback(frame, di: Vector) -> EigenReflection:
 def tau_pushforward(frame, i: int) -> Isometry:
     """Pushforward of translation-by-Q_i: the product sigma_i* . sigma_0*.
 
-    Verified entrywise against the parabolic translation attached to v_i
-    before returning; a mismatch on a valid frame would indicate an internal
-    inconsistency and is surfaced loudly.
+    The product N_i N_0 / (d_i d_0) of the two reflections' numerators is
+    compared entrywise with the parabolic translation T = M / D attached to
+    v_i by cross-multiplying, N_i N_0 D == M d_i d_0, before returning; a
+    mismatch on a valid frame would indicate an internal inconsistency and
+    is surfaced loudly.  The two are then equal, and T is returned.
+    sigma_0* is the frame's cached `FibrationFrame.sigma0`.
     """
-    di = frame.sections[i]
-    sigma_i = sigma_i_pullback(frame, di)
-    sigma_0 = sigma0_pullback(frame)
-    tau = translations.compose(sigma_i.isometry, sigma_0.isometry)
+    sigma_i = sigma_i_pullback(frame, frame.sections[i])
+    a, da = sigma_i.isometry.numerators
+    b, db = frame.sigma0.isometry.numerators
     expected = translations.translation(frame, frame.translations[i])
-    if tau.matrix != expected.matrix:
+    m, den = expected.numerators
+    if [[den * x for x in row] for row in linalg.int_mat_mul(a, b)] != [
+            [da * db * x for x in row] for row in m]:
         raise K3ConeError(
             f"pushforward of involution pair differs from translation {i}; "
             "frame data is internally inconsistent")
-    return tau
+    return expected

@@ -4,6 +4,10 @@ All arithmetic is exact rational.  Values stay `Fraction` at the API, but
 `IntersectionForm.inner` computes on integer numerators over one common
 denominator per argument, against an integer Gram matrix cached once per
 form (`gram_numerators`), and builds one canonical `Fraction` per product.
+`congruent_diagonalization` also runs on that integer Gram: it keeps the
+basis as integer columns B_c with one nonzero integer scale s_c each
+(basis column c is B_c / s_c) and the reduced form as the integer matrix
+B^T g B, and builds the `Fraction` basis and diagonal once, at the end.
 The one float value here is `IntersectionForm.gram_f`, a double-precision
 copy of the Gram matrix that is computed once per form and read only by
 `models.inner_f`; real-valued geometry lives in `models`.
@@ -17,6 +21,7 @@ coordinates (w, v, y) of `FibrationFrame.cusp`.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -97,26 +102,41 @@ def congruent_diagonalization(form: IntersectionForm):
     with exact pivoting in input-basis order (deterministic).  A zero diagonal
     pivot is repaired by preferring a later nonzero diagonal entry, falling
     back to the row/column addition trick when the whole diagonal vanishes.
-    """
-    n = form.dim
-    a = [list(r) for r in form.gram]
-    basis = [list(r) for r in linalg.identity(n)]
 
-    def add_col(i, j, f):
-        # column i += f * column j (and the symmetric row op on a)
-        for r in range(n):
-            a[r][i] += f * a[r][j]
-        for r in range(n):
-            a[i][r] += f * a[j][r]
-        for r in range(n):
-            basis[r][i] += f * basis[r][j]
+    The work is on integers.  With gram = g / den, basis column c is B_c / s_c
+    for an integer column B_c and a nonzero integer scale s_c, and the
+    reduced form is A = B^T g B, so a_ij = A_ij / (s_i s_j den).  Clearing
+    a_ij against the pivot p = A_ii is column j <- (p col_j - q col_i) / h
+    with q = A_ij, h = gcd(p, q), and s_j <- p s_j / h; each column is then
+    divided by the gcd of B_c and s_c.  The `Fraction` pair is built once,
+    at the end.
+    """
+    a, den = form.gram_numerators
+    n = len(a)
+    a = [list(r) for r in a]
+    basis = [[int(r == c) for r in range(n)] for c in range(n)]  # columns B_c
+    scale = [1] * n
+
+    def combine(i, j, x, y):
+        # column i <- x * column i + y * column j, the same row op on a
+        for row in a:
+            row[i] = x * row[i] + y * row[j]
+        a[i] = [x * u + y * v for u, v in zip(a[i], a[j])]
+        basis[i] = [x * u + y * v for u, v in zip(basis[i], basis[j])]
+        g = gcd(scale[i], *basis[i])
+        if g > 1:
+            basis[i] = [u // g for u in basis[i]]
+            scale[i] //= g
+            for row in a:
+                row[i] //= g
+            a[i] = [u // g for u in a[i]]
 
     def swap_cols(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
         a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            basis[r][i], basis[r][j] = basis[r][j], basis[r][i]
+        basis[i], basis[j] = basis[j], basis[i]
+        scale[i], scale[j] = scale[j], scale[i]
 
     for i in range(n):
         if a[i][i] == 0:
@@ -127,13 +147,23 @@ def congruent_diagonalization(form: IntersectionForm):
                 j = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
                 if j is None:
                     continue  # whole trailing row is zero: radical direction
-                add_col(i, j, Fraction(1))
+                # column i += column j, i.e. B_i/s_i + B_j/s_j
+                h = gcd(scale[i], scale[j])
+                x, y = scale[j] // h, scale[i] // h
+                scale[i] *= x
+                combine(i, j, x, y)
+        p = a[i][i]
         for j in range(i + 1, n):
-            if a[i][j] != 0:
-                add_col(j, i, -a[i][j] / a[i][i])
+            q = a[i][j]
+            if q:
+                h = gcd(p, q)
+                scale[j] *= p // h
+                combine(j, i, p // h, -q // h)
 
-    diag = tuple(a[i][i] for i in range(n))
-    return tuple(tuple(r) for r in basis), diag
+    basis = tuple(tuple(Fraction(col[r], s) for col, s in zip(basis, scale))
+                  for r in range(n))
+    diag = tuple(Fraction(a[c][c], s * s * den) for c, s in enumerate(scale))
+    return basis, diag
 
 
 def signature(form: IntersectionForm):

@@ -7,6 +7,9 @@ common denominator per operand and build one canonical `Fraction` per
 output entry.  Inversion and row reduction are fraction-free Gauss-Jordan
 elimination in Bareiss form (Bareiss, Math. Comp. 22, 1968): every
 intermediate entry is a minor of the input, so each division is exact.
+Callers that keep a matrix as (integer rows, denominator) themselves, such
+as `translations.Isometry`, use the integer pieces directly: `int_mat_mul`,
+`int_mat_pow`, `int_inverse` and `lowest_terms`.
 
 Kernel operands may mix ints and Fractions (anything with `.numerator`
 and `.denominator`).  Outside input is coerced once, by `vector` and
@@ -15,7 +18,7 @@ package are the Picard number of a surface, i.e. tiny.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateFormError, InputError
@@ -75,15 +78,32 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(Fraction(sum(map(mul, row, b)), den) for row in a)
 
 
+def int_mat_mul(a, b):
+    """Product of integer matrices, as a list of integer rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def lowest_terms(rows, den):
+    """(rows, den) of the rational matrix rows / den, divided by the gcd of
+    all its integers and signed so that den > 0: equal matrices give equal
+    numerators.  rows is returned as a tuple of tuples."""
+    g = gcd(den, *[x for row in rows for x in row])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(map(tuple, rows)), den
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and len(a[0]) != len(b):
         raise InputError("dimension mismatch in mat_mul")
     ia, da = matrix_numerators(a)
     ib, db = matrix_numerators(b)
     den = da * db
-    cols = list(zip(*ib))
-    return tuple(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
-                 for row in ia)
+    return tuple(tuple(Fraction(x, den) for x in row)
+                 for row in int_mat_mul(ia, ib))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -188,15 +208,24 @@ def nullspace(m: Matrix):
     return tuple(basis)
 
 
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    n = len(m)
+def int_mat_pow(a, den, k: int):
+    """(a / den)^k for integer rows a, as (integer rows, denominator), by
+    repeated squaring; k < 0 inverts first (DegenerateFormError if a is
+    singular).  The result is not reduced to lowest terms."""
     if k < 0:
-        return mat_pow(inverse(m), -k)
-    result = identity(n)
-    base = m
+        inv, det = int_inverse(a)  # (a / den)^-1 = den inv / det
+        a, den, k = [[den * x for x in row] for row in inv], det, -k
+    n = len(a)
+    result, result_den = [[int(i == j) for j in range(n)] for i in range(n)], 1
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result, result_den = int_mat_mul(result, a), result_den * den
         k >>= 1
-    return result
+        if k:
+            a, den = int_mat_mul(a, a), den * den
+    return result, result_den
+
+
+def mat_pow(m: Matrix, k: int) -> Matrix:
+    rows, den = int_mat_pow(*matrix_numerators(m), k)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)

@@ -9,7 +9,7 @@ Euclidean boundary at the cusp E as translation by (the boundary component
 of) v.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -21,27 +21,55 @@ from .linalg import Matrix, Vector, vector
 
 @dataclass(frozen=True)
 class Isometry:
-    """An exact matrix preserving an intersection form."""
+    """An exact matrix preserving an intersection form.
+
+    `matrix` is the exact `Fraction` matrix.  `numerators` holds the same
+    matrix as (integer rows, positive denominator) in lowest terms, derived
+    once when the isometry is built; the form check, the action on vectors,
+    `compose` and `power` run on it.  `Isometry(form, matrix)` coerces the
+    matrix; `from_numerators` builds from integers a kernel already has and
+    is the only caller that passes `numerators` itself.
+    """
 
     form: IntersectionForm
     matrix: Matrix
+    numerators: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        m = linalg.matrix(self.matrix)
-        if len(m) != self.form.dim:
+        if self.numerators is None:
+            m = linalg.matrix(self.matrix)
+            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "numerators", linalg.lowest_terms(
+                *linalg.matrix_numerators(m)))
+        n = self.form.dim
+        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("matrix dimension does not match the form")
-        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def from_numerators(cls, form: IntersectionForm, rows, den) -> "Isometry":
+        """The isometry rows / den, for integer rows and a nonzero den."""
+        rows, den = linalg.lowest_terms(rows, den)
+        return cls(form, tuple(tuple(Fraction(x, den) for x in row)
+                               for row in rows), (rows, den))
 
     def __call__(self, v: Vector) -> Vector:
-        return linalg.mat_vec(self.matrix, vector(v))
+        rows, den = self.numerators
+        b, db = linalg.numerators(vector(v))
+        if len(b) != self.form.dim:
+            raise InputError("vector dimension does not match the form")
+        den *= db
+        return tuple(Fraction(sum(map(mul, row, b)), den) for row in rows)
 
     def preserves_form(self) -> bool:
-        g = self.form.gram
-        return linalg.mat_mul(linalg.transpose(self.matrix),
-                              linalg.mat_mul(g, self.matrix)) == g
+        """M^T G M == G, checked on integers as N^T g N == d^2 g for
+        M = N / d and G = g / dg."""
+        rows, den = self.numerators
+        g, _ = self.form.gram_numerators
+        lhs = linalg.int_mat_mul(list(zip(*rows)), linalg.int_mat_mul(g, rows))
+        return lhs == [[den * den * x for x in row] for row in g]
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.matrix for x in row)
+        return self.numerators[1] == 1
 
 
 def parabolic_translation(inner, classE, v):
@@ -96,11 +124,10 @@ def translation_matrix(form: IntersectionForm, classE: Vector, v: Vector) -> Iso
     vv = sum(map(mul, b, gv))  # v.v = vv / (dg dv^2)
     c = 2 * dg * dv * de
     den = c * dg * dv * de
-    m = tuple(tuple(Fraction((den if i == j else 0) - c * (ei * gvj - bi * gej)
-                             - vv * ei * gej, den)
-                    for j, (gvj, gej) in enumerate(zip(gv, ge)))
-              for i, (ei, bi) in enumerate(zip(e, b)))
-    return Isometry(form, m)
+    rows = [[(den if i == j else 0) - c * (ei * gvj - bi * gej) - vv * ei * gej
+             for j, (gvj, gej) in enumerate(zip(gv, ge))]
+            for i, (ei, bi) in enumerate(zip(e, b))]
+    return Isometry.from_numerators(form, rows, den)
 
 
 def translation(frame, v: Vector) -> Isometry:
@@ -124,8 +151,11 @@ def compose(s: Isometry, t: Isometry) -> Isometry:
     """Matrix product s . t (apply t first)."""
     if s.form is not t.form and s.form != t.form:
         raise InputError("isometries act on different forms")
-    return Isometry(s.form, linalg.mat_mul(s.matrix, t.matrix))
+    (a, da), (b, db) = s.numerators, t.numerators
+    return Isometry.from_numerators(s.form, linalg.int_mat_mul(a, b), da * db)
 
 
 def power(t: Isometry, m: int) -> Isometry:
-    return Isometry(t.form, linalg.mat_pow(t.matrix, m))
+    """t^m on integer numerators; m < 0 inverts t first."""
+    rows, den = linalg.int_mat_pow(*t.numerators, m)
+    return Isometry.from_numerators(t.form, rows, den)

@@ -1,13 +1,24 @@
-"""Shared fixtures and frame generators for the test suite."""
+"""Shared fixtures and frame generators for the test suite.
 
+Hypothesis runs under the profile named by HYPOTHESIS_PROFILE.  The "ci"
+profile is derandomized and prints the reproduction blob of a failing
+example, so a failure in a CI log can be replayed locally with
+`@reproduce_failure`; without the variable the default profile is used.
+"""
+
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from k3cone import f4_frame, linalg
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

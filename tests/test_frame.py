@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (random_orthogonal_to_fiber, random_unimodular,
                       random_valid_frame)
-from k3cone import configio, lattice, linalg
+from k3cone import configio, involutions, lattice, linalg
 from k3cone import frame as frame_module
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
@@ -183,6 +183,23 @@ def test_form_is_diagonalized_once_per_frame(monkeypatch):
     assert frame.validate().passed
     BallModel(frame.form, frame.ample)
     assert calls == [frame.form]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_sigma0_is_built_once_per_frame(monkeypatch, dim):
+    calls = []
+    build = involutions.sigma0_pullback
+
+    def counting(frame):
+        calls.append(frame)
+        return build(frame)
+
+    monkeypatch.setattr(involutions, "sigma0_pullback", counting)
+    frame = random_valid_frame(dim, dim)
+    for _ in range(2):
+        for i in range(frame.rank):
+            involutions.tau_pushforward(frame, i)
+    assert calls == [frame]
 
 
 def test_frame_from_dict_checks_sections():

@@ -80,6 +80,20 @@ def test_step_counts_validated_on_entry(call):
         call(fib, FiberPoint(0, (1, 0)), fib.frame.ample)
 
 
+@pytest.mark.parametrize("seed", [7.9, 7.0, "7", None, Fraction(7)],
+                         ids=["float", "integral-float", "str", "None",
+                              "Fraction"])
+def test_seed_must_be_an_integer(seed):
+    # 7.9 used to run as seed 7, and "7" was accepted as 7
+    with pytest.raises(InputError):
+        _fib(noise=1.0, seed=seed)
+
+
+def test_integer_seed_is_kept():
+    assert _fib(noise=1.0, seed=7).seed == 7
+    assert _fib(noise=1.0, seed=-3).seed == -3
+
+
 def test_input_validation():
     with pytest.raises(InputError):
         SyntheticFibration(f4_frame(), [10.0], noise_bound=-1.0)

@@ -8,7 +8,9 @@ check still fires.  Plain `assert` would vanish under `python -O`.
 import pytest
 
 from k3cone import curves, f4_frame, frame, involutions, lattice, linalg
-from k3cone.errors import DegenerateFormError, FrameError, InputError
+from k3cone.errors import (DegenerateFormError, FrameError, InputError,
+                           K3ConeError)
+from k3cone.involutions import EigenReflection
 from k3cone.translations import Isometry
 
 
@@ -20,8 +22,21 @@ def _wrong_splitting(inner, classE, classP):
     return lambda x: (0, 0, x)
 
 
-def _negate(self, v):
-    return tuple(-x for x in v)
+_int_mat_mul = linalg.int_mat_mul
+
+
+def _wrong_square_product(a, b):
+    # zero for N N (the involution check), right for N S (the span check)
+    if len(b[0]) == len(b):
+        return [[0] * len(b[0]) for _ in a]
+    return _int_mat_mul(a, b)
+
+
+def _wrong_thin_product(a, b):
+    # right for N N, zero for N S (the fixed-span check)
+    if len(b[0]) == len(b):
+        return _int_mat_mul(a, b)
+    return [[0] * len(b[0]) for _ in a]
 
 
 def _never_contains(self, p):
@@ -33,7 +48,9 @@ CASES = [
      lambda f: lattice.dual_basis(f.form), DegenerateFormError),
     ("decompose", frame, "plane_splitting", _wrong_splitting,
      lambda f: f.decompose(f.ample), FrameError),
-    ("reflection_through", Isometry, "__call__", _negate,
+    ("reflection_through", linalg, "int_mat_mul", _wrong_square_product,
+     involutions.sigma0_pullback, FrameError),
+    ("reflection_fixed_span", linalg, "int_mat_mul", _wrong_thin_product,
      involutions.sigma0_pullback, FrameError),
     ("specialize", curves.CurveQ, "contains", _never_contains,
      lambda f: curves.default_pencil().specialize(2), InputError),
@@ -48,3 +65,19 @@ def test_broken_invariant_raises(monkeypatch, owner, attr, broken, call,
     monkeypatch.setattr(owner, attr, broken)
     with pytest.raises(error):
         call(frame)
+
+
+def test_corrupt_sigma0_numerators_raise(monkeypatch):
+    """tau_pushforward multiplies by the frame's cached sigma_0 numerators;
+    one wrong entry there must fail the comparison with the translation."""
+    frame = f4_frame()
+    s0 = frame.sigma0
+    rows, den = s0.isometry.numerators
+    bad = [list(row) for row in rows]
+    bad[0][0] += den
+    corrupt = EigenReflection(Isometry.from_numerators(frame.form, bad, den),
+                              s0.plus_space, s0.description)
+    monkeypatch.setitem(frame.__dict__, "sigma0", corrupt)
+    for i in range(frame.rank):
+        with pytest.raises(K3ConeError, match="differs from translation"):
+            involutions.tau_pushforward(frame, i)

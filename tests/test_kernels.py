@@ -2,7 +2,8 @@
 
 The kernels scale their operands to integer numerators over a common
 denominator and eliminate fraction-free; the references below are the
-textbook `Fraction` loops.  Results must be equal with `==`, and every
+textbook `Fraction` loops, and `ref_congruent_diagonalization` is the
+`Fraction` routine that `lattice.congruent_diagonalization` replaced.  Results must be equal with `==`, and every
 entry must be a `Fraction`.  Operands mix ints and Fractions, Gram
 matrices are integral or not, and dimensions run from 1 to 8.
 """
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from k3cone import linalg
 from k3cone.errors import DegenerateFormError, FrameError
 from k3cone.involutions import reflection_through
-from k3cone.lattice import IntersectionForm
+from k3cone.lattice import IntersectionForm, congruent_diagonalization
 from k3cone.translations import translation_matrix
 
 ints = st.integers(-9, 9)
@@ -43,6 +44,34 @@ def grams(draw, n):
     for i in range(n):
         for j in range(i, n):
             g[i][j] = g[j][i] = draw(elements)
+    return linalg.matrix(g)
+
+
+@st.composite
+def symmetric_forms(draw, n):
+    """A symmetric rational matrix of one of four kinds: any, with an
+    all-zero diagonal, hyperbolic planes congruent-scrambled, or singular."""
+    kind = draw(st.sampled_from(["any", "zero-diagonal", "hyperbolic",
+                                 "singular"]))
+    if kind == "hyperbolic":
+        g = [[0] * n for _ in range(n)]
+        for i in range(0, n - 1, 2):
+            g[i][i + 1] = g[i + 1][i] = draw(entries.filter(bool))
+        if n % 2:
+            g[-1][-1] = draw(entries)
+        u = draw(matrices(n, n, st.integers(-2, 2)))
+        return linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(g, u))
+    if kind == "singular":  # x c x^T with x of rank k < n
+        k = draw(st.integers(0, n - 1))
+        if not k:
+            return linalg.matrix([[0] * n for _ in range(n)])
+        x = draw(matrices(n, k))
+        return linalg.mat_mul(x, linalg.mat_mul(draw(grams(k)),
+                                                linalg.transpose(x)))
+    g = [list(row) for row in draw(grams(n))]
+    if kind == "zero-diagonal":
+        for i in range(n):
+            g[i][i] = Fraction(0)
     return linalg.matrix(g)
 
 
@@ -151,6 +180,47 @@ def ref_reflection(gram, span):
     return tuple(zip(*cols))
 
 
+def ref_congruent_diagonalization(gram):
+    """Symmetric congruence diagonalization on `Fraction`s: the same pivot
+    order, swaps and column-addition repair as the integer routine."""
+    n = len(gram)
+    a = [[Fraction(x) for x in r] for r in gram]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def add_col(i, j, f):
+        # column i += f * column j (and the symmetric row op on a)
+        for r in range(n):
+            a[r][i] += f * a[r][j]
+        for r in range(n):
+            a[i][r] += f * a[j][r]
+        for r in range(n):
+            basis[r][i] += f * basis[r][j]
+
+    def swap_cols(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+        for r in range(n):
+            basis[r][i], basis[r][j] = basis[r][j], basis[r][i]
+
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if a[k][k] != 0), None)
+            if j is not None:
+                swap_cols(i, j)
+            else:
+                j = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
+                if j is None:
+                    continue  # whole trailing row is zero: radical direction
+                add_col(i, j, Fraction(1))
+        for j in range(i + 1, n):
+            if a[i][j] != 0:
+                add_col(j, i, -a[i][j] / a[i][i])
+
+    diag = tuple(a[i][i] for i in range(n))
+    return tuple(tuple(r) for r in basis), diag
+
+
 # -- kernels -------------------------------------------------------------------
 
 @given(st.data(), dims)
@@ -178,6 +248,24 @@ def test_mat_mul(data, rows, inner, cols):
     a, b = data.draw(matrices(rows, inner)), data.draw(matrices(inner, cols))
     got = linalg.mat_mul(a, b)
     assert got == ref_mat_mul(a, b)
+    assert all_fractions(got)
+
+
+@given(st.data(), dims, st.integers(-3, 4))
+@SETTINGS
+def test_mat_pow(data, n, k):
+    m = data.draw(maybe_singular(n, n))
+    base = ref_inverse(m) if k < 0 else m
+    if base is None:
+        with pytest.raises(DegenerateFormError):
+            linalg.mat_pow(m, k)
+        return
+    expected = tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                     for i in range(n))
+    for _ in range(abs(k)):
+        expected = ref_mat_mul(expected, base)
+    got = linalg.mat_pow(m, k)
+    assert got == expected
     assert all_fractions(got)
 
 
@@ -239,3 +327,15 @@ def test_reflection_through(data, n, k):
     got = reflection_through(IntersectionForm(gram), span, "test").matrix
     assert got == expected
     assert all_fractions(got)
+
+
+@given(st.data(), dims)
+@settings(max_examples=200, deadline=None)
+def test_congruent_diagonalization(data, n):
+    gram = data.draw(symmetric_forms(n))
+    basis, diag = congruent_diagonalization(IntersectionForm(gram))
+    assert (basis, diag) == ref_congruent_diagonalization(gram)
+    assert all_fractions(basis) and all_fractions([diag])
+    assert linalg.mat_mul(linalg.transpose(basis),
+                          linalg.mat_mul(gram, basis)) == tuple(
+        tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n))

@@ -10,8 +10,9 @@ from conftest import random_orthogonal_to_fiber, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import InputError
 from k3cone.models import inner_f
-from k3cone.translations import (compose, parabolic_translation, power,
-                                 section_translate, translation,
+from k3cone.involutions import sigma0_pullback, sigma_i_pullback, tau_pushforward
+from k3cone.translations import (Isometry, compose, parabolic_translation,
+                                 power, section_translate, translation,
                                  translation_image)
 
 
@@ -133,3 +134,55 @@ def test_compose_rejects_mismatched_forms():
     t2 = translation(f2, f2.translations[0])
     with pytest.raises(InputError):
         compose(t1, t2)
+
+
+def _ref_power(m, k):
+    """m^k by k - 1 products (k > 0), the identity, or the inverse's power."""
+    if k < 0:
+        return _ref_power(linalg.inverse(m), -k)
+    result = linalg.identity(len(m))
+    for _ in range(k):
+        result = linalg.mat_mul(result, m)
+    return result
+
+
+def _ref_preserves(form, m):
+    return linalg.mat_mul(linalg.transpose(m),
+                          linalg.mat_mul(form.gram, m)) == form.gram
+
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 8), st.integers(-4, 5))
+@settings(max_examples=40, deadline=None)
+def test_isometry_algebra_matches_fraction_reference(seed, dim, k):
+    """The integer-numerator algebra of `Isometry` against `linalg` on the
+    `Fraction` matrices, on scrambled frames."""
+    frame = random_valid_frame(seed, dim)
+    form = frame.form
+    rng = random.Random(seed)
+    tv = translation(frame, random_orthogonal_to_fiber(frame, rng))
+    tw = translation(frame, random_orthogonal_to_fiber(frame, rng))
+    x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+              for _ in range(dim))
+    d = frame.sections[rng.randrange(frame.rank)]
+    isometries = [tv, tw, sigma0_pullback(frame).isometry,
+                  sigma_i_pullback(frame, d).isometry]
+    for s in isometries:
+        assert s(x) == linalg.mat_vec(s.matrix, x)
+        assert s.preserves_form() and _ref_preserves(form, s.matrix)
+        assert power(s, k).matrix == _ref_power(s.matrix, k)
+        for t in isometries:
+            assert compose(s, t).matrix == linalg.mat_mul(s.matrix, t.matrix)
+    stretched = Isometry(form, tuple(linalg.vec_scale(2, r) for r in tv.matrix))
+    assert not stretched.preserves_form()
+    assert not _ref_preserves(form, stretched.matrix)
+    for i in range(frame.rank):
+        sigma_i = sigma_i_pullback(frame, frame.sections[i])
+        tau = tau_pushforward(frame, i)
+        assert tau.matrix == linalg.mat_mul(sigma_i.matrix,
+                                            sigma0_pullback(frame).matrix)
+        assert tau.matrix == translation(frame, frame.translations[i]).matrix
+    for iso in isometries + [compose(tv, tw), power(tv, k)]:
+        rows, den = iso.numerators
+        assert den > 0 and linalg.lowest_terms(rows, den) == (rows, den)
+        assert iso.matrix == tuple(tuple(Fraction(x, den) for x in row)
+                                   for row in rows)
