@@ -10,7 +10,8 @@ from conftest import random_orthogonal_to_fiber, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import InputError
 from k3cone.models import inner_f
-from k3cone.involutions import sigma0_pullback, sigma_i_pullback, tau_pushforward
+from k3cone.involutions import (sigma0_pullback, sigma_i_pullback,
+                                tau_pushforward)
 from k3cone.translations import (Isometry, compose, parabolic_translation,
                                  power, section_translate, translation,
                                  translation_image)
@@ -137,7 +138,7 @@ def test_compose_rejects_mismatched_forms():
 
 
 def _ref_power(m, k):
-    """m^k by k - 1 products (k > 0), the identity, or the inverse's power."""
+    """m^k as k products onto the identity; k < 0 powers the inverse."""
     if k < 0:
         return _ref_power(linalg.inverse(m), -k)
     result = linalg.identity(len(m))
@@ -184,5 +185,5 @@ def test_isometry_algebra_matches_fraction_reference(seed, dim, k):
     for iso in isometries + [compose(tv, tw), power(tv, k)]:
         rows, den = iso.numerators
         assert den > 0 and linalg.lowest_terms(rows, den) == (rows, den)
-        assert iso.matrix == tuple(tuple(Fraction(x, den) for x in row)
+        assert iso.matrix == tuple(tuple(Fraction(c, den) for c in row)
                                    for row in rows)
