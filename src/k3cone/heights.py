@@ -19,11 +19,17 @@ coordinates, n_max): `canonical_height`, `nt_pairing` and
 This is safe because every other input of a height (frame, seed, noise
 bound, fiber heights) is fixed when the fibration is built.
 
+Noise comes in streams: a height's step noise is one generator keyed
+(seed, fiber, group vector), drawn in order, so iterated heights are
+prefix-consistent (the first n steps do not depend on how many are run).
+`vector_height` draws from its own generator of the same point.
+
 Cost model: a height at n_max runs 2 n_max steps of the error recurrence,
-each one reseed of the noise generator plus O(r) float work, and three
-exact translates.  The error (0, e, y) is advanced as two scalars,
-e += <y, u> + s and y += c: its w is 0.0 exactly, so every other term of
-the translation T_u is +-0.0 and the doubles equal those of T_u err + noise.
+each r + 1 draws from the height's one generator plus O(r) float work,
+and three exact translates.  The error (0, e, y) is advanced as two
+scalars, e += <y, u> + s and y += c: its w is 0.0 exactly, so every other
+term of the translation T_u is +-0.0 and the doubles equal those of
+T_u err + noise.
 
 Sign convention: the Lorentz product is negative definite on the boundary
 subspace, so the canonical height comes out as -h(E) (v.v) ([E].D) / 2 >= 0
@@ -35,7 +41,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, index, mul
+from operator import index, mul
 
 from .errors import FrameError, InputError
 from .linalg import Vector, vector
@@ -100,8 +106,9 @@ class SyntheticFibration:
     Canonical heights are memoized on the fibration, keyed by (point, D in
     cusp coordinates, n_max) and holding (value, bound).  The memo is exact
     because the frame, seed, noise bound and fiber heights are fixed at
-    construction and the noise is keyed to (seed, fiber, group vector,
-    step); none of them may be reassigned afterwards.
+    construction and the step noise of a height is one stream keyed to
+    (seed, fiber, group vector), so the same height always draws the same
+    noise; none of them may be reassigned afterwards.
     """
 
     def __init__(self, frame, fiber_heights, noise_bound=0.0, seed=0):
@@ -117,6 +124,7 @@ class SyntheticFibration:
         self.frame = frame
         self.seed = _integer(seed, "seed")
         self.classE = (0.0, 1.0) + (0.0,) * (form.dim - 2)
+        self._perp_cap = self.noise_bound / math.sqrt(max(form.dim - 2, 1))
         self._heights = {}
 
     def base_height(self, fiber: int):
@@ -137,39 +145,26 @@ class SyntheticFibration:
     def _cusp_translation(self, point: FiberPoint):
         return self.frame.cusp(self.group_translation(point))
 
-    def _noise_draws(self, point: FiberPoint, steps):
-        """(scalar, perp) of the noise (0, scalar, perp) at each step.
-
-        The draws of one step are those of a fresh
-        random.Random(f"{seed}|{fiber}|{group vector}|{step}"): r draws of
-        uniform(-M/sqrt(r), M/sqrt(r)) for perp, so |perp| <= M, then
-        uniform(-M, M) for the scalar.  One generator is reseeded per step
-        (seeding with a str sets the same state as the constructor), and
-        uniform(a, b) is spelled as the stdlib's own a + (b - a) random().
-        """
-        m = self.noise_bound
-        r = len(self.classE) - 2
-        cap = m / math.sqrt(max(r, 1))
-        lo, width = -cap, cap - -cap
-        lo_s, width_s = -m, m - -m
-        rng = random.Random()
-        draw = rng.random
-        prefix = f"{self.seed}|{point.fiber}|{point.group_vector}|"
-        for step in steps:
-            rng.seed(prefix + str(step))
-            perp = [lo + width * draw() for _ in range(r)]
-            yield lo_s + width_s * draw(), perp
-
-    def _noise(self, point: FiberPoint, step):
-        """One bounded noise vector (0, scalar, perp), |perp| <= M."""
-        scalar, perp = next(self._noise_draws(point, (step,)))
-        return (0.0, scalar) + tuple(perp)
+    def _stream(self, point: FiberPoint, name: str):
+        """The point's noise generator `name`:
+        random.Random(f"{seed}|{fiber}|{group vector}|{name}")."""
+        return random.Random(
+            f"{self.seed}|{point.fiber}|{point.group_vector}|{name}")
 
     def vector_height(self, point: FiberPoint):
-        """h(Q_{v,E}) = T_v h(O_E) + noise (noise keyed to the point)."""
+        """h(Q_{v,E}) = T_v h(O_E) + noise (noise keyed to the point).
+
+        The noise (0, scalar, perp) is the first draws of the point's
+        "point" generator: r of uniform(-M/sqrt(r), M/sqrt(r)) for perp,
+        so |perp| <= M, then uniform(-M, M) for the scalar.
+        """
         h = self._translation(self._cusp_translation(point))(
             self.base_height(point.fiber))
-        return tuple(a + b for a, b in zip(h, self._noise(point, "point")))
+        m, cap = self.noise_bound, self._perp_cap
+        rng = self._stream(point, "point")
+        perp = tuple(rng.uniform(-cap, cap) for _ in h[2:])
+        noise = (0.0, rng.uniform(-m, m)) + perp
+        return tuple(a + b for a, b in zip(h, noise))
 
     def iterated_height(self, point: FiberPoint, n: int):
         """h(tau_v^n O_E): exact translate plus per-step accumulated noise."""
@@ -180,16 +175,20 @@ class SyntheticFibration:
     def _iterated_heights(self, point: FiberPoint, u, steps):
         """`iterated_height` at each of the distinct ascending step counts,
         from one pass over the error recurrence; u is the cusp translation.
-        Only the errors at those steps are kept."""
+        Only the errors at those steps are built as vectors."""
         base = self.base_height(point.fiber)
-        errors = itertools.islice(self._errors(point, u), steps[-1] + 1)
-        kept = [err for k, err in enumerate(errors) if k in steps]
+        errors, at, kept = self._errors(point, u), 0, []
+        for k in steps:
+            e, y = next(itertools.islice(errors, k - at, None))
+            kept.append((0.0, e) + y)
+            at = k + 1
         exact = (self._translation(tuple(n * c for c in u))(base) for n in steps)
         return [tuple(a + b for a, b in zip(h, err))
                 for h, err in zip(exact, kept)]
 
     def _errors(self, point: FiberPoint, u):
-        """Accumulated iterated error (0, e, y) after steps 0, 1, 2, ...
+        """(e, y) of the accumulated iterated error (0, e, y) after steps
+        0, 1, 2, ...
 
         err_0 = 0 and err_{k+1} = T_u err_k + noise_k, noise_k = (0, s, c).
         Every error has w = 0.0 exactly, so in T_u (w, e, y) =
@@ -200,18 +199,28 @@ class SyntheticFibration:
         draw, which is never -0.0, makes that sum the same.  <y, u> is
         sum(map(mul, y, u)) in the order of `models.cusp_inner`.
 
-        Each step costs one reseed of the noise generator and O(r) float
-        work.  Without noise the error stays zero and nothing is drawn.
+        The noise is one stream per height, the point's "steps" generator
+        drawn in order: at each step r draws of uniform(-M/sqrt(r),
+        M/sqrt(r)) for c, so |c| <= M, then uniform(-M, M) for s, each
+        spelled as the stdlib's own a + (b - a) random().  So the first n
+        steps are the same whatever n is asked for.  A step costs O(r)
+        float work and no reseed.  Without noise the error stays zero and
+        nothing is drawn.
         """
-        zero = (0.0,) * len(u)
-        yield zero
+        zero = (0.0,) * (len(u) - 2)
+        yield 0.0, zero
         if self.noise_bound == 0.0:
-            yield from itertools.repeat(zero)
-        e, y, uy = 0.0, zero[2:], u[2:]
-        for s, c in self._noise_draws(point, itertools.count()):
-            e = e + sum(map(mul, y, uy)) + s
-            y = tuple(map(add, y, c))
-            yield (0.0, e) + y
+            yield from itertools.repeat((0.0, zero))
+        m, cap = self.noise_bound, self._perp_cap
+        lo, width = -cap, cap - -cap
+        lo_s, width_s = -m, m - -m
+        draw = self._stream(point, "steps").random
+        e, y, uy = 0.0, zero, u[2:]
+        while True:
+            y_next = tuple([a + (lo + width * draw()) for a in y])
+            e = e + sum(map(mul, y, uy)) + (lo_s + width_s * draw())
+            y = y_next
+            yield e, y
 
     def error_trace(self, point: FiberPoint, n_steps: int):
         """(n, |y|, |v|) of the error (0, v, y) for n = 1..n_steps: its
@@ -219,8 +228,8 @@ class SyntheticFibration:
         n_steps = _integer(n_steps, "n_steps", least=0)
         u = self._cusp_translation(point)
         errors = itertools.islice(self._errors(point, u), 1, n_steps + 1)
-        return [(n, math.hypot(*err[2:]), abs(err[1]))
-                for n, err in enumerate(errors, start=1)]
+        return [(n, math.hypot(*y), abs(e))
+                for n, (e, y) in enumerate(errors, start=1)]
 
 
 def _reference(fib: SyntheticFibration, d, n_max: int):

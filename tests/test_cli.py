@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -170,3 +173,18 @@ def test_cli_output_matches_golden(runner, args, golden):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (DATA / golden).read_bytes()
+
+
+def test_synthetic_pair_noise_is_the_same_in_every_process():
+    """The noise streams are keyed by strings, never through hash(), so a
+    fresh interpreter with any hash seed prints the golden table."""
+    golden = (DATA / "cli_synthetic_pair_noise1_seed7.tsv").read_bytes()
+    args = [sys.executable, "-m", "k3cone.cli", "synthetic-pair", FRAME,
+            "--noise", "1", "--seed", "7"]
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run(args, env=env, capture_output=True,
+                              timeout=120, check=True)
+        assert done.stdout == golden

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
@@ -23,6 +25,19 @@ def _fib(noise=0.0, seed=0, heights=(10.0, 100.0)):
 def _translate_cusp(fib, u, x):
     """Float T_u x on cusp coordinates from the shared translation formula."""
     return parabolic_translation(cusp_inner, fib.classE, u)(x)
+
+
+def _replayed_noise(fib, point, name="steps"):
+    """Reference: the noise (0, scalar, perp) of one stream of a point, in
+    order, from an independent random.Random keyed
+    "seed|fiber|group vector|name": per draw r boundary values of
+    uniform(-M/sqrt(r), M/sqrt(r)), then the scalar uniform(-M, M)."""
+    m, r = fib.noise_bound, fib.frame.form.dim - 2
+    cap = m / math.sqrt(max(r, 1))
+    rng = random.Random(f"{fib.seed}|{point.fiber}|{point.group_vector}|{name}")
+    while True:
+        perp = tuple(rng.uniform(-cap, cap) for _ in range(r))
+        yield (0.0, rng.uniform(-m, m)) + perp
 
 
 def test_fiber_point_addition():
@@ -58,7 +73,13 @@ def test_fiber_point_normalizes_integral_entries():
     assert all(type(m) is int for m in point.group_vector)
     fib = _fib(noise=1.0, seed=3)
     plain = FiberPoint(0, (2, -2))
-    assert fib._noise(point, 0) == fib._noise(plain, 0)
+    # both points key their noise streams as "3|0|(2, -2)|..."
+    u = fib.frame.cusp(fib.group_translation(point))
+    _, (e, y) = itertools.islice(fib._errors(point, u), 2)
+    assert (0.0, e) + y == next(_replayed_noise(fib, plain))
+    h = _translate_cusp(fib, u, fib.base_height(0))
+    assert fib.vector_height(point) == tuple(
+        a + b for a, b in zip(h, next(_replayed_noise(fib, plain, "point"))))
     assert (canonical_height(fib, point, fib.frame.ample, 5)
             == canonical_height(_fib(noise=1.0, seed=3), plain,
                                 fib.frame.ample, 5))
@@ -175,7 +196,7 @@ def test_vector_height_noise_is_reproducible_and_bounded():
     point = FiberPoint(0, (1, 1))
     assert fib1.vector_height(point) == fib2.vector_height(point)
     assert fib1.vector_height(point) != fib3.vector_height(point)
-    noise = fib1._noise(point, "point")
+    noise = next(_replayed_noise(fib1, point, "point"))
     assert fib1.vector_height(point) == tuple(
         a + b for a, b in zip(_fib().vector_height(point), noise))
     assert noise[0] == 0.0
@@ -327,9 +348,11 @@ def test_memo_keys_on_reference_and_n_max(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8])
 def test_noise_is_one_fresh_generator_per_key(dim):
-    """The noise contract: step k of a point draws from a fresh
-    random.Random keyed "seed|fiber|group vector|k", r boundary draws of
-    uniform(-M/sqrt(r), M/sqrt(r)) and then the scalar uniform(-M, M)."""
+    """The noise contract: the steps of a point draw in order from one
+    fresh random.Random keyed "seed|fiber|group vector|steps", r boundary
+    draws of uniform(-M/sqrt(r), M/sqrt(r)) and then the scalar
+    uniform(-M, M) per step; `vector_height` draws the same way from its
+    own "seed|fiber|group vector|point"."""
     frame = _rank_zero_frame() if dim == 2 else random_valid_frame(dim, dim)
     m, r = 0.37, dim - 2
     cap = m / math.sqrt(max(r, 1))
@@ -337,22 +360,62 @@ def test_noise_is_one_fresh_generator_per_key(dim):
     rng = random.Random(dim)
     for fiber in (0, 1):
         point = FiberPoint(fiber, [rng.randint(-2, 2) for _ in range(r)])
-        for step in (0, 1, 7, 399, "point"):
-            want = random.Random(
-                f"11|{fiber}|{point.group_vector}|{step}")
+        u = frame.cusp(fib.group_translation(point))
+        errors = list(itertools.islice(fib._errors(point, u), 401))
+        want = random.Random(f"11|{fiber}|{point.group_vector}|steps")
+        draws = []
+        for _ in range(400):
             perp = tuple(want.uniform(-cap, cap) for _ in range(r))
-            assert fib._noise(point, step) == (0.0, want.uniform(-m, m)) + perp
+            draws.append((want.uniform(-m, m), perp))
+        for step in (0, 1, 7, 399):
+            # err_{k+1} = (e_k + <y_k, u> + s_k, y_k + c_k), noise_k = (s, c)
+            (e, y), (s, c) = errors[step], draws[step]
+            assert errors[step + 1] == (
+                e + sum(map(mul, y, u[2:])) + s, tuple(map(add, y, c)))
+        assert errors[1] == draws[0]
+        want = random.Random(f"11|{fiber}|{point.group_vector}|point")
+        perp = tuple(want.uniform(-cap, cap) for _ in range(r))
+        noise = (0.0, want.uniform(-m, m)) + perp
+        h = _translate_cusp(fib, u, fib.base_height(fiber))
+        assert fib.vector_height(point) == tuple(
+            a + b for a, b in zip(h, noise))
 
 
 def _replayed_errors(fib, point, n):
     """Reference: the errors after steps 0..n, replayed step by step with
-    the shared translation formula, err_{k+1} = T_u err_k + noise_k."""
+    the shared translation formula, err_{k+1} = T_u err_k + noise_k, the
+    noise drawn in order from the point's independently replayed stream."""
     u = fib.frame.cusp(fib.group_translation(point))
+    noise = _replayed_noise(fib, point)
     errors = [(0.0,) * len(u)]
-    for k in range(n):
+    for _ in range(n):
         err = _translate_cusp(fib, u, errors[-1])
-        errors.append(tuple(a + b for a, b in zip(err, fib._noise(point, k))))
+        errors.append(tuple(a + b for a, b in zip(err, next(noise))))
     return errors
+
+
+@pytest.mark.parametrize("dim", [None, 3, 4, 5, 6, 7, 8])
+def test_noise_streams_are_prefix_consistent(dim):
+    """The first n steps of a height do not depend on how many steps the
+    fibration ran for that height before."""
+    frame = f4_frame() if dim is None else random_valid_frame(dim, dim)
+    heights, seed = (10.0, 1000.0), 9
+
+    def fresh():
+        return SyntheticFibration(frame, heights, 1.0, seed)
+
+    rng = random.Random(dim)
+    for fiber in (0, 1):
+        point = FiberPoint(fiber, [rng.randint(-2, 2)
+                                   for _ in range(frame.rank)])
+        served = fresh()
+        canonical_height(served, point, frame.ample, 50)
+        for n in (0, 1, 7, 99):
+            assert (served.iterated_height(point, n)
+                    == fresh().iterated_height(point, n))
+        long_trace = served.error_trace(point, 120)
+        for k in (0, 1, 13, 119):
+            assert fresh().error_trace(point, k) == long_trace[:k]
 
 
 def _replayed_iterated_height(fib, point, n, errors):
@@ -435,19 +498,20 @@ def _exact_dot(x, y):
     return x[0] * y[1] + x[1] * y[0] - sum(a * b for a, b in zip(x[2:], y[2:]))
 
 
-def _exact_noise(fib, point, step):
-    """The oracle's noise draw for one step, (0, scalar, perp), as Fractions.
+def _exact_noise(fib, point):
+    """The oracle's step noise draws, (0, scalar, perp), as Fractions.
 
     Replays the documented keying: one `random.Random` per (seed, fiber,
-    group vector, step), r boundary draws in [-M/sqrt(r), M/sqrt(r)] and
-    then the scalar in [-M, M].
+    group vector), drawn in order, with per step r boundary draws in
+    [-M/sqrt(r), M/sqrt(r)] and then the scalar in [-M, M].
     """
     m, r = fib.noise_bound, fib.frame.form.dim - 2
     rng = random.Random(
-        f"{fib.seed}|{point.fiber}|{point.group_vector}|{step}")
+        f"{fib.seed}|{point.fiber}|{point.group_vector}|steps")
     cap = m / math.sqrt(r)
-    perp = tuple(Fraction(rng.uniform(-cap, cap)) for _ in range(r))
-    return (Fraction(0), Fraction(rng.uniform(-m, m))) + perp
+    while True:
+        perp = tuple(Fraction(rng.uniform(-cap, cap)) for _ in range(r))
+        yield (Fraction(0), Fraction(rng.uniform(-m, m))) + perp
 
 
 def _exact_model(fib, point, n_max):
@@ -460,10 +524,11 @@ def _exact_model(fib, point, n_max):
     e = (0, 1) + (0,) * (len(u) - 2)
     base = (Fraction(fib.fiber_heights[point.fiber]),) + (0,) * (len(u) - 1)
     step = parabolic_translation(_exact_dot, e, u)
+    noise = _exact_noise(fib, point)
     errors = [(Fraction(0),) * len(u)]
-    for k in range(2 * n_max):
+    for _ in range(2 * n_max):
         errors.append(tuple(a + b for a, b in zip(
-            step(errors[-1]), _exact_noise(fib, point, k))))
+            step(errors[-1]), next(noise))))
     heights = []
     for n, err in enumerate(errors):
         exact = parabolic_translation(_exact_dot, e,
