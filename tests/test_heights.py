@@ -34,7 +34,8 @@ def _replayed_noise(fib, point, name="steps"):
     uniform(-M/sqrt(r), M/sqrt(r)), then the scalar uniform(-M, M)."""
     m, r = fib.noise_bound, fib.frame.form.dim - 2
     cap = m / math.sqrt(max(r, 1))
-    rng = random.Random(f"{fib.seed}|{point.fiber}|{point.group_vector}|{name}")
+    rng = random.Random(
+        f"{fib.seed}|{point.fiber}|{point.group_vector}|{name}")
     while True:
         perp = tuple(rng.uniform(-cap, cap) for _ in range(r))
         yield (0.0, rng.uniform(-m, m)) + perp
@@ -399,7 +400,7 @@ def test_noise_streams_are_prefix_consistent(dim):
     """The first n steps of a height do not depend on how many steps the
     fibration ran for that height before."""
     frame = f4_frame() if dim is None else random_valid_frame(dim, dim)
-    heights, seed = (10.0, 1000.0), 9
+    heights, seed, dc = (10.0, 1000.0), 9, frame.cusp(frame.ample)
 
     def fresh():
         return SyntheticFibration(frame, heights, 1.0, seed)
@@ -409,10 +410,14 @@ def test_noise_streams_are_prefix_consistent(dim):
         point = FiberPoint(fiber, [rng.randint(-2, 2)
                                    for _ in range(frame.rank)])
         served = fresh()
-        canonical_height(served, point, frame.ample, 50)
+        value, _ = canonical_height(served, point, frame.ample, 50)
         for n in (0, 1, 7, 99):
             assert (served.iterated_height(point, n)
                     == fresh().iterated_height(point, n))
+        # the memo's one pass over steps 0..100 agrees with separate runs
+        s0, s1, s2 = (cusp_inner(fresh().iterated_height(point, k), dc)
+                      for k in (0, 50, 100))
+        assert value == (s2 - 2.0 * s1 + s0) / (2.0 * 50 * 50)
         long_trace = served.error_trace(point, 120)
         for k in (0, 1, 13, 119):
             assert fresh().error_trace(point, k) == long_trace[:k]
