@@ -13,8 +13,7 @@ from .errors import (CuspError, DegenerateFormError, DomainError, FrameError,
                      SingularFiberError)
 from .frame import Decomposition, FibrationFrame, f4_frame
 from .heights import FiberPoint, SyntheticFibration, cauchy_schwarz_check
-from .involutions import (EigenReflection, sigma0_pullback, sigma_i_pullback,
-                          tau_pushforward)
+from .involutions import sigma0_pullback, sigma_i_pullback, tau_pushforward
 from .lattice import (IntersectionForm, dual_basis, form_from_dict,
                       in_light_cone, signature)
 from .models import (BallModel, BoundaryChart, UpperHalfSpacePoint,
@@ -26,7 +25,7 @@ from .walls import WallCircle, orbit_walls, wall_circle_ball, wall_circle_uhs
 
 __all__ = [
     "BallModel", "BoundaryChart", "CurveQ", "CuspError", "Decomposition",
-    "DegenerateFormError", "DomainError", "EigenReflection", "FiberPoint",
+    "DegenerateFormError", "DomainError", "FiberPoint",
     "FibrationFrame", "FrameError", "InputError", "IntersectionForm",
     "Isometry", "K3ConeError", "Pencil", "RenderOptions", "ResourceError",
     "SingularFiberError", "SyntheticFibration", "UpperHalfSpacePoint",

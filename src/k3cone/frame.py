@@ -2,8 +2,10 @@
 
 A frame bundles the fiber class [E], the zero section [O], an ample class,
 and a set of boundary translation vectors v_1..v_r.  The section translates
-D_i are derived from the v_i.  P denotes [O] + [E] throughout: it is null,
-meets [E] once, and anchors the boundary coordinate subspace
+D_i = T_{v_i}([O]) are derived from the v_i on first read and cached
+(`sections`); they are not a constructor argument.  P denotes [O] + [E]
+throughout: it is null, meets [E] once, and anchors the boundary
+coordinate subspace
 
     V = { x : x.E = x.P = 0 },
 
@@ -24,7 +26,7 @@ from .errors import FrameError, InputError
 from .lattice import IntersectionForm, plane_splitting, signature
 from .linalg import Matrix, Vector, vector
 from .models import BoundaryChart, inner_f
-from .translations import section_translate
+from .translations import section_translate, translation_image
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class FibrationFrame:
     The constructor only checks dimensions; `validate` reports on the
     geometric constraints so that broken frames can be diagnosed rather
     than rejected blindly.  Use `FibrationFrame.create` to build a frame
-    with canonicalized translations and derived sections.
+    with canonicalized translations whose section translates are checked
+    when it is built.
     """
 
     form: IntersectionForm
@@ -74,7 +77,6 @@ class FibrationFrame:
     classO: Vector
     ample: Vector
     translations: tuple = ()
-    sections: tuple = ()
 
     def __post_init__(self):
         n = self.form.dim
@@ -85,17 +87,22 @@ class FibrationFrame:
             object.__setattr__(self, name, v)
         object.__setattr__(self, "translations",
                            tuple(vector(v) for v in self.translations))
-        object.__setattr__(self, "sections",
-                           tuple(vector(v) for v in self.sections))
 
     @classmethod
     def create(cls, form, classE, classO, ample, translations):
-        """Canonicalize translations into V and derive the sections."""
+        """Canonicalize translations into V and derive the sections, so that
+        a translate that is not a section class raises `FrameError` here."""
         proto = cls(form, classE, classO, ample)
-        vs = tuple(proto.boundary_rep(v) for v in translations)
-        frame = cls(form, classE, classO, ample, vs)
-        sections = tuple(section_translate(frame, v) for v in vs)
-        return cls(form, classE, classO, ample, vs, sections)
+        frame = cls(form, classE, classO, ample,
+                    tuple(proto.boundary_rep(v) for v in translations))
+        frame.sections
+        return frame
+
+    @cached_property
+    def sections(self) -> tuple:
+        """The section translates D_i = T_{v_i}([O]), one per translation,
+        built once per frame; `FrameError` if one is not a section class."""
+        return tuple(section_translate(self, v) for v in self.translations)
 
     @cached_property
     def classP(self) -> Vector:
@@ -262,8 +269,7 @@ class FibrationFrame:
         mv = lambda x: linalg.mat_vec(u_inv, x)
         return FibrationFrame(new_form, mv(self.classE), mv(self.classO),
                               mv(self.ample),
-                              tuple(mv(v) for v in self.translations),
-                              tuple(mv(s) for s in self.sections))
+                              tuple(mv(v) for v in self.translations))
 
     # -- validation --------------------------------------------------------
 
@@ -278,15 +284,16 @@ class FibrationFrame:
         pos, neg, zero = signature(self.form)
         check("lorentzian signature", (pos, neg, zero) == (1, self.form.dim - 1, 0),
               f"signature {(pos, neg, zero)}")
-        check("fiber class null", norm2(e) == 0, f"E.E = {norm2(e)}")
-        check("fiber meets ample", inner(e, amp) > 0, f"E.ample = {inner(e, amp)}")
-        check("section self-intersection", norm2(o) == -2, f"O.O = {norm2(o)}")
-        check("section meets fiber once", inner(o, e) == 1, f"O.E = {inner(o, e)}")
-        check("P null", norm2(p) == 0, f"P.P = {norm2(p)}")
-        check("P meets fiber once", inner(p, e) == 1, f"P.E = {inner(p, e)}")
-        check("ample positivity", norm2(amp) > 0, f"ample.ample = {norm2(amp)}")
-        check("ample vs zero section", inner(amp, o) > 0,
-              f"ample.O = {inner(amp, o)}")
+        ee, ea, oo, oe = norm2(e), inner(e, amp), norm2(o), inner(o, e)
+        pp, pe, aa, ao = norm2(p), inner(p, e), norm2(amp), inner(amp, o)
+        check("fiber class null", ee == 0, f"E.E = {ee}")
+        check("fiber meets ample", ea > 0, f"E.ample = {ea}")
+        check("section self-intersection", oo == -2, f"O.O = {oo}")
+        check("section meets fiber once", oe == 1, f"O.E = {oe}")
+        check("P null", pp == 0, f"P.P = {pp}")
+        check("P meets fiber once", pe == 1, f"P.E = {pe}")
+        check("ample positivity", aa > 0, f"ample.ample = {aa}")
+        check("ample vs zero section", ao > 0, f"ample.O = {ao}")
 
         for i, v in enumerate(self.translations):
             ok = inner(v, e) == 0 and inner(v, p) == 0
@@ -300,16 +307,22 @@ class FibrationFrame:
                 "maximal translation rank", status,
                 f"rank {self.rank} of maximal {self.form.dim - 2}"))
 
-        for i, d in enumerate(self.sections):
-            check(f"section class {i} self-intersection", norm2(d) == -2,
-                  f"D.D = {norm2(d)}")
+        try:
+            sections = self.sections
+        except FrameError:
+            # report each translate below instead of raising
+            sections = tuple(translation_image(self.form, e, v, o)
+                             for v in self.translations)
+        for i, d in enumerate(sections):
+            dd, ad, do = norm2(d), inner(amp, d), inner(d, o)
+            check(f"section class {i} self-intersection", dd == -2,
+                  f"D.D = {dd}")
             check(f"section class {i} meets fiber once", inner(d, e) == 1)
-            check(f"ample vs section class {i}", inner(amp, d) > 0,
-                  f"ample.D = {inner(amp, d)}")
-            if inner(d, o) < 0:
+            check(f"ample vs section class {i}", ad > 0, f"ample.D = {ad}")
+            if do < 0:
                 checks.append(ValidationCheck(
                     f"section class {i} admissibility", "warn",
-                    f"D.O = {inner(d, o)} < 0"))
+                    f"D.O = {do} < 0"))
 
         checks.append(ValidationCheck(
             "automorphism-group realization", "assumed",

@@ -5,14 +5,15 @@ complement; the i-th reflection fixes span{[E], [O] + D_i}.  Their product
 is the parabolic translation attached to v_i, and that equality is verified
 entrywise whenever it is constructed.
 
-Each reflection is built as integer rows N over one denominator d, R = N / d,
-and every check runs on those integers: N N == d^2 I (an involution),
-N s == d s on the fixed span, and the product of two reflections against
-the translation's numerators by cross-multiplying.  The negation pullback
-does not depend on i, so a frame builds it once (`FibrationFrame.sigma0`).
+Each reflection is built as integer rows N over one denominator d and
+returned as the plain `translations.Isometry` R = N / d, like a
+translation, so `compose` and `power` take it directly.  Every check runs
+on those integers: N N == d^2 I (an involution), N s == d s on the fixed
+span, and the product of two reflections against the translation's
+numerators by cross-multiplying.  The negation pullback does not depend
+on i, so a frame builds it once (`FibrationFrame.sigma0`).
 """
 
-from dataclasses import dataclass
 from operator import mul
 
 from . import linalg, translations
@@ -22,23 +23,7 @@ from .linalg import Vector, vector
 from .translations import Isometry
 
 
-@dataclass(frozen=True)
-class EigenReflection:
-    """An involutive isometry determined by its (+1)-eigenspace."""
-
-    isometry: Isometry
-    plus_space: tuple
-    description: str
-
-    @property
-    def matrix(self):
-        return self.isometry.matrix
-
-    def __call__(self, v: Vector) -> Vector:
-        return self.isometry(v)
-
-
-def reflection_through(form: IntersectionForm, span, description) -> EigenReflection:
+def reflection_through(form: IntersectionForm, span, description) -> Isometry:
     """Involution fixing `span` and equal to -1 on its orthogonal complement.
 
     Requires the form restricted to the span to be nondegenerate, so that
@@ -51,6 +36,7 @@ def reflection_through(form: IntersectionForm, span, description) -> EigenReflec
     computed on integer numerators: with (S^T G S)^-1 = B / d,
     R = N / d for N = 2 S B (GS)^T - d I.  Both checks run on N: the
     involution check N N == d^2 I and the fixed-span check N S == d S.
+    `description` names the reflection in their errors.
     """
     n = form.dim
     span = tuple(vector(s) for s in span)
@@ -75,11 +61,10 @@ def reflection_through(form: IntersectionForm, span, description) -> EigenReflec
     if linalg.int_mat_mul(rows, span_rows) != [[d * x for x in row]
                                                for row in span_rows]:
         raise FrameError(f"{description}: reflection moves its fixed span")
-    return EigenReflection(Isometry.from_numerators(form, rows, d), span,
-                           description)
+    return Isometry(form, (rows, d))
 
 
-def sigma0_pullback(frame) -> EigenReflection:
+def sigma0_pullback(frame) -> Isometry:
     """Pullback of fiberwise negation: +1 on span{[E], [O]}, -1 across it.
 
     Built fresh on every call; `FibrationFrame.sigma0` keeps one per frame.
@@ -88,7 +73,7 @@ def sigma0_pullback(frame) -> EigenReflection:
                               "fiberwise negation")
 
 
-def sigma_i_pullback(frame, di: Vector) -> EigenReflection:
+def sigma_i_pullback(frame, di: Vector) -> Isometry:
     """Pullback of P -> Q_i - P: +1 on span{[E], [O] + D_i}, -1 across it."""
     di = vector(di)
     if frame.form.norm2(di) != -2 or frame.form.inner(di, frame.classE) != 1:
@@ -109,8 +94,8 @@ def tau_pushforward(frame, i: int) -> Isometry:
     sigma_0* is the frame's cached `FibrationFrame.sigma0`.
     """
     sigma_i = sigma_i_pullback(frame, frame.sections[i])
-    a, da = sigma_i.isometry.numerators
-    b, db = frame.sigma0.isometry.numerators
+    a, da = sigma_i.numerators
+    b, db = frame.sigma0.numerators
     expected = translations.translation(frame, frame.translations[i])
     m, den = expected.numerators
     if [[den * x for x in row] for row in linalg.int_mat_mul(a, b)] != [

@@ -50,7 +50,7 @@ def cusp_inner(x, y) -> float:
     return x[0] * y[1] + x[1] * y[0] - sum(map(mul, x[2:], y[2:]))
 
 
-def hyperbolic_distance(form: IntersectionForm, a, b, ample=None) -> float:
+def hyperbolic_distance(form: IntersectionForm, a, b) -> float:
     """arccosh(A.B / (||A|| ||B||)); scale-invariant in each argument.
 
     Evaluated as 2 asinh(sqrt(-(x - y).(x - y)) / 2) on the unit
@@ -63,9 +63,6 @@ def hyperbolic_distance(form: IntersectionForm, a, b, ample=None) -> float:
     aa, bb, ab = inner_f(form, a, a), inner_f(form, b, b), inner_f(form, a, b)
     if aa <= 0 or bb <= 0:
         raise DomainError("arguments must lie inside the light cone")
-    if ample is not None and (inner_f(form, a, ample) <= 0
-                              or inner_f(form, b, ample) <= 0):
-        raise DomainError("arguments must lie on the ample side of the cone")
     if ab <= 0:
         raise DomainError("arguments lie in opposite cone components")
     af, bf = _floats(a), _floats(b)

@@ -7,10 +7,15 @@ The core map sends x to
 for v with v.E = 0.  It preserves the form, fixes E, and acts on the
 Euclidean boundary at the cusp E as translation by (the boundary component
 of) v.
+
+Every exact map here, and every reflection of `involutions`, is an
+`Isometry` held as integer rows over one denominator; its `Fraction`
+matrix is built only when read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from . import linalg
@@ -23,34 +28,29 @@ from .linalg import Matrix, Vector, vector
 class Isometry:
     """An exact matrix preserving an intersection form.
 
-    `matrix` is the exact `Fraction` matrix.  `numerators` holds the same
-    matrix as (integer rows, positive denominator) in lowest terms, derived
-    once when the isometry is built; the form check, the action on vectors,
-    `compose` and `power` run on it.  `Isometry(form, matrix)` coerces the
-    matrix; `from_numerators` builds from integers a kernel already has and
-    is the only caller that passes `numerators` itself.
+    `numerators` is the matrix as (integer rows, denominator), reduced to
+    lowest terms with a positive denominator when the isometry is built, so
+    equal matrices compare equal; the form check, the action on vectors,
+    `compose` and `power` run on it.  `matrix` is the same matrix in
+    `Fraction`s, built on first read.
     """
 
     form: IntersectionForm
-    matrix: Matrix
-    numerators: tuple = field(default=None, repr=False, compare=False)
+    numerators: tuple
 
     def __post_init__(self):
-        if self.numerators is None:
-            m = linalg.matrix(self.matrix)
-            object.__setattr__(self, "matrix", m)
-            object.__setattr__(self, "numerators", linalg.lowest_terms(
-                *linalg.matrix_numerators(m)))
+        rows, den = self.numerators
         n = self.form.dim
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
+        if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("matrix dimension does not match the form")
+        if den == 0:
+            raise InputError("isometry denominator must be nonzero")
+        object.__setattr__(self, "numerators", linalg.lowest_terms(rows, den))
 
-    @classmethod
-    def from_numerators(cls, form: IntersectionForm, rows, den) -> "Isometry":
-        """The isometry rows / den, for integer rows and a nonzero den."""
-        rows, den = linalg.lowest_terms(rows, den)
-        return cls(form, tuple(tuple(Fraction(x, den) for x in row)
-                               for row in rows), (rows, den))
+    @cached_property
+    def matrix(self) -> Matrix:
+        rows, den = self.numerators
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     def __call__(self, v: Vector) -> Vector:
         rows, den = self.numerators
@@ -127,7 +127,7 @@ def translation_matrix(form: IntersectionForm, classE: Vector, v: Vector) -> Iso
     rows = [[(den if i == j else 0) - c * (ei * gvj - bi * gej) - vv * ei * gej
              for j, (gvj, gej) in enumerate(zip(gv, ge))]
             for i, (ei, bi) in enumerate(zip(e, b))]
-    return Isometry.from_numerators(form, rows, den)
+    return Isometry(form, (rows, den))
 
 
 def translation(frame, v: Vector) -> Isometry:
@@ -152,10 +152,9 @@ def compose(s: Isometry, t: Isometry) -> Isometry:
     if s.form is not t.form and s.form != t.form:
         raise InputError("isometries act on different forms")
     (a, da), (b, db) = s.numerators, t.numerators
-    return Isometry.from_numerators(s.form, linalg.int_mat_mul(a, b), da * db)
+    return Isometry(s.form, (linalg.int_mat_mul(a, b), da * db))
 
 
 def power(t: Isometry, m: int) -> Isometry:
     """t^m on integer numerators; m < 0 inverts t first."""
-    rows, den = linalg.int_mat_pow(*t.numerators, m)
-    return Isometry.from_numerators(t.form, rows, den)
+    return Isometry(t.form, linalg.int_mat_pow(*t.numerators, m))

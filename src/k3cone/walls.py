@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import linalg
 from .errors import InputError
 from .linalg import Vector, vector
-from .models import BallModel, BoundaryChart, inner_f, phi
+from .models import BallModel, BoundaryChart, inner_f
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,20 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
                     ) -> WallCircle:
     """Boundary circle of a -2 wall in the upper-half-space model.
 
-    For delta = D.E != 0 the circle has center phi-coordinates dperp/delta
-    and radius sqrt(2)/|delta|; every section translate (delta = 1) shares
-    radius sqrt(2).  delta = 0 walls degenerate to hyperplanes.
+    For delta = D.E != 0 the circle has center phi(D) = dperp/delta in
+    chart coordinates and radius sqrt(2)/|delta|; every section translate
+    (delta = 1) shares radius sqrt(2).  delta = 0 walls degenerate to
+    hyperplanes.  D is split once, for either case.
     """
     d = vector(d)
     if frame.form.norm2(d) != -2:
         raise InputError("wall class must have self-intersection -2")
     chart = chart or frame.chart
     delta = frame.form.inner(d, frame.classE)
-    if delta != 0:
-        return WallCircle("uhs", chart.euclid(phi(frame, d)),
-                          math.sqrt(2.0) / abs(float(delta)), d)
     dec = frame.decompose(d)
+    if delta != 0:
+        center = chart.euclid(linalg.vec_scale(1 / delta, dec.perp))
+        return WallCircle("uhs", center, math.sqrt(2.0) / abs(float(delta)), d)
     normal = chart.euclid(dec.perp)
     norm = math.sqrt(sum(x * x for x in normal)) or 1.0
     # wall equation <a, dperp>_euc = aE-coefficient of D

@@ -103,7 +103,7 @@ def test_04_involution_eigenstructure(capsys):
         for refl in refls:
             m = refl.matrix
             ok = ok and linalg.mat_mul(m, m) == linalg.identity(n)
-            ok = ok and refl.isometry.preserves_form()
+            ok = ok and refl.preserves_form()
             ident = linalg.identity(n)
             minus = linalg.matrix([[m[i][j] - ident[i][j] for j in range(n)]
                                    for i in range(n)])

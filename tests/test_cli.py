@@ -20,6 +20,11 @@ def runner():
     return CliRunner()
 
 
+def test_public_names_resolve():
+    import k3cone
+    assert [n for n in k3cone.__all__ if not hasattr(k3cone, n)] == []
+
+
 def test_validate_passes(runner):
     result = runner.invoke(main, ["validate", FRAME])
     assert result.exit_code == 0

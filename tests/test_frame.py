@@ -124,6 +124,9 @@ def test_change_basis_preserves_products(f4):
     assert moved.form.inner(moved.classO, moved.classE) == 1
     for v, mv in zip(f4.translations, moved.translations):
         assert f4.form.norm2(v) == moved.form.norm2(mv)
+    u_inv = linalg.inverse(u)
+    assert moved.sections == tuple(linalg.mat_vec(u_inv, d)
+                                   for d in f4.sections)
     assert moved.validate().passed
 
 
@@ -133,6 +136,15 @@ def test_validate_reports_broken_frame(f4):
     assert not report.passed
     names = {c.name for c in report.failures()}
     assert "section self-intersection" in names
+    # O = P is null, so no translate of it is a section class: the report
+    # names each translate instead of raising
+    translated = FibrationFrame(f4.form, f4.classE, (0, 1, 0, 0), f4.ample,
+                                f4.translations)
+    report = translated.validate()
+    assert not report.passed
+    names = {c.name for c in report.failures()}
+    assert {"section class 0 self-intersection",
+            "section class 1 self-intersection"} <= names
 
 
 def test_validate_warns_on_partial_rank():
@@ -209,6 +221,9 @@ def test_frame_from_dict_checks_sections():
     doc["sections"] = [[1, 1, 1, 0], [1, 1, 1, 0]]
     with pytest.raises(InputError):
         configio.frame_from_dict(doc)
+    # translates that are not section classes fail at load
+    with pytest.raises(FrameError, match="not a section class"):
+        configio.frame_from_dict(dict(F4_DOC, O=[0, 1, 0, 0]))
 
 
 def test_frame_from_dict_missing_field():

@@ -10,7 +10,6 @@ import pytest
 from k3cone import curves, f4_frame, frame, involutions, lattice, linalg
 from k3cone.errors import (DegenerateFormError, FrameError, InputError,
                            K3ConeError)
-from k3cone.involutions import EigenReflection
 from k3cone.translations import Isometry
 
 
@@ -72,11 +71,10 @@ def test_corrupt_sigma0_numerators_raise(monkeypatch):
     one wrong entry there must fail the comparison with the translation."""
     frame = f4_frame()
     s0 = frame.sigma0
-    rows, den = s0.isometry.numerators
+    rows, den = s0.numerators
     bad = [list(row) for row in rows]
     bad[0][0] += den
-    corrupt = EigenReflection(Isometry.from_numerators(frame.form, bad, den),
-                              s0.plus_space, s0.description)
+    corrupt = Isometry(frame.form, (bad, den))
     monkeypatch.setitem(frame.__dict__, "sigma0", corrupt)
     for i in range(frame.rank):
         with pytest.raises(K3ConeError, match="differs from translation"):

@@ -3,6 +3,7 @@ import pytest
 from conftest import random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import FrameError
+from k3cone.frame import FibrationFrame
 from k3cone.involutions import (sigma0_pullback, sigma_i_pullback,
                                 tau_pushforward)
 from k3cone.translations import translation
@@ -25,7 +26,7 @@ def test_sigma0_f4():
     assert s0(frame.classE) == frame.classE
     assert s0(frame.classO) == frame.classO
     assert s0((0, 0, 1, 0)) == (0, 0, -1, 0)
-    assert s0.isometry.preserves_form()
+    assert s0.preserves_form()
     assert linalg.mat_mul(s0.matrix, s0.matrix) == linalg.identity(4)
 
 
@@ -36,7 +37,7 @@ def test_sigma_i_fixes_its_span():
         fixed = linalg.vec_add(frame.classO, d)
         assert si(fixed) == fixed
         assert si(frame.classE) == frame.classE
-        assert si.isometry.preserves_form()
+        assert si.preserves_form()
 
 
 def test_sigma_i_rejects_non_section():
@@ -59,6 +60,16 @@ def test_tau_equals_translation_f4():
     for i in range(frame.rank):
         tau = tau_pushforward(frame, i)
         assert tau.matrix == translation(frame, frame.translations[i]).matrix
+
+
+def test_tau_on_constructor_frame():
+    """A frame built by the constructor derives its sections like one built
+    by `create`, so tau_pushforward needs no stored sections."""
+    f4 = f4_frame()
+    raw = FibrationFrame(f4.form, f4.classE, f4.classO, f4.ample,
+                         f4.translations)
+    for i, v in enumerate(f4.translations):
+        assert tau_pushforward(raw, i) == translation(f4, v)
 
 
 def test_tau_equals_translation_random_frames():

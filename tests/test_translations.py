@@ -38,6 +38,15 @@ def test_translation_requires_orthogonal_vector():
         translation(frame, frame.classO)  # O.E = 1 != 0
 
 
+def test_isometry_rejects_bad_numerators():
+    frame = f4_frame()
+    rows, den = translation(frame, frame.translations[0]).numerators
+    with pytest.raises(InputError, match="dimension"):
+        Isometry(frame.form, (rows[:3], den))
+    with pytest.raises(InputError, match="denominator"):
+        Isometry(frame.form, (rows, 0))
+
+
 def test_e_shift_invariance():
     frame = f4_frame()
     v = frame.translations[0]
@@ -165,15 +174,16 @@ def test_isometry_algebra_matches_fraction_reference(seed, dim, k):
     x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
               for _ in range(dim))
     d = frame.sections[rng.randrange(frame.rank)]
-    isometries = [tv, tw, sigma0_pullback(frame).isometry,
-                  sigma_i_pullback(frame, d).isometry]
+    isometries = [tv, tw, sigma0_pullback(frame),
+                  sigma_i_pullback(frame, d)]
     for s in isometries:
         assert s(x) == linalg.mat_vec(s.matrix, x)
         assert s.preserves_form() and _ref_preserves(form, s.matrix)
         assert power(s, k).matrix == _ref_power(s.matrix, k)
         for t in isometries:
             assert compose(s, t).matrix == linalg.mat_mul(s.matrix, t.matrix)
-    stretched = Isometry(form, tuple(linalg.vec_scale(2, r) for r in tv.matrix))
+    stretched = Isometry(form, linalg.matrix_numerators(
+        tuple(linalg.vec_scale(2, r) for r in tv.matrix)))
     assert not stretched.preserves_form()
     assert not _ref_preserves(form, stretched.matrix)
     for i in range(frame.rank):
