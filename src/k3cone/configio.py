@@ -22,13 +22,13 @@ def frame_from_dict(doc: dict) -> FibrationFrame:
     derived from the translations (after canonicalization).
     """
     form = form_from_dict(doc)
+    # the constructor coerces every vector, once
     frame = FibrationFrame.create(
         form,
-        classE=vector(_require(doc, "E", "frame config")),
-        classO=vector(_require(doc, "O", "frame config")),
-        ample=vector(_require(doc, "ample", "frame config")),
-        translations=[vector(v) for v in _require(doc, "translations",
-                                                  "frame config")],
+        classE=_require(doc, "E", "frame config"),
+        classO=_require(doc, "O", "frame config"),
+        ample=_require(doc, "ample", "frame config"),
+        translations=_require(doc, "translations", "frame config"),
     )
     if "sections" in doc:
         given = tuple(vector(s) for s in doc["sections"])

@@ -1,32 +1,41 @@
 """Fibration frames: the distinguished classes of an elliptic-fibered lattice.
 
 A frame bundles the fiber class [E], the zero section [O], an ample class,
-and a set of boundary translation vectors v_1..v_r.  The section translates
-D_i = T_{v_i}([O]) are derived from the v_i on first read and cached
-(`sections`); they are not a constructor argument.  P denotes [O] + [E]
+and a set of boundary translation vectors v_1..v_r.  P denotes [O] + [E]
 throughout: it is null, meets [E] once, and anchors the boundary
 coordinate subspace
 
     V = { x : x.E = x.P = 0 },
 
-on which the form is negative definite.  A class splits as aP*P + aE*E +
-perp with perp in V by `split` (exact) or `split_f` (float), built once.
-`cusp` gives the float cusp coordinates (w, v, y) of an exact class, with
-y the chart coordinates of perp.  `section_map`, also built once, gives
-the section translates D_m = T_w([O]) on integer numerators.
+on which the form is negative definite.
+
+The exact work runs on integers the frame computes once (`fixed`): the
+numerators of E, O, P and the ample class over one denominator, and their
+integer Gram images g C.  A product x.C with one of these classes is then
+one `numerators` of x and one integer dot, and each public call takes the
+numerators of its argument once.  `Fraction`s are built only for what a
+call returns.  A class splits as aP*P + aE*E + perp with perp in V by
+`split` (exact, on those integers) or `split_f` (float), both from
+`lattice.plane_splitting`.  `cusp` gives the float cusp coordinates
+(w, v, y) of an exact class, with y the chart coordinates of perp.
+`section_map` gives the section translates D_m = T_w([O]) on integer
+numerators, from one integer Gram product of the v_i, and the section
+classes D_i = T_{v_i}([O]) are its images of the unit vectors
+(`sections`), derived on first read and cached; they are not a
+constructor argument.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import mul
+from math import gcd
+from typing import NamedTuple
 
 from . import involutions, linalg
 from .errors import FrameError, InputError
 from .lattice import IntersectionForm, plane_splitting, signature
-from .linalg import Matrix, Vector, vector
+from .linalg import Matrix, Vector, dot, vector
 from .models import BoundaryChart, inner_f
-from .translations import section_translate, translation_image
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,28 @@ class Decomposition:
     aP: Fraction
     aE: Fraction
     perp: Vector
+
+
+class FixedClasses(NamedTuple):
+    """E, O, P and the ample class as integer numerators over one
+    denominator q, with their integer Gram images g C.
+
+    For x = a / da, x.C = (a . gC) / (da den) with den = dg q, and the
+    product of two of these classes is (c . gC') / (den q).  det is the
+    numerator of (E.P)^2 - (E.E)(P.P) over (den q)^2.
+    """
+
+    E: tuple
+    O: tuple
+    P: tuple
+    ample: tuple
+    gE: tuple
+    gO: tuple
+    gP: tuple
+    gA: tuple
+    q: int
+    den: int
+    det: int
 
 
 @dataclass(frozen=True)
@@ -65,11 +96,11 @@ class ValidationReport:
 class FibrationFrame:
     """Distinguished data of an elliptic fibration on a Lorentzian lattice.
 
-    The constructor only checks dimensions; `validate` reports on the
-    geometric constraints so that broken frames can be diagnosed rather
-    than rejected blindly.  Use `FibrationFrame.create` to build a frame
-    with canonicalized translations whose section translates are checked
-    when it is built.
+    The constructor coerces its vectors and checks their dimensions;
+    `validate` reports on the geometric constraints so that broken frames
+    can be diagnosed rather than rejected blindly.  Use
+    `FibrationFrame.create` to build a frame with canonicalized
+    translations whose section translates are checked when it is built.
     """
 
     form: IntersectionForm
@@ -85,24 +116,58 @@ class FibrationFrame:
             if len(v) != n:
                 raise InputError(f"{name} has wrong dimension")
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "translations",
-                           tuple(vector(v) for v in self.translations))
+        translations = tuple(vector(v) for v in self.translations)
+        for i, v in enumerate(translations):
+            if len(v) != n:
+                raise InputError(f"translation {i} has wrong dimension")
+        object.__setattr__(self, "translations", translations)
 
     @classmethod
     def create(cls, form, classE, classO, ample, translations):
         """Canonicalize translations into V and derive the sections, so that
-        a translate that is not a section class raises `FrameError` here."""
-        proto = cls(form, classE, classO, ample)
-        frame = cls(form, classE, classO, ample,
-                    tuple(proto.boundary_rep(v) for v in translations))
+        a translate that is not a section class raises `FrameError` here.
+
+        Every input is coerced once, by the constructor.  The translations
+        are then replaced by their representatives in V; nothing that reads
+        them has been built yet (`boundary_rep` reads only `fixed`).
+        """
+        frame = cls(form, classE, classO, ample, translations)
+        object.__setattr__(frame, "translations", tuple(
+            frame._boundary_rep(*linalg.numerators(v))
+            for v in frame.translations))
         frame.sections
         return frame
 
     @cached_property
+    def fixed(self) -> FixedClasses:
+        """E, O, P and the ample class on integers, built once per frame."""
+        (e, o, amp), q = linalg.matrix_numerators(
+            (self.classE, self.classO, self.ample))
+        p = [x + y for x, y in zip(o, e)]
+        classes = tuple(map(tuple, (e, o, p, amp)))
+        images = tuple(map(tuple, self.form.images(classes)))
+        ge, gp = images[0], images[2]
+        ep = dot(e, gp)
+        return FixedClasses(*classes, *images, q,
+                            self.form.gram_numerators[1] * q,
+                            ep * ep - dot(e, ge) * dot(p, gp))
+
+    def numerators(self, x) -> tuple:
+        """(integer numerators, denominator) of an exact vector (entries
+        ints or Fractions) of the frame's dimension."""
+        if len(x) != self.form.dim:
+            raise InputError("vector dimension does not match the form")
+        return linalg.numerators(x)
+
+    @cached_property
     def sections(self) -> tuple:
-        """The section translates D_i = T_{v_i}([O]), one per translation,
-        built once per frame; `FrameError` if one is not a section class."""
-        return tuple(section_translate(self, v) for v in self.translations)
+        """The section translates D_i = T_{v_i}([O]), one per translation:
+        the `section_map` images of the unit vectors, built once per frame;
+        `FrameError` if one is not a section class."""
+        image, den = self.section_map
+        units = [tuple(int(i == j) for j in range(self.rank))
+                 for i in range(self.rank)]
+        return tuple(tuple(Fraction(x, den) for x in image(m)) for m in units)
 
     @cached_property
     def classP(self) -> Vector:
@@ -128,42 +193,68 @@ class FibrationFrame:
         return w
 
     @cached_property
-    def section_map(self):
-        """(m -> integer numerators of D_m = T_w([O]), their denominator),
-        for w = sum m_i v_i, built once per frame.
+    def translation_numerators(self) -> tuple:
+        """(numerators of v_1..v_r over one denominator qv, their integer
+        Gram images, qv), built once per frame, like `fixed`."""
+        vs, qv = linalg.matrix_numerators(self.translations)
+        return vs, self.form.images(vs), qv
+
+    @cached_property
+    def _translates(self):
+        """(m -> integer numerators of D_m = T_w([O]), unchecked; their
+        denominator), for w = sum m_i v_i, built once per frame.
 
         At x = O the translation is D_m = O + k w - (a.m + k m^T h m) E with
         k = O.E (1 on a valid frame), a_i = O.v_i and h_ij = v_i.v_j/2.
-        O, E and the v_i are numerators over one denominator q, the
-        scalars k, a and k h over a second s, so every D_m is an integer
-        vector over the fixed q s: equal classes have equal numerators.
-        Each image is checked on the integer Gram, D.D = -2 and D.E = 1,
-        and raises the `FrameError` of `translations.section_translate`.
+        k and a come from `fixed`, h from one integer Gram product of the
+        v_i; all three are put over one denominator s and reduced, so every
+        D_m is an integer vector over the fixed q qv s: equal classes have
+        equal numerators.
         """
-        inner = self.form.inner
-        gram, dg = self.form.gram_numerators
-        vs = self.translations
-        k = inner(self.classO, self.classE)
-        (o, e, *v_num), q = linalg.matrix_numerators(
-            (self.classO, self.classE) + vs)
-        # rows of different lengths: (k, a_1..a_r), then the rows of k h
-        ((k_num, *lin), *quad), s = linalg.matrix_numerators(
-            [[k] + [inner(self.classO, v) for v in vs]]
-            + [[k * inner(vi, vj) / 2 for vj in vs] for vi in vs])
-        base = [s * x for x in o]
-        steps = [[k_num * x for x in v] for v in v_num]
-        den = q * s
-        dd, de = -2 * dg * den * den, dg * den * q
+        c = self.fixed
+        dg = self.form.gram_numerators[1]
+        vs, gv, qv = self.translation_numerators
+        k = dot(c.O, c.gE)  # O.E = k / (dg q^2)
+        # k, a_i and k h_ij over s = 2 qv^2 dg^2 q^2
+        s = 2 * qv * qv * dg * dg * c.q * c.q
+        ks = 2 * qv * qv * dg * k
+        lin = [2 * qv * dg * c.q * dot(v, c.gO) for v in vs]
+        quad = [[k * dot(vi, gj) for gj in gv] for vi in vs]
+        g = gcd(s, ks, *lin, *[x for row in quad for x in row])
+        s, ks = s // g, ks // g
+        lin = [x // g for x in lin]
+        quad = [[x // g for x in row] for row in quad]
+        base = [qv * s * x for x in c.O]
+        steps = [[ks * c.q * x for x in v] for v in vs]
+        ev = [qv * x for x in c.E]
 
-        def image(ms):
-            c = sum(m * (a + sum(map(mul, row, ms)))
-                    for m, a, row in zip(ms, lin, quad))
-            d = [x - c * y for x, y in zip(base, e)]
+        def translate(ms):
+            cs = sum(m * (a + dot(row, ms)) for m, a, row in zip(ms, lin, quad))
+            d = [x - cs * y for x, y in zip(base, ev)]
             for m, step in zip(ms, steps):
                 if m:
                     d = [x + m * y for x, y in zip(d, step)]
-            gd = [sum(map(mul, row, d)) for row in gram]
-            if sum(map(mul, d, gd)) != dd or sum(map(mul, gd, e)) != de:
+            return d
+
+        return translate, c.q * qv * s
+
+    @cached_property
+    def section_map(self):
+        """(m -> integer numerators of D_m = T_w([O]), their denominator),
+        for w = sum m_i v_i, built once per frame on `_translates`.
+
+        Each image is checked on the integer Gram, D.D = -2 and D.E = 1,
+        and raises the `FrameError` of `translations.section_translate`.
+        """
+        translate, den = self._translates
+        gram, dg = self.form.gram_numerators
+        e = self.fixed.E
+        dd, de = -2 * dg * den * den, dg * den * self.fixed.q
+
+        def image(ms):
+            d = translate(ms)
+            gd = [dot(row, d) for row in gram]
+            if dot(d, gd) != dd or dot(gd, e) != de:
                 raise FrameError(
                     "translated section is not a section class; frame invalid")
             return tuple(d)
@@ -179,29 +270,61 @@ class FibrationFrame:
     # -- splitting ---------------------------------------------------------
 
     @cached_property
-    def split(self):
-        """x -> (aP, aE, perp), exact: `plane_splitting` over the form."""
-        return plane_splitting(self.form.inner, self.classE, self.classP)
+    def _split(self):
+        """`plane_splitting` on the integer numerators e, p of E and P, the
+        product with e or p read off their cached Gram images: an integer
+        vector a -> det (w, v, perp) for a = w p + v e + perp, det the
+        integer determinant of `fixed`."""
+        c = self.fixed
+        images = {c.E: c.gE, c.P: c.gP}
+        return plane_splitting(lambda x, y: dot(x, images[y]), c.E, c.P)
+
+    def split_numerators(self, a) -> tuple:
+        """det (w, v, perp) on integers for integer numerators a: see
+        `split`.  Raises `FrameError` unless perp.E = perp.P = 0."""
+        w, v, perp = self._split(a)
+        c = self.fixed
+        if dot(perp, c.gE) or dot(perp, c.gP):
+            raise FrameError("perp component is not orthogonal to E and P")
+        return w, v, perp
+
+    def split(self, x) -> tuple:
+        """x -> (aP, aE, perp) with perp.E = perp.P = 0, exactly: one
+        `numerators` of x, `split_numerators`, then one division by
+        da det (and q for the two coordinates)."""
+        a, da = self.numerators(vector(x))
+        w, v, perp = self.split_numerators(a)
+        c = self.fixed
+        den = da * c.det
+        return (Fraction(w * c.q, den), Fraction(v * c.q, den),
+                tuple(Fraction(z, den) for z in perp))
 
     @cached_property
     def split_f(self):
-        """x -> (w, v, perp) in double precision, over `models.inner_f`."""
-        return plane_splitting(partial(inner_f, self.form),
-                               self.classE_f, self.classP_f)
+        """x -> (w, v, perp) in double precision: `plane_splitting` over
+        `models.inner_f`, divided by the exact det rounded once."""
+        split = plane_splitting(partial(inner_f, self.form),
+                                self.classE_f, self.classP_f)
+        c = self.fixed
+        if not c.det:
+            raise FrameError("degenerate (E, P) pair: determinant 0")
+        det = c.det / (c.den * c.q) ** 2
+
+        def split_f(x):
+            w, v, perp = split(x)
+            return w / det, v / det, tuple(z / det for z in perp)
+
+        return split_f
 
     def cusp(self, x) -> tuple:
         """Cusp coordinates (w, v, y) of x = wP + vE + sum y_k b_k in doubles:
         the exact `split`, then `chart.euclid` of perp, rounded once."""
-        w, v, perp = self.split(vector(x))
+        w, v, perp = self.split(x)
         return (float(w), float(v)) + self.chart.euclid(perp)
 
     def decompose(self, a: Vector) -> Decomposition:
         """Split A = aP*P + aE*E + perp with perp.E = perp.P = 0, exactly."""
-        aP, aE, perp = self.split(vector(a))
-        if (self.form.inner(perp, self.classE) != 0
-                or self.form.inner(perp, self.classP) != 0):
-            raise FrameError("perp component is not orthogonal to E and P")
-        return Decomposition(aP, aE, perp)
+        return Decomposition(*self.split(a))
 
     def reassemble(self, d: Decomposition) -> Vector:
         return linalg.vec_add(
@@ -211,40 +334,48 @@ class FibrationFrame:
 
     def boundary_rep(self, v: Vector) -> Vector:
         """The V-component of v (requires v.E = 0); drops the E-direction."""
-        v = vector(v)
-        if self.form.inner(v, self.classE) != 0:
+        return self._boundary_rep(*self.numerators(vector(v)))
+
+    def _boundary_rep(self, a, da) -> Vector:
+        # v - (v.P / E.P) E = (E.P a - (a.gP) e) / (da E.P) in `fixed` units
+        c = self.fixed
+        if dot(a, c.gE):
             raise InputError("vector is not orthogonal to the fiber class")
-        ep = self.form.inner(self.classE, self.classP)
+        ep = dot(c.E, c.gP)
         if ep == 0:
             raise FrameError("fiber class is orthogonal to P = O + E")
-        shift = self.form.inner(v, self.classP) / ep
-        return linalg.vec_sub(v, linalg.vec_scale(shift, self.classE))
+        vp = dot(a, c.gP)
+        den = da * ep
+        return tuple(Fraction(ep * x - vp * y, den) for x, y in zip(a, c.E))
 
     def vperp_rep(self, di: Vector) -> Vector:
         """Translation vector recovered from a section class:
 
-            v = D_i - [O] - (2 + D_i.[O]) E.
+            v = D_i - [O] - (2 + D_i.[O]) E,
+
+        on the numerators x / dx of D_i: with den = dg q that of `fixed`,
+        v dx den q = den q x - dx den o - (2 dx den + x . gO) e.
         """
-        di = vector(di)
-        if self.form.norm2(di) != -2 or self.form.inner(di, self.classE) != 1:
+        x, dx = self.numerators(vector(di))
+        c = self.fixed
+        dg = self.form.gram_numerators[1]
+        if (dot(x, self.form.images([x])[0]) != -2 * dg * dx * dx
+                or dot(x, c.gE) != dx * c.den):
             raise FrameError("not a section class (need D.D = -2, D.E = 1)")
-        c = 2 + self.form.inner(di, self.classO)
-        v = linalg.vec_sub(linalg.vec_sub(di, self.classO),
-                           linalg.vec_scale(c, self.classE))
-        if (self.form.inner(v, self.classE) != 0
-                or self.form.inner(v, self.classP) != 0):
+        t = 2 * dx * c.den + dot(x, c.gO)
+        v = [c.den * c.q * a - dx * c.den * o - t * e
+             for a, o, e in zip(x, c.O, c.E)]
+        if dot(v, c.gE) or dot(v, c.gP):
             raise FrameError("recovered vector is not in the boundary subspace")
-        return v
+        den = dx * c.den * c.q
+        return tuple(Fraction(z, den) for z in v)
 
     # -- boundary subspace -------------------------------------------------
 
     def perp_basis(self):
-        """Deterministic exact basis of V = {x : x.E = x.P = 0}."""
-        constraints = linalg.matrix([
-            linalg.mat_vec(self.form.gram, self.classE),
-            linalg.mat_vec(self.form.gram, self.classP),
-        ])
-        return linalg.nullspace(constraints)
+        """Deterministic exact basis of V = {x : x.E = x.P = 0}: the null
+        space of the integer Gram images of E and P."""
+        return linalg.nullspace((self.fixed.gE, self.fixed.gP))
 
     @cached_property
     def boundary_basis(self):
@@ -274,18 +405,25 @@ class FibrationFrame:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Report every frame constraint; computes each exact product once,
+        on the integers of `fixed` and of the unchecked section translates."""
         checks = []
-        inner, norm2 = self.form.inner, self.form.norm2
-        e, o, amp, p = self.classE, self.classO, self.ample, self.classP
+        c = self.fixed
+        dg = self.form.gram_numerators[1]
 
         def check(name, ok, detail=""):
             checks.append(ValidationCheck(name, "pass" if ok else "fail", detail))
 
+        def product(x, gy):
+            return Fraction(dot(x, gy), c.den * c.q)
+
         pos, neg, zero = signature(self.form)
         check("lorentzian signature", (pos, neg, zero) == (1, self.form.dim - 1, 0),
               f"signature {(pos, neg, zero)}")
-        ee, ea, oo, oe = norm2(e), inner(e, amp), norm2(o), inner(o, e)
-        pp, pe, aa, ao = norm2(p), inner(p, e), norm2(amp), inner(amp, o)
+        ee, ea = product(c.E, c.gE), product(c.E, c.gA)
+        oo, oe = product(c.O, c.gO), product(c.O, c.gE)
+        pp, pe = product(c.P, c.gP), product(c.P, c.gE)
+        aa, ao = product(c.ample, c.gA), product(c.ample, c.gO)
         check("fiber class null", ee == 0, f"E.E = {ee}")
         check("fiber meets ample", ea > 0, f"E.ample = {ea}")
         check("section self-intersection", oo == -2, f"O.O = {oo}")
@@ -295,29 +433,30 @@ class FibrationFrame:
         check("ample positivity", aa > 0, f"ample.ample = {aa}")
         check("ample vs zero section", ao > 0, f"ample.O = {ao}")
 
-        for i, v in enumerate(self.translations):
-            ok = inner(v, e) == 0 and inner(v, p) == 0
+        for i, v in enumerate(self.translation_numerators[0]):
+            ok = dot(v, c.gE) == 0 and dot(v, c.gP) == 0
             check(f"translation {i} in boundary subspace", ok)
         if self.translations:
             check("rank deficiency",
-                  linalg.rank(linalg.matrix(self.translations)) == self.rank,
+                  linalg.rank(self.translation_numerators[0]) == self.rank,
                   f"{self.rank} translation(s)")
             status = "pass" if self.rank == self.form.dim - 2 else "warn"
             checks.append(ValidationCheck(
                 "maximal translation rank", status,
                 f"rank {self.rank} of maximal {self.form.dim - 2}"))
 
-        try:
-            sections = self.sections
-        except FrameError:
-            # report each translate below instead of raising
-            sections = tuple(translation_image(self.form, e, v, o)
-                             for v in self.translations)
-        for i, d in enumerate(sections):
-            dd, ad, do = norm2(d), inner(amp, d), inner(d, o)
+        # the translates unchecked, so that each is reported, not raised
+        translate, den = self._translates
+        for i in range(self.rank):
+            d = translate([int(i == j) for j in range(self.rank)])
+            gd = self.form.images([d])[0]
+            dd = Fraction(dot(d, gd), dg * den * den)
+            ad = Fraction(dot(d, c.gA), c.den * den)
+            do = Fraction(dot(d, c.gO), c.den * den)
             check(f"section class {i} self-intersection", dd == -2,
                   f"D.D = {dd}")
-            check(f"section class {i} meets fiber once", inner(d, e) == 1)
+            check(f"section class {i} meets fiber once",
+                  Fraction(dot(gd, c.E), c.den * den) == 1)
             check(f"ample vs section class {i}", ad > 0, f"ample.D = {ad}")
             if do < 0:
                 checks.append(ValidationCheck(

@@ -74,10 +74,17 @@ def sigma0_pullback(frame) -> Isometry:
 
 
 def sigma_i_pullback(frame, di: Vector) -> Isometry:
-    """Pullback of P -> Q_i - P: +1 on span{[E], [O] + D_i}, -1 across it."""
+    """Pullback of P -> Q_i - P: +1 on span{[E], [O] + D_i}, -1 across it.
+
+    D_i is checked to be a section class first (`FrameError` otherwise).
+    """
     di = vector(di)
     if frame.form.norm2(di) != -2 or frame.form.inner(di, frame.classE) != 1:
         raise FrameError("not a section class (need D.D = -2, D.E = 1)")
+    return _reflection_through_section(frame, di)
+
+
+def _reflection_through_section(frame, di: Vector) -> Isometry:
     return reflection_through(
         frame.form, (frame.classE, linalg.vec_add(frame.classO, di)),
         "reflection through [O] + D_i")
@@ -91,9 +98,11 @@ def tau_pushforward(frame, i: int) -> Isometry:
     v_i by cross-multiplying, N_i N_0 D == M d_i d_0, before returning; a
     mismatch on a valid frame would indicate an internal inconsistency and
     is surfaced loudly.  The two are then equal, and T is returned.
-    sigma_0* is the frame's cached `FibrationFrame.sigma0`.
+    sigma_0* is the frame's cached `FibrationFrame.sigma0`, and sigma_i* is
+    built from `frame.sections[i]`, which was checked to be a section class
+    when the frame derived it.
     """
-    sigma_i = sigma_i_pullback(frame, frame.sections[i])
+    sigma_i = _reflection_through_section(frame, frame.sections[i])
     a, da = sigma_i.numerators
     b, db = frame.sigma0.numerators
     expected = translations.translation(frame, frame.translations[i])

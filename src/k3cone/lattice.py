@@ -1,10 +1,16 @@
 """Intersection forms on Picard lattices: the Lorentz product and friends.
 
 All arithmetic is exact rational.  Values stay `Fraction` at the API, but
-`IntersectionForm.inner` computes on integer numerators over one common
-denominator per argument, against an integer Gram matrix cached once per
-form (`gram_numerators`), and builds one canonical `Fraction` per product.
-`congruent_diagonalization` also runs on that integer Gram: it keeps the
+the work is on integers: an exact vector x is held as its integer
+numerators over one common denominator, (a, da) with x = a / da, the same
+(integers, denominator) shape as an `Isometry`'s matrix, and the form as
+its integer Gram matrix g over dg (`gram_numerators`), cached once per
+form.  `IntersectionForm.inner` is the public product: the numerators of
+both arguments, one integer sum, one canonical `Fraction`.  Callers that
+pair many vectors with a few fixed classes C, such as `FibrationFrame`,
+cache the integer Gram images g c of those classes once (`images`): then
+x.C = (a . g c) / (da dc dg) is one integer dot of length dim.
+`congruent_diagonalization` also runs on the integer Gram: it keeps the
 basis as integer columns B_c with one nonzero integer scale s_c each
 (basis column c is B_c / s_c) and the reduced form as the integer matrix
 B^T g B, and builds the `Fraction` basis and diagonal once, at the end.
@@ -13,9 +19,11 @@ copy of the Gram matrix that is computed once per form and read only by
 `models.inner_f`; real-valued geometry lives in `models`.
 
 `plane_splitting`, a closure over a bilinear product, is the one
-splitting x = wP + vE + perp: exact over `inner`, float over
-`models.inner_f`.  The exact split is the first step of the float cusp
-coordinates (w, v, y) of `FibrationFrame.cusp`.
+splitting x = wP + vE + perp: exact over integer numerators and Gram
+images, float over `models.inner_f`.  It is homogeneous, so the exact
+split stays on integers; `FibrationFrame.split` divides once, and its
+result is the first step of the float cusp coordinates (w, v, y) of
+`FibrationFrame.cusp`.
 """
 
 from dataclasses import dataclass
@@ -67,6 +75,16 @@ class IntersectionForm:
     def diagonalization(self) -> tuple:
         """`congruent_diagonalization(self)`, computed once per form."""
         return congruent_diagonalization(self)
+
+    def images(self, rows) -> list:
+        """The integer Gram images g c of integer vectors c, one list each.
+
+        For x = a / da and C = c / dc, x.C = (a . g c) / (da dc dg) with dg
+        the denominator of `gram_numerators`: callers cache the images of
+        their fixed classes, and each product is then one integer dot.
+        """
+        gram, _ = self.gram_numerators
+        return [[linalg.dot(row, c) for row in gram] for c in rows]
 
     def inner(self, u: Vector, v: Vector) -> Fraction:
         """The Lorentz (intersection) product u . v, exact.
@@ -198,11 +216,15 @@ def in_light_cone(form: IntersectionForm, x: Vector, ample: Vector) -> bool:
 
 
 def plane_splitting(inner, classE, classP):
-    """x -> (w, v, x - wP - vE), the last part orthogonal to E and P.
+    """x -> det (w, v, perp) for x = wP + vE + perp, perp orthogonal to E and P.
 
     Cramer's rule on x.E = w E.P + v E.E, x.P = w P.P + v E.P, with E.E,
-    P.P, E.P and the determinant computed once; a degenerate plane raises
-    `FrameError`.  Scalars are whatever `inner` and the entries are, as in
+    P.P, E.P and det = (E.P)^2 - (E.E)(P.P) computed once; a degenerate
+    plane raises `FrameError`.  The closure returns the splitting of det x:
+    det w = x.E E.P - x.P E.E, det v = x.P E.P - x.E P.P and
+    det x - (det w) P - (det v) E, with no division, so integer numerators
+    and an integer `inner` keep it on integers.  The caller divides by det
+    once.  Scalars are whatever `inner` and the entries are, as in
     `translations.parabolic_translation`.
     """
     ee, pp = inner(classE, classE), inner(classP, classP)
@@ -213,9 +235,9 @@ def plane_splitting(inner, classE, classP):
 
     def split(x):
         xe, xp = inner(x, classE), inner(x, classP)
-        w = (xe * ep - xp * ee) / det
-        v = (xp * ep - xe * pp) / det
-        return w, v, tuple(xi - w * pi - v * ei
+        w = xe * ep - xp * ee
+        v = xp * ep - xe * pp
+        return w, v, tuple(det * xi - w * pi - v * ei
                            for xi, pi, ei in zip(x, classP, classE))
 
     return split
@@ -229,7 +251,7 @@ def form_from_dict(doc: dict) -> IntersectionForm:
     """
     if "gram" not in doc:
         raise InputError("lattice config is missing 'gram'")
-    form = IntersectionForm(matrix(doc["gram"]))
+    form = IntersectionForm(doc["gram"])
     labels = doc.get("labels")
     if labels is not None and len(labels) != form.dim:
         raise InputError("label count does not match gram dimension")

@@ -8,8 +8,9 @@ output entry.  Inversion and row reduction are fraction-free Gauss-Jordan
 elimination in Bareiss form (Bareiss, Math. Comp. 22, 1968): every
 intermediate entry is a minor of the input, so each division is exact.
 Callers that keep a matrix as (integer rows, denominator) themselves, such
-as `translations.Isometry`, use the integer pieces directly: `int_mat_mul`,
-`int_mat_pow`, `int_inverse` and `lowest_terms`.
+as `translations.Isometry` and `frame.FibrationFrame`, use the integer
+pieces directly: `dot`, `int_mat_mul`, `int_mat_pow`, `int_inverse` and
+`lowest_terms`.
 
 Kernel operands may mix ints and Fractions (anything with `.numerator`
 and `.denominator`).  Outside input is coerced once, by `vector` and
@@ -54,6 +55,11 @@ def identity(n: int) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
+
+
+def dot(u, v):
+    """sum u_i v_i, for the integer vectors of the kernels."""
+    return sum(map(mul, u, v))
 
 
 def numerators(v):

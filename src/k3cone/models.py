@@ -1,6 +1,8 @@
 """Models of the hyperbolic cross-section: hyperboloid, boundary, ball, UHS.
 
-Exact rational identities (boundary metric, phi) stay exact; anything
+Exact rational identities (boundary metric, phi) stay exact, and run on
+the frame's cached integers (`FibrationFrame.fixed`): one `numerators`
+per argument, integer dots, one `Fraction` per returned value.  Anything
 involving square roots or hyperbolic functions is done in double
 precision.  Distances use the chord form d = 2 asinh(chord / 2) rather
 than arccosh(1 + x), which loses half the digits for points close
@@ -76,6 +78,27 @@ def hyperbolic_distance(form: IntersectionForm, a, b) -> float:
 
 # -- boundary classes and the Euclidean metric at the cusp ------------------
 
+def _boundary_numerators(frame, a: Vector):
+    """(A, numerators x / dx, their Gram image g x, A.E numerator) of a
+    checked boundary class: see `check_boundary_class`.  Every product is
+    taken on the integers of x and of the frame's `fixed` classes."""
+    a = vector(a)
+    x, dx = frame.numerators(a)
+    c = frame.fixed
+    gx = frame.form.images([x])[0]
+    if linalg.dot(x, gx):
+        raise DomainError("boundary class must be null")
+    if linalg.dot(x, c.gA) <= 0:
+        raise DomainError("boundary class must lie on the ample side")
+    ae = linalg.dot(x, c.gE)
+    if ae == 0:
+        raise CuspError("class is proportional to the cusp [E]")
+    if ae < 0:
+        raise DomainError("null class pairs negatively with the cusp [E]; "
+                          "[E] is not on the ample side of this frame")
+    return a, x, gx, ae
+
+
 def check_boundary_class(frame, a: Vector) -> Vector:
     """Validate a rational boundary-class representative.
 
@@ -84,29 +107,20 @@ def check_boundary_class(frame, a: Vector) -> Vector:
     every non-cusp boundary ray when [E] lies on the ample side, so a
     failure means the frame itself is inconsistent.
     """
-    a = vector(a)
-    form = frame.form
-    if form.norm2(a) != 0:
-        raise DomainError("boundary class must be null")
-    if form.inner(a, frame.ample) <= 0:
-        raise DomainError("boundary class must lie on the ample side")
-    ae = form.inner(a, frame.classE)
-    if ae == 0:
-        raise CuspError("class is proportional to the cusp [E]")
-    if ae < 0:
-        raise DomainError("null class pairs negatively with the cusp [E]; "
-                          "[E] is not on the ample side of this frame")
-    return a
+    return _boundary_numerators(frame, a)[0]
 
 
 def boundary_distance_sq(frame, a: Vector, b: Vector) -> Fraction:
-    """Exact squared boundary distance 2 A.B / ((A.E)(B.E))."""
-    a = check_boundary_class(frame, a)
-    b = check_boundary_class(frame, b)
-    form = frame.form
-    ae = form.inner(a, frame.classE)
-    be = form.inner(b, frame.classE)
-    return 2 * form.inner(a, b) / (ae * be)
+    """Exact squared boundary distance 2 A.B / ((A.E)(B.E)).
+
+    On numerators x / dx and y / dy the denominators cancel to
+    2 (y . g x) den^2 / (dg (x . gE)(y . gE)), den that of `frame.fixed`.
+    """
+    _, x, gx, ae = _boundary_numerators(frame, a)
+    _, y, _, be = _boundary_numerators(frame, b)
+    den = frame.fixed.den
+    return Fraction(2 * linalg.dot(y, gx) * den * den,
+                    frame.form.gram_numerators[1] * ae * be)
 
 
 def boundary_distance(frame, a: Vector, b: Vector) -> float:
@@ -117,13 +131,17 @@ def phi(frame, a: Vector) -> Vector:
     """Boundary chart: A maps to (perp component of A) / (A.E), exact.
 
     Representative-invariant, and an isometry onto V with the Euclidean
-    norm sqrt(-u.u).
+    norm sqrt(-u.u).  On numerators x / dx with A.E = (x . gE) / (dx den)
+    and perp = p / (dx det) from `FibrationFrame.split_numerators`, it is
+    p den / (det (x . gE)).
     """
-    a = vector(a)
-    ae = frame.form.inner(a, frame.classE)
+    x, _ = frame.numerators(vector(a))
+    c = frame.fixed
+    ae = linalg.dot(x, c.gE)
     if ae == 0:
         raise CuspError("phi is undefined at the cusp")
-    return linalg.vec_scale(Fraction(1) / ae, frame.decompose(a).perp)
+    _, _, perp = frame.split_numerators(x)
+    return tuple(Fraction(z * c.den, c.det * ae) for z in perp)
 
 
 # -- upper half space --------------------------------------------------------

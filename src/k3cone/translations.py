@@ -10,7 +10,8 @@ of) v.
 
 Every exact map here, and every reflection of `involutions`, is an
 `Isometry` held as integer rows over one denominator; its `Fraction`
-matrix is built only when read.
+matrix is built only when read.  `section_translate` evaluates T_v([O])
+on the frame's cached integer classes (`FibrationFrame.fixed`).
 """
 
 from dataclasses import dataclass
@@ -140,11 +141,31 @@ def translation(frame, v: Vector) -> Isometry:
 
 
 def section_translate(frame, v: Vector) -> Vector:
-    """The section translate T_v([O]); a -2 class meeting the fiber once."""
-    image = translation_image(frame.form, frame.classE, v, frame.classO)
-    if frame.form.norm2(image) != -2 or frame.form.inner(image, frame.classE) != 1:
+    """The section translate T_v([O]); a -2 class meeting the fiber once.
+
+    T_v([O]) = O + k v - (O.v + k v.v/2) E with k = O.E, on the integer
+    numerators b / db of v and the frame's cached `fixed` classes: one
+    integer Gram image of v, of the image, and two dots each.  With
+    Gram denominator dg and class denominator q, every term is an integer
+    over T = 2 dg^2 q^3 db^2.  D.D = -2 and D.E = 1 are checked on those
+    integers; `FrameError` otherwise.
+    """
+    c = frame.fixed
+    b, db = frame.numerators(vector(v))
+    dg = frame.form.gram_numerators[1]
+    gb = frame.form.images([b])[0]
+    k = linalg.dot(c.O, c.gE)  # O.E = k / (dg q^2)
+    # T D = s o + 2 k db dg q b - (2 db dg q (b.gO) + k (b.gb)) e
+    s = 2 * db * db * dg * dg * c.q * c.q
+    t = 2 * db * dg * c.q
+    cs = t * linalg.dot(b, c.gO) + k * linalg.dot(b, gb)
+    d = [s * x + t * k * y - cs * z for x, y, z in zip(c.O, b, c.E)]
+    den = c.q * s
+    gd = frame.form.images([d])[0]
+    if (linalg.dot(d, gd) != -2 * dg * den * den
+            or linalg.dot(gd, c.E) != den * c.den):
         raise FrameError("translated section is not a section class; frame invalid")
-    return image
+    return tuple(Fraction(x, den) for x in d)
 
 
 def compose(s: Isometry, t: Isometry) -> Isometry:

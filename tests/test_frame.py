@@ -147,6 +147,15 @@ def test_validate_reports_broken_frame(f4):
             "section class 1 self-intersection"} <= names
 
 
+def test_constructor_checks_translation_dimension(f4):
+    # a short translation fails at construction, like a short E, O or ample
+    with pytest.raises(InputError, match="translation 0 has wrong dimension"):
+        FibrationFrame(f4.form, f4.classE, f4.classO, f4.ample, [(0, 0, 1)])
+    with pytest.raises(InputError, match="translation 1 has wrong dimension"):
+        FibrationFrame.create(f4.form, f4.classE, f4.classO, f4.ample,
+                              [(0, 0, 1, 0), (0, 0, 0, 1, 0)])
+
+
 def test_validate_warns_on_partial_rank():
     form = IntersectionForm(linalg.matrix(F4_DOC["gram"]))
     frame = FibrationFrame.create(form, (1, 0, 0, 0), (-1, 1, 0, 0),

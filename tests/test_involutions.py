@@ -4,6 +4,7 @@ from conftest import random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import FrameError
 from k3cone.frame import FibrationFrame
+from k3cone.lattice import IntersectionForm
 from k3cone.involutions import (sigma0_pullback, sigma_i_pullback,
                                 tau_pushforward)
 from k3cone.translations import translation
@@ -44,6 +45,38 @@ def test_sigma_i_rejects_non_section():
     frame = f4_frame()
     with pytest.raises(FrameError):
         sigma_i_pullback(frame, frame.classE)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sigma_i_rejects_corrupted_section(seed):
+    """tau_pushforward trusts the frame's checked sections; an outside
+    caller's section is still checked: D.D = -2 and D.E = 1."""
+    frame = random_valid_frame(seed, dim=4 + seed)
+    d = frame.sections[0]
+    for bad in (linalg.vec_add(d, frame.classE),  # D.D = 0
+                linalg.vec_scale(2, d),  # D.E = 2
+                linalg.vec_add(d, frame.translations[0])):
+        with pytest.raises(FrameError, match="not a section class"):
+            sigma_i_pullback(frame, bad)
+
+
+def test_tau_makes_no_exact_product(monkeypatch):
+    """tau_pushforward builds sigma_i from the checked section without
+    re-checking D.D and D.E: no `IntersectionForm.inner` call."""
+    frame = random_valid_frame(2, dim=6)
+    frame.sections, frame.sigma0
+    calls = []
+    inner = IntersectionForm.inner
+
+    def counting(form, u, v):
+        calls.append((u, v))
+        return inner(form, u, v)
+
+    monkeypatch.setattr(IntersectionForm, "inner", counting)
+    for i in range(frame.rank):
+        assert tau_pushforward(frame, i) == translation(
+            frame, frame.translations[i])
+    assert calls == []
 
 
 def test_eigenspace_ranks():
