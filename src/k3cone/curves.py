@@ -54,7 +54,9 @@ class CurveQ:
         return None if p is None else (p[0], -p[1])
 
     def add(self, p: Point, q: Point) -> Point:
-        p, q = self._require(p), self._require(q)
+        return self._add(self._require(p), self._require(q))
+
+    def _add(self, p: Point, q: Point) -> Point:
         if p is None:
             return q
         if q is None:
@@ -74,13 +76,13 @@ class CurveQ:
     def multiply(self, n: int, p: Point) -> Point:
         p = self._require(p)
         if n < 0:
-            return self.multiply(-n, self.negate(p))
+            n, p = -n, None if p is None else (p[0], -p[1])
         result: Point = None
         base = p
         while n:
             if n & 1:
-                result = self.add(result, base)
-            base = self.add(base, base)
+                result = self._add(result, base)
+            base = self._add(base, base)
             n >>= 1
         return result
 
@@ -168,7 +170,7 @@ def naive_limit_height(curve: CurveQ, p: Point, n_max: int = 12):
     values = []
     acc: Point = None
     for n in range(1, n_max + 1):
-        acc = curve.add(acc, p)
+        acc = curve._add(acc, p)
         values.append(naive_height(acc) / (n * n))
     return values[-1], values
 

@@ -15,14 +15,13 @@ integer Gram images g C.  A product x.C with one of these classes is then
 one `numerators` of x and one integer dot, and each public call takes the
 numerators of its argument once.  `Fraction`s are built only for what a
 call returns.  A class splits as aP*P + aE*E + perp with perp in V by
-`split` (exact, on those integers) or `split_f` (float), both from
+`decompose` (exact, on those integers) or `split_f` (float), both from
 `lattice.plane_splitting`.  `cusp` gives the float cusp coordinates
-(w, v, y) of an exact class, with y the chart coordinates of perp.
+(w, v, y) of an exact class, with y the chart coordinates of the class.
 `section_map` gives the section translates D_m = T_w([O]) on integer
-numerators, from one integer Gram product of the v_i, and the section
-classes D_i = T_{v_i}([O]) are its images of the unit vectors
-(`sections`), derived on first read and cached; they are not a
-constructor argument.
+numerators, and the section classes D_i = T_{v_i}([O]) are its images of
+the unit vectors (`sections`), derived on first read and cached; they are
+not a constructor argument.  `check_section` is the one section check.
 """
 
 from dataclasses import dataclass
@@ -239,24 +238,31 @@ class FibrationFrame:
         return translate, c.q * qv * s
 
     @cached_property
+    def check_section(self):
+        """(x, dx) -> None; `FrameError` unless D = x / dx has D.D = -2 and
+        D.E = 1, on integers.  It holds no frame, so `section_map` can."""
+        gram, dg = self.form.gram_numerators
+        ge, den = self.fixed.gE, self.fixed.den
+
+        def check_section(x, dx):
+            if (dot(x, [dot(row, x) for row in gram]) != -2 * dg * dx * dx
+                    or dot(x, ge) != dx * den):
+                raise FrameError(
+                    "not a section class (need D.D = -2, D.E = 1)")
+
+        return check_section
+
+    @cached_property
     def section_map(self):
         """(m -> integer numerators of D_m = T_w([O]), their denominator),
-        for w = sum m_i v_i, built once per frame on `_translates`.
-
-        Each image is checked on the integer Gram, D.D = -2 and D.E = 1,
-        and raises the `FrameError` of `translations.section_translate`.
-        """
+        for w = sum m_i v_i, built once per frame on `_translates`; each
+        image passes `check_section`."""
         translate, den = self._translates
-        gram, dg = self.form.gram_numerators
-        e = self.fixed.E
-        dd, de = -2 * dg * den * den, dg * den * self.fixed.q
+        check = self.check_section
 
         def image(ms):
             d = translate(ms)
-            gd = [dot(row, d) for row in gram]
-            if dot(d, gd) != dd or dot(gd, e) != de:
-                raise FrameError(
-                    "translated section is not a section class; frame invalid")
+            check(d, den)
             return tuple(d)
 
         return image, den
@@ -281,23 +287,12 @@ class FibrationFrame:
 
     def split_numerators(self, a) -> tuple:
         """det (w, v, perp) on integers for integer numerators a: see
-        `split`.  Raises `FrameError` unless perp.E = perp.P = 0."""
+        `decompose`.  Raises `FrameError` unless perp.E = perp.P = 0."""
         w, v, perp = self._split(a)
         c = self.fixed
         if dot(perp, c.gE) or dot(perp, c.gP):
             raise FrameError("perp component is not orthogonal to E and P")
         return w, v, perp
-
-    def split(self, x) -> tuple:
-        """x -> (aP, aE, perp) with perp.E = perp.P = 0, exactly: one
-        `numerators` of x, `split_numerators`, then one division by
-        da det (and q for the two coordinates)."""
-        a, da = self.numerators(vector(x))
-        w, v, perp = self.split_numerators(a)
-        c = self.fixed
-        den = da * c.det
-        return (Fraction(w * c.q, den), Fraction(v * c.q, den),
-                tuple(Fraction(z, den) for z in perp))
 
     @cached_property
     def split_f(self):
@@ -317,14 +312,24 @@ class FibrationFrame:
         return split_f
 
     def cusp(self, x) -> tuple:
-        """Cusp coordinates (w, v, y) of x = wP + vE + sum y_k b_k in doubles:
-        the exact `split`, then `chart.euclid` of perp, rounded once."""
-        w, v, perp = self.split(x)
-        return (float(w), float(v)) + self.chart.euclid(perp)
+        """Cusp coordinates (w, v, y) of x = wP + vE + sum y_k b_k in doubles,
+        each rounded once from one `numerators` of x; y is the chart of x."""
+        a, da = self.numerators(vector(x))
+        w, v, _ = self.split_numerators(a)
+        c = self.fixed
+        den = da * c.det
+        return (float(Fraction(w * c.q, den)), float(Fraction(v * c.q, den)),
+                *self.chart.orthonormal(self.chart.coefficients_of(a, da)))
 
-    def decompose(self, a: Vector) -> Decomposition:
-        """Split A = aP*P + aE*E + perp with perp.E = perp.P = 0, exactly."""
-        return Decomposition(*self.split(a))
+    def decompose(self, x: Vector) -> Decomposition:
+        """Split x = aP*P + aE*E + perp with perp.E = perp.P = 0, exactly:
+        `split_numerators` of x = a / da, divided once by da det (and q)."""
+        a, da = self.numerators(vector(x))
+        w, v, perp = self.split_numerators(a)
+        c = self.fixed
+        den = da * c.det
+        return Decomposition(Fraction(w * c.q, den), Fraction(v * c.q, den),
+                             tuple(Fraction(z, den) for z in perp))
 
     def reassemble(self, d: Decomposition) -> Vector:
         return linalg.vec_add(
@@ -357,11 +362,8 @@ class FibrationFrame:
         v dx den q = den q x - dx den o - (2 dx den + x . gO) e.
         """
         x, dx = self.numerators(vector(di))
+        self.check_section(x, dx)
         c = self.fixed
-        dg = self.form.gram_numerators[1]
-        if (dot(x, self.form.images([x])[0]) != -2 * dg * dx * dx
-                or dot(x, c.gE) != dx * c.den):
-            raise FrameError("not a section class (need D.D = -2, D.E = 1)")
         t = 2 * dx * c.den + dot(x, c.gO)
         v = [c.den * c.q * a - dx * c.den * o - t * e
              for a, o, e in zip(x, c.O, c.E)]

@@ -76,11 +76,10 @@ def sigma0_pullback(frame) -> Isometry:
 def sigma_i_pullback(frame, di: Vector) -> Isometry:
     """Pullback of P -> Q_i - P: +1 on span{[E], [O] + D_i}, -1 across it.
 
-    D_i is checked to be a section class first (`FrameError` otherwise).
+    D_i is checked first, by `FibrationFrame.check_section`.
     """
     di = vector(di)
-    if frame.form.norm2(di) != -2 or frame.form.inner(di, frame.classE) != 1:
-        raise FrameError("not a section class (need D.D = -2, D.E = 1)")
+    frame.check_section(*frame.numerators(di))
     return _reflection_through_section(frame, di)
 
 

@@ -21,9 +21,8 @@ copy of the Gram matrix that is computed once per form and read only by
 `plane_splitting`, a closure over a bilinear product, is the one
 splitting x = wP + vE + perp: exact over integer numerators and Gram
 images, float over `models.inner_f`.  It is homogeneous, so the exact
-split stays on integers; `FibrationFrame.split` divides once, and its
-result is the first step of the float cusp coordinates (w, v, y) of
-`FibrationFrame.cusp`.
+split stays on integers; `FibrationFrame.decompose` divides once, and
+`FibrationFrame.cusp` rounds w and v from the same integers.
 """
 
 from dataclasses import dataclass

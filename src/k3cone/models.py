@@ -268,11 +268,10 @@ class BoundaryChart:
     """
 
     def __init__(self, frame):
-        self.frame = frame
+        self.form = form = frame.form
         self.basis = frame.boundary_basis
         self._basis_f = [[float(x) for x in b] for b in self.basis]
         r = len(self.basis)
-        form = frame.form
         self.gram = linalg.matrix(
             [[-form.inner(bi, bj) for bj in self.basis] for bi in self.basis])
         # dense Cholesky of a tiny positive definite matrix
@@ -294,23 +293,29 @@ class BoundaryChart:
         self._coeff_rows, self._coeff_den = rows, -den
         self.dim = r
 
-    def coefficients(self, u) -> Vector:
-        """Exact coordinates of u in the stored basis of V: one integer
-        mat-vec, then one canonical `Fraction` per coordinate."""
-        u = vector(u)
-        if len(u) != self.frame.form.dim:
+    def coefficients_of(self, a, da) -> Vector:
+        """Exact coordinates of a / da (integers, da != 0) in the stored
+        basis, which are those of its perp: B J kills E and P."""
+        if len(a) != self.form.dim:
             raise InputError("vector dimension does not match the form")
-        a, da = linalg.numerators(u)
         den = self._coeff_den * da
         return tuple(Fraction(sum(map(mul, row, a)), den)
                      for row in self._coeff_rows)
 
-    def euclid(self, u):
-        """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u)."""
-        c = [float(x) for x in self.coefficients(u)]
+    def coefficients(self, u) -> Vector:
+        """`coefficients_of` the numerators of an exact vector u."""
+        return self.coefficients_of(*linalg.numerators(vector(u)))
+
+    def orthonormal(self, c):
+        """Euclidean coordinates L^T c, in doubles, of basis coordinates c."""
+        c = [float(x) for x in c]
         r = self.dim
         return tuple(sum(self._low[i][k] * c[i] for i in range(k, r))
                      for k in range(r))
+
+    def euclid(self, u):
+        """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u) for u in V."""
+        return self.orthonormal(self.coefficients(u))
 
     def lattice(self, e):
         """Float lattice vector with the given Euclidean coordinates."""
@@ -320,7 +325,7 @@ class BoundaryChart:
         for i in range(r - 1, -1, -1):
             s = e[i] - sum(self._low[j][i] * c[j] for j in range(i + 1, r))
             c[i] = s / self._low[i][i]
-        n = self.frame.form.dim
+        n = self.form.dim
         basis = self._basis_f
         return tuple(sum(c[i] * basis[i][j] for i in range(r))
                      for j in range(n))

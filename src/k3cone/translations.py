@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import mul
 
 from . import linalg
-from .errors import FrameError, InputError
+from .errors import InputError
 from .lattice import IntersectionForm
 from .linalg import Matrix, Vector, vector
 
@@ -95,13 +95,6 @@ def parabolic_translation(inner, classE, v):
     return apply
 
 
-def translation_image(form: IntersectionForm, classE: Vector, v: Vector,
-                      x: Vector) -> Vector:
-    """Image of x under the parabolic translation attached to v, exactly."""
-    return parabolic_translation(form.inner, vector(classE), vector(v))(
-        vector(x))
-
-
 def translation_matrix(form: IntersectionForm, classE: Vector, v: Vector) -> Isometry:
     """The parabolic translation as an exact matrix; requires v.E = 0.
 
@@ -147,8 +140,8 @@ def section_translate(frame, v: Vector) -> Vector:
     numerators b / db of v and the frame's cached `fixed` classes: one
     integer Gram image of v, of the image, and two dots each.  With
     Gram denominator dg and class denominator q, every term is an integer
-    over T = 2 dg^2 q^3 db^2.  D.D = -2 and D.E = 1 are checked on those
-    integers; `FrameError` otherwise.
+    over T = 2 dg^2 q^3 db^2, and `FibrationFrame.check_section` checks
+    D.D = -2 and D.E = 1 on those integers; `FrameError` otherwise.
     """
     c = frame.fixed
     b, db = frame.numerators(vector(v))
@@ -161,10 +154,7 @@ def section_translate(frame, v: Vector) -> Vector:
     cs = t * linalg.dot(b, c.gO) + k * linalg.dot(b, gb)
     d = [s * x + t * k * y - cs * z for x, y, z in zip(c.O, b, c.E)]
     den = c.q * s
-    gd = frame.form.images([d])[0]
-    if (linalg.dot(d, gd) != -2 * dg * den * den
-            or linalg.dot(gd, c.E) != den * c.den):
-        raise FrameError("translated section is not a section class; frame invalid")
+    frame.check_section(d, den)
     return tuple(Fraction(x, den) for x in d)
 
 

@@ -12,11 +12,11 @@ so Shioda's height <m, m> = 4 + 2 D_m.O (Comment. Math. Univ. St. Paul.
 
 Every -2 class D cuts the hyperbolic cross-section along a hyperplane.
 Seen from the cusp [E] in the upper-half-space model, a wall with D.E != 0
-traces a circle on the Euclidean boundary; with D.E = 0 it degenerates to a
-vertical hyperplane.  In the Poincare ball, a wall traces a circle on the
-unit sphere.  The emitted closed forms are always gated behind a sampled
-residual check (|A.D| and |A.A| below 1e-9 for reconstructed boundary
-classes).
+traces a circle about the chart of D / D.E on the Euclidean boundary;
+with D.E = 0 it degenerates to a vertical hyperplane.  In the Poincare
+ball, a wall traces a circle on the unit sphere.  The emitted closed forms
+are always gated behind a sampled residual check (|A.D| and |A.A| below
+1e-9 for reconstructed boundary classes).
 """
 
 import itertools
@@ -78,22 +78,24 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     For delta = D.E != 0 the circle has center phi(D) = dperp/delta in
     chart coordinates and radius sqrt(2)/|delta|; every section translate
     (delta = 1) shares radius sqrt(2).  delta = 0 walls degenerate to
-    hyperplanes.  D is split once, for either case.
+    hyperplanes.  D.D and delta are integer dots on one `numerators` of D.
     """
     d = vector(d)
-    if frame.form.norm2(d) != -2:
+    x, dx = frame.numerators(d)
+    dg = frame.form.gram_numerators[1]
+    if linalg.dot(x, frame.form.images([x])[0]) != -2 * dg * dx * dx:
         raise InputError("wall class must have self-intersection -2")
     chart = chart or frame.chart
-    delta = frame.form.inner(d, frame.classE)
-    dec = frame.decompose(d)
-    if delta != 0:
-        center = chart.euclid(linalg.vec_scale(1 / delta, dec.perp))
+    coeffs = chart.coefficients_of(x, dx)
+    delta = Fraction(linalg.dot(x, frame.fixed.gE), dx * frame.fixed.den)
+    if delta:
+        center = chart.orthonormal(t / delta for t in coeffs)
         return WallCircle("uhs", center, math.sqrt(2.0) / abs(float(delta)), d)
-    normal = chart.euclid(dec.perp)
-    norm = math.sqrt(sum(x * x for x in normal)) or 1.0
+    normal = chart.orthonormal(coeffs)
+    norm = math.sqrt(sum(t * t for t in normal)) or 1.0
     # wall equation <a, dperp>_euc = aE-coefficient of D
     return WallCircle("uhs", (), 0.0, d, degenerate=Hyperplane(
-        tuple(x / norm for x in normal), float(dec.aE) / norm))
+        tuple(t / norm for t in normal), float(frame.decompose(d).aE) / norm))
 
 
 def wall_circle_ball(form, d: Vector, ball: BallModel) -> WallCircle:

@@ -180,6 +180,16 @@ def test_cli_output_matches_golden(runner, args, golden):
     assert result.stdout_bytes == (DATA / golden).read_bytes()
 
 
+@pytest.mark.parametrize("args, golden", [
+    ([], "golden_uhs.svg"), (["--model", "ball"], "golden_ball.svg")])
+def test_render_matches_golden_svg(runner, tmp_path, args, golden):
+    out = tmp_path / golden
+    result = runner.invoke(
+        main, ["render", FRAME, *args, "--N", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 def test_synthetic_pair_noise_is_the_same_in_every_process():
     """The noise streams are keyed by strings, never through hash(), so a
     fresh interpreter with any hash seed prints the golden table."""

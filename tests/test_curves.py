@@ -33,6 +33,31 @@ def test_group_law_basics():
     assert CURVE.multiply(-1, P) == CURVE.negate(P)
 
 
+def test_group_law_checks_a_point_once(monkeypatch):
+    """multiply and naive_limit_height check P on entry, then run the
+    group law unchecked: one `contains` call each."""
+    want, acc = [], None
+    for _ in range(13):
+        acc = CURVE.add(acc, P)
+        want.append(acc)
+    calls = []
+    contains = CurveQ.contains
+
+    def counting(self, p):
+        calls.append(p)
+        return contains(self, p)
+
+    monkeypatch.setattr(CurveQ, "contains", counting)
+    assert CURVE.multiply(13, P) == want[-1]
+    assert calls == [P]
+    assert CURVE.multiply(-13, P) == (want[-1][0], -want[-1][1])
+    assert CURVE.multiply(-3, None) is None
+    _, values = naive_limit_height(CURVE, P, 13)
+    assert values == [naive_height(q) / (n * n)
+                      for n, q in enumerate(want, start=1)]
+    assert calls == [P, P, P]
+
+
 def test_doubling_example():
     two_p = CURVE.multiply(2, P)
     assert two_p == (Fraction(129, 100), Fraction(-383, 1000))

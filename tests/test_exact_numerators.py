@@ -21,8 +21,8 @@ from functools import lru_cache
 import pytest
 
 from conftest import random_unimodular, random_valid_frame
-from k3cone import configio, lattice, linalg, models, translations
-from k3cone.errors import CuspError, DomainError
+from k3cone import configio, involutions, lattice, linalg, models, translations
+from k3cone.errors import CuspError, DomainError, FrameError
 from k3cone.frame import Decomposition, FibrationFrame
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,6 +59,20 @@ def ref_split(frame, x):
     w = (xe * ep - xp * ee) / det
     v = (xp * ep - xe * pp) / det
     return w, v, tuple(xi - w * pi - v * ei for xi, pi, ei in zip(x, p, e))
+
+
+def ref_chart_coefficients(frame, u):
+    """The coordinates c of u's projection to V in the chart basis B:
+    they solve G c = -B J u, G the chart Gram."""
+    inner, basis = frame.form.inner, frame.boundary_basis
+    gram = [[-inner(bi, bj) for bj in basis] for bi in basis]
+    return linalg.mat_vec(linalg.inverse(gram), [-inner(b, u) for b in basis])
+
+
+def ref_cusp(frame, x):
+    """(w, v) rounded once, then the chart's Euclidean map of perp."""
+    w, v, perp = ref_split(frame, x)
+    return (float(w), float(v)) + frame.chart.euclid(perp)
 
 
 def ref_boundary_rep(frame, v):
@@ -168,12 +182,26 @@ def test_splitting_matches_reference(name):
     rng = random.Random(name)
     xs = [random_rational(rng, frame.form.dim) for _ in range(8)]
     for x in xs + [frame.ample, frame.classO, frame.classE, frame.classP]:
-        want = ref_split(frame, x)
-        assert frame.split(x) == want
-        assert frame.decompose(x) == Decomposition(*want)
+        assert frame.decompose(x) == Decomposition(*ref_split(frame, x))
     for _ in range(4):
         v = orthogonal_to_fiber(frame, rng)
         assert frame.boundary_rep(v) == ref_boundary_rep(frame, v)
+
+
+@pytest.mark.parametrize("name", FRAME_IDS)
+def test_chart_of_a_class_is_that_of_its_perp(name):
+    """The chart kills E and P, so `cusp` reads y off the class itself."""
+    frame = frames()[name]
+    chart = frame.chart
+    rng = random.Random(name)
+    xs = [random_rational(rng, frame.form.dim) for _ in range(8)]
+    for x in xs + [frame.ample, frame.classO, frame.classE, frame.classP]:
+        perp = ref_split(frame, x)[2]
+        assert chart.coefficients(x) == chart.coefficients(perp) == (
+            ref_chart_coefficients(frame, perp))
+        assert frame.cusp(x) == ref_cusp(frame, x)
+    assert not any(chart.coefficients(frame.classE))
+    assert not any(chart.coefficients(frame.classP))
 
 
 @pytest.mark.parametrize("name", FRAME_IDS)
@@ -235,12 +263,35 @@ def test_boundary_metric_matches_reference(name):
                 2 * inner(a, b) / (inner(a, e) * inner(b, e)))
 
 
+SECTION_ERROR = r"not a section class \(need D\.D = -2, D\.E = 1\)"
+
+
+@pytest.mark.parametrize("name", ["f4", "seed3", "seed5-rational"])
+def test_every_section_check_rejects_a_corrupted_section(name):
+    """`check_section` is the one section-class check: each caller rejects
+    a corrupted section with its message.  D + E has D.D = 0; O + E makes
+    every translate of O fail too."""
+    frame = frames()[name]
+    bad = linalg.vec_add(frame.sections[0], frame.classE)
+    with pytest.raises(FrameError, match=SECTION_ERROR):
+        frame.vperp_rep(bad)
+    with pytest.raises(FrameError, match=SECTION_ERROR):
+        involutions.sigma_i_pullback(frame, bad)
+    shifted = FibrationFrame(frame.form, frame.classE, frame.classP,
+                             frame.ample, frame.translations)
+    with pytest.raises(FrameError, match=SECTION_ERROR):
+        shifted.section_map[0]((1,) + (0,) * (frame.rank - 1))
+    with pytest.raises(FrameError, match=SECTION_ERROR):
+        translations.section_translate(shifted, frame.translations[0])
+
+
 def test_frame_caches_hold_no_reference_cycle():
     """The cached closures hold integers and the form, never the frame,
     so a frame is freed by reference counting alone."""
     frame = random_valid_frame(5, dim=6)
     x = frame.ample
-    frame.split(x)
+    frame.decompose(x)
+    frame.cusp(x)
     frame.split_f([float(t) for t in x])
     frame.section_map[0]((1,) * frame.rank)
     assert frame.sections and frame.validate().passed

@@ -49,8 +49,8 @@ def _assert_float_split_close(frame, a):
     """split_f of float(a) is within 1e-9 relative of the exact split of
     the same float input, measured against its largest component."""
     af = [float(x) for x in a]
-    exact = frame.split(tuple(Fraction(x) for x in af))
-    exact = (exact[0], exact[1], *exact[2])
+    exact = frame.decompose(tuple(Fraction(x) for x in af))
+    exact = (exact.aP, exact.aE, *exact.perp)
     w, v, perp = frame.split_f(af)
     scale = max(abs(x) for x in exact)
     for got, want in zip((w, v, *perp), exact):

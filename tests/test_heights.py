@@ -15,7 +15,7 @@ from k3cone.heights import (FiberPoint, SyntheticFibration, canonical_height,
 from k3cone.lattice import IntersectionForm
 from k3cone.linalg import vector
 from k3cone.models import cusp_inner
-from k3cone.translations import parabolic_translation, translation_image
+from k3cone.translations import parabolic_translation
 
 
 def _fib(noise=0.0, seed=0, heights=(10.0, 100.0)):
@@ -185,8 +185,8 @@ def test_vector_height_noiseless_is_exact_translate():
     assert h == _translate_cusp(fib, u, fib.base_height(0))
     # T_u (w, v, y) = (w, v + <y, u> + w |u|^2 / 2, y + w u) with |u| = 2
     assert h == (10.0, 20.0, 20.0, 0.0)
-    exact = translation_image(frame.form, frame.classE, v,
-                              linalg.vec_scale(10, frame.classP))
+    exact = parabolic_translation(frame.form.inner, frame.classE, v)(
+        linalg.vec_scale(10, frame.classP))
     assert h == frame.cusp(exact)
 
 
@@ -495,8 +495,9 @@ def test_random_frame_synthetic_consistency():
 
 def _exact_cusp(frame, x):
     """Cusp coordinates (w, v, y): w, v exact, y the chart's doubles."""
-    w, v, perp = frame.split(vector(x))
-    return (w, v) + tuple(Fraction(c) for c in frame.chart.euclid(perp))
+    dec = frame.decompose(vector(x))
+    return (dec.aP, dec.aE) + tuple(
+        Fraction(c) for c in frame.chart.euclid(dec.perp))
 
 
 def _exact_dot(x, y):

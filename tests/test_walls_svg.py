@@ -109,6 +109,31 @@ def test_uhs_circle_radius_and_center(f4):
     assert abs(math.sqrt(sum(c * c for c in circle.center)) - 2.0) < 1e-9
 
 
+def test_wall_circle_uhs_makes_no_exact_product(monkeypatch):
+    """A section wall's circle takes D.D and D.E on one `numerators` of D
+    and its center from the chart of D itself: no `IntersectionForm.inner`
+    and no `decompose` call."""
+    frame = random_valid_frame(2, dim=6)
+    chart = frame.chart
+    classes = list(frame.sections) + orbit_walls(frame, 1)
+    want = [wall_circle_uhs(frame, d, chart) for d in classes]
+    calls = []
+    inner, decompose = IntersectionForm.inner, FibrationFrame.decompose
+
+    def counting_inner(form, u, v):
+        calls.append("inner")
+        return inner(form, u, v)
+
+    def counting_decompose(self, x):
+        calls.append("decompose")
+        return decompose(self, x)
+
+    monkeypatch.setattr(IntersectionForm, "inner", counting_inner)
+    monkeypatch.setattr(FibrationFrame, "decompose", counting_decompose)
+    assert [wall_circle_uhs(frame, d, chart) for d in classes] == want
+    assert calls == []
+
+
 def test_uhs_circle_rejects_non_wall(f4):
     with pytest.raises(InputError):
         wall_circle_uhs(f4, f4.classE)
