@@ -14,10 +14,9 @@ numerators of E, O, P and the ample class over one denominator, and their
 integer Gram images g C.  A product x.C with one of these classes is then
 one `numerators` of x and one integer dot, and each public call takes the
 numerators of its argument once.  `Fraction`s are built only for what a
-call returns.  A class splits as aP*P + aE*E + perp with perp in V by
-`decompose` (exact, on those integers) or `split_f` (float), both from
-`lattice.plane_splitting`.  `cusp` gives the float cusp coordinates
-(w, v, y) of an exact class, with y the chart coordinates of the class.
+call returns.  `decompose` splits a class exactly as aP*P + aE*E + perp,
+perp in V.  `cusp` gives the float cusp coordinates (w, v, y) of an exact
+class, y its chart coordinates; `from_cusp` maps them to a float vector.
 `section_map` gives the section translates D_m = T_w([O]) on integer
 numerators, and the section classes D_i = T_{v_i}([O]) are its images of
 the unit vectors (`sections`), derived on first read and cached; they are
@@ -26,7 +25,7 @@ not a constructor argument.  `check_section` is the one section check.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -34,7 +33,7 @@ from . import involutions, linalg
 from .errors import FrameError, InputError
 from .lattice import IntersectionForm, plane_splitting, signature
 from .linalg import Matrix, Vector, dot, vector
-from .models import BoundaryChart, inner_f
+from .models import BoundaryChart
 
 
 @dataclass(frozen=True)
@@ -172,24 +171,9 @@ class FibrationFrame:
     def classP(self) -> Vector:
         return linalg.vec_add(self.classO, self.classE)
 
-    @cached_property
-    def classE_f(self) -> tuple:
-        return tuple(float(c) for c in self.classE)
-
-    @cached_property
-    def classP_f(self) -> tuple:
-        return tuple(float(c) for c in self.classP)
-
     @property
     def rank(self) -> int:
         return len(self.translations)
-
-    def translation_sum(self, ms) -> Vector:
-        """w = sum m_i v_i over the frame's translation vectors."""
-        w = linalg.zero_vector(self.form.dim)
-        for m, v in zip(ms, self.translations):
-            w = linalg.vec_add(w, linalg.vec_scale(m, v))
-        return w
 
     @cached_property
     def translation_numerators(self) -> tuple:
@@ -294,32 +278,27 @@ class FibrationFrame:
             raise FrameError("perp component is not orthogonal to E and P")
         return w, v, perp
 
-    @cached_property
-    def split_f(self):
-        """x -> (w, v, perp) in double precision: `plane_splitting` over
-        `models.inner_f`, divided by the exact det rounded once."""
-        split = plane_splitting(partial(inner_f, self.form),
-                                self.classE_f, self.classP_f)
-        c = self.fixed
-        if not c.det:
-            raise FrameError("degenerate (E, P) pair: determinant 0")
-        det = c.det / (c.den * c.q) ** 2
-
-        def split_f(x):
-            w, v, perp = split(x)
-            return w / det, v / det, tuple(z / det for z in perp)
-
-        return split_f
-
     def cusp(self, x) -> tuple:
-        """Cusp coordinates (w, v, y) of x = wP + vE + sum y_k b_k in doubles,
-        each rounded once from one `numerators` of x; y is the chart of x."""
-        a, da = self.numerators(vector(x))
+        """`cusp_of` one `numerators` of an exact vector x."""
+        return self.cusp_of(*self.numerators(vector(x)))
+
+    def cusp_of(self, a, da) -> tuple:
+        """Cusp coordinates (w, v, y) of x = a / da = wP + vE + sum y_k b_k in
+        doubles, each an integer quotient rounded once; y is the chart of x."""
         w, v, _ = self.split_numerators(a)
         c = self.fixed
         den = da * c.det
-        return (float(Fraction(w * c.q, den)), float(Fraction(v * c.q, den)),
-                *self.chart.orthonormal(self.chart.coefficients_of(a, da)))
+        return (w * c.q / den, v * c.q / den, *self.chart.euclid_of(a, da))
+
+    def from_cusp(self, cusp) -> tuple:
+        """The float lattice vector wP + vE + `chart.lattice(y)` of cusp
+        coordinates (w, v, y): the inverse of `cusp`, in doubles."""
+        w, v, *y = cusp
+        if len(y) != self.chart.dim:
+            raise InputError("cusp coordinates do not match the chart dimension")
+        c = self.fixed
+        return tuple((w * p + v * e) / c.q + t
+                     for p, e, t in zip(c.P, c.E, self.chart.lattice(y)))
 
     def decompose(self, x: Vector) -> Decomposition:
         """Split x = aP*P + aE*E + perp with perp.E = perp.P = 0, exactly:

@@ -9,9 +9,10 @@ translation automorphisms up to bounded, seeded noise:
 iterated noise obeys the growth contract |perp| <= M n, |scalar| <= M |v| n^2.
 
 Heights live in cusp coordinates (w, v, y) = wP + vE + sum y_k b_k
-(`FibrationFrame.cusp`, product `models.cusp_inner`): the base height is
-(h(E), 0, 0...), noise is (0, scalar, perp), and exact classes (the group
-translation, the reference divisor D) are converted once each.
+(`FibrationFrame.cusp_of`, product `models.cusp_inner`): the base height
+is (h(E), 0, 0...), noise is (0, scalar, perp), and exact classes (the
+group translation, the reference divisor D) are converted once each, from
+integer numerators (the frame's `translation_numerators`, one of D).
 
 Canonical heights are memoized per fibration, keyed by (point, D in cusp
 coordinates, n_max): `canonical_height`, `nt_pairing` and
@@ -41,10 +42,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import index, mul
 
 from .errors import FrameError, InputError
-from .linalg import Vector, vector
+from .linalg import Vector, dot, vector
 from .models import cusp_inner
 from .translations import parabolic_translation
 
@@ -118,13 +120,13 @@ class SyntheticFibration:
             raise InputError("noise bound must be finite and nonnegative")
         if not all(0.0 < h < math.inf for h in self.fiber_heights):
             raise InputError("fiber heights must be finite and positive")
-        form, e, p = frame.form, frame.classE, frame.classP
-        if (form.norm2(e), form.norm2(p), form.inner(e, p)) != (0, 0, 1):
+        c, n = frame.fixed, frame.form.dim
+        if (dot(c.E, c.gE), dot(c.P, c.gP), dot(c.E, c.gP)) != (0, 0, c.den * c.q):
             raise FrameError("synthetic oracle needs E.E = P.P = 0, E.P = 1")
         self.frame = frame
         self.seed = _integer(seed, "seed")
-        self.classE = (0.0, 1.0) + (0.0,) * (form.dim - 2)
-        self._perp_cap = self.noise_bound / math.sqrt(max(form.dim - 2, 1))
+        self.classE = (0.0, 1.0) + (0.0,) * (n - 2)
+        self._perp_cap = self.noise_bound / math.sqrt(max(n - 2, 1))
         self._heights = {}
 
     def base_height(self, fiber: int):
@@ -133,17 +135,26 @@ class SyntheticFibration:
             raise InputError(f"no fiber with index {fiber}")
         return (self.fiber_heights[fiber], 0.0) + self.classE[2:]
 
-    def group_translation(self, point: FiberPoint) -> Vector:
-        if len(point.group_vector) != self.frame.rank:
+    def _group_numerators(self, point: FiberPoint):
+        """(numerators of w = sum m_i v_i, their denominator qv): sum m_i
+        times the rows of the frame's `translation_numerators`."""
+        ms = point.group_vector
+        if len(ms) != self.frame.rank:
             raise InputError("group vector length does not match the frame rank")
-        return self.frame.translation_sum(point.group_vector)
+        vs, _, qv = self.frame.translation_numerators
+        return [sum(m * v[j] for m, v in zip(ms, vs))
+                for j in range(self.frame.form.dim)], qv
+
+    def group_translation(self, point: FiberPoint) -> Vector:
+        w, qv = self._group_numerators(point)
+        return tuple(Fraction(x, qv) for x in w)
 
     def _translation(self, u):
         """x -> T_u x on cusp coordinates, u the cusp coordinates of v."""
         return parabolic_translation(cusp_inner, self.classE, u)
 
     def _cusp_translation(self, point: FiberPoint):
-        return self.frame.cusp(self.group_translation(point))
+        return self.frame.cusp_of(*self._group_numerators(point))
 
     def _stream(self, point: FiberPoint, name: str):
         """The point's noise generator `name`:
@@ -234,15 +245,16 @@ class SyntheticFibration:
 
 def _reference(fib: SyntheticFibration, d, n_max: int):
     """Validate D and n_max once per public call; return D in cusp
-    coordinates, whose w is [E].D."""
+    coordinates, whose w is [E].D.  The checks are integer dots on one
+    `numerators` of D (positive denominators)."""
     _integer(n_max, "n_max", least=1)
-    frame = fib.frame
-    d = vector(d)
-    if frame.form.norm2(d) <= 0 or frame.form.inner(d, frame.ample) <= 0:
+    frame, c = fib.frame, fib.frame.fixed
+    x, dx = frame.numerators(vector(d))
+    if dot(x, frame.form.images([x])[0]) <= 0 or dot(x, c.gA) <= 0:
         raise InputError("height reference divisor must be ample")
-    if frame.form.inner(d, frame.classE) <= 0:
+    if dot(x, c.gE) <= 0:
         raise InputError("reference divisor must pair positively with the fiber")
-    return frame.cusp(d)
+    return frame.cusp_of(x, dx)
 
 
 def _height(fib: SyntheticFibration, point: FiberPoint, dc, n_max: int):

@@ -19,10 +19,10 @@ copy of the Gram matrix that is computed once per form and read only by
 `models.inner_f`; real-valued geometry lives in `models`.
 
 `plane_splitting`, a closure over a bilinear product, is the one
-splitting x = wP + vE + perp: exact over integer numerators and Gram
-images, float over `models.inner_f`.  It is homogeneous, so the exact
-split stays on integers; `FibrationFrame.decompose` divides once, and
-`FibrationFrame.cusp` rounds w and v from the same integers.
+splitting x = wP + vE + perp; the frame runs it over integer numerators
+and Gram images.  It is homogeneous, so the split stays on integers:
+`FibrationFrame.decompose` divides once, and `FibrationFrame.cusp` rounds
+w and v from the same integers.
 """
 
 from dataclasses import dataclass

@@ -6,11 +6,11 @@ per argument, integer dots, one `Fraction` per returned value.  Anything
 involving square roots or hyperbolic functions is done in double
 precision.  Distances use the chord form d = 2 asinh(chord / 2) rather
 than arccosh(1 + x), which loses half the digits for points close
-together.  The upper-half-space maps use the frame's float splitting
-`FibrationFrame.split_f` and its cached float E and P; the synthetic
-height oracle uses `cusp_inner` in cusp coordinates, O(r) and free of a
-scrambled basis's cancellation.  Stated tolerances: 1e-12 for identities
-that are exact underneath, 1e-9 for cross-model agreement.
+together.  The UHS model and the synthetic height oracle work in cusp
+coordinates (`FibrationFrame.cusp`), free of a scrambled basis's
+cancellation; `inner_f` is the lattice-coordinate oracle.  Stated
+tolerances: 1e-12 for identities that are exact underneath, 1e-9 for
+cross-model agreement.
 """
 
 import math
@@ -148,39 +148,47 @@ def phi(frame, a: Vector) -> Vector:
 
 @dataclass(frozen=True)
 class UpperHalfSpacePoint:
-    """(x, z) with x a vector in the boundary subspace V and z > 0."""
+    """(x, z): x in chart coordinates, like wall circle centres; z > 0."""
 
     x: tuple
     z: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.x, self.z))):
+            raise InputError("upper-half-space coordinates must be finite")
         if self.z <= 0:
             raise DomainError("upper-half-space height must be positive")
 
 
 def to_upper_half_space(frame, u) -> UpperHalfSpacePoint:
-    """Hyperboloid point U = wP + vE + u maps to (u/w, 1/w); needs U.E > 0."""
-    w, _, uperp = frame.split_f(u)
+    """Hyperboloid point U = (w, v, y) in cusp coordinates, each entry taken
+    exactly as a `Fraction`, maps to (y/w, 1/w); needs U.E > 0."""
+    try:
+        exact = [Fraction(t) for t in u]
+    except (ValueError, OverflowError):
+        raise InputError("point coordinates must be finite numbers") from None
+    w, _, *y = frame.cusp(exact)
     if w <= 0:
         raise DomainError("point does not pair positively with the fiber class")
-    return UpperHalfSpacePoint(tuple(ui / w for ui in uperp), 1.0 / w)
+    return UpperHalfSpacePoint(tuple(t / w for t in y), 1.0 / w)
 
 
 def from_upper_half_space(frame, point: UpperHalfSpacePoint):
-    """Inverse of `to_upper_half_space`, landing back on the hyperboloid."""
+    """Inverse of `to_upper_half_space`, landing back on the hyperboloid:
+    w = 1/z, y = w x and v = (1 + |y|^2) / (2w), so U.U = 2wv - |y|^2 = 1."""
     w = 1.0 / point.z
-    uperp = [xi * w for xi in point.x]
-    uu = inner_f(frame.form, uperp, uperp)
-    v = (1.0 - uu) / (2.0 * w)
-    return tuple(w * pi + v * ei + ui
-                 for pi, ei, ui in zip(frame.classP_f, frame.classE_f, uperp))
+    y = [t * w for t in point.x]
+    return frame.from_cusp((w, (1.0 + sum(t * t for t in y)) / (2.0 * w), *y))
 
 
 def uhs_distance(frame, p1: UpperHalfSpacePoint, p2: UpperHalfSpacePoint) -> float:
-    dx = [a - b for a, b in zip(p1.x, p2.x)]
-    chord2 = -inner_f(frame.form, dx, dx) + (p1.z - p2.z) ** 2
+    """Distance from the Euclidean chord |x1 - x2|^2 + (z1 - z2)^2."""
+    r = frame.chart.dim
+    if len(p1.x) != r or len(p2.x) != r:
+        raise InputError("point does not match the chart dimension")
+    chord2 = sum((a - b) ** 2 for a, b in zip(p1.x, p2.x)) + (p1.z - p2.z) ** 2
     # cosh d = 1 + chord2 / (2 z1 z2), so sinh(d/2) = sqrt(chord2 / (4 z1 z2))
-    return 2.0 * math.asinh(math.sqrt(max(chord2, 0.0) / (4.0 * p1.z * p2.z)))
+    return 2.0 * math.asinh(math.sqrt(chord2 / (4.0 * p1.z * p2.z)))
 
 
 # -- Poincare ball -----------------------------------------------------------
@@ -293,29 +301,32 @@ class BoundaryChart:
         self._coeff_rows, self._coeff_den = rows, -den
         self.dim = r
 
-    def coefficients_of(self, a, da) -> Vector:
-        """Exact coordinates of a / da (integers, da != 0) in the stored
-        basis, which are those of its perp: B J kills E and P."""
+    def _numerators(self, u):
+        a, da = linalg.numerators(vector(u))
         if len(a) != self.form.dim:
             raise InputError("vector dimension does not match the form")
+        return a, da
+
+    def coefficients(self, u) -> Vector:
+        """Exact coordinates of an exact vector u in the stored basis, which
+        are those of its perp: B J kills E and P."""
+        a, da = self._numerators(u)
         den = self._coeff_den * da
         return tuple(Fraction(sum(map(mul, row, a)), den)
                      for row in self._coeff_rows)
 
-    def coefficients(self, u) -> Vector:
-        """`coefficients_of` the numerators of an exact vector u."""
-        return self.coefficients_of(*linalg.numerators(vector(u)))
-
-    def orthonormal(self, c):
-        """Euclidean coordinates L^T c, in doubles, of basis coordinates c."""
-        c = [float(x) for x in c]
+    def euclid_of(self, a, da):
+        """Euclidean coordinates L^T c of x = a / da (integer numerators), c
+        its basis coordinates as integer quotients, each rounded once."""
+        den = self._coeff_den * da
+        c = [sum(map(mul, row, a)) / den for row in self._coeff_rows]
         r = self.dim
         return tuple(sum(self._low[i][k] * c[i] for i in range(k, r))
                      for k in range(r))
 
     def euclid(self, u):
         """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u) for u in V."""
-        return self.orthonormal(self.coefficients(u))
+        return self.euclid_of(*self._numerators(u))
 
     def lattice(self, e):
         """Float lattice vector with the given Euclidean coordinates."""

@@ -86,12 +86,12 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     if linalg.dot(x, frame.form.images([x])[0]) != -2 * dg * dx * dx:
         raise InputError("wall class must have self-intersection -2")
     chart = chart or frame.chart
-    coeffs = chart.coefficients_of(x, dx)
-    delta = Fraction(linalg.dot(x, frame.fixed.gE), dx * frame.fixed.den)
-    if delta:
-        center = chart.orthonormal(t / delta for t in coeffs)
-        return WallCircle("uhs", center, math.sqrt(2.0) / abs(float(delta)), d)
-    normal = chart.orthonormal(coeffs)
+    den = frame.fixed.den
+    xe = linalg.dot(x, frame.fixed.gE)  # delta = xe / (dx den)
+    if xe:
+        center = chart.euclid_of([den * t for t in x], xe)  # chart of D/delta
+        return WallCircle("uhs", center, math.sqrt(2.0) / abs(xe / (dx * den)), d)
+    normal = chart.euclid_of(x, dx)
     norm = math.sqrt(sum(t * t for t in normal)) or 1.0
     # wall equation <a, dperp>_euc = aE-coefficient of D
     return WallCircle("uhs", (), 0.0, d, degenerate=Hyperplane(
@@ -152,30 +152,26 @@ def ball_circle_points(circle: WallCircle, k: int):
 
 
 def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
-                       chart: Optional[BoundaryChart] = None,
                        ball: Optional[BallModel] = None):
     """Reconstruct k boundary classes from (center, radius) of a wall circle.
 
     The returned float lattice vectors are the oracle for the closed forms:
-    each should satisfy A.A ~ 0 and A.D ~ 0.
+    each should satisfy A.A ~ 0 and A.D ~ 0.  A uhs sample a (chart
+    coordinates) is the null class with cusp coordinates (1, |a|^2/2, a),
+    mapped back by `FibrationFrame.from_cusp`.
     """
     pts = []
     if circle.model == "uhs":
         frame = frame_or_form
-        chart = chart or frame.chart
-        r = chart.dim
+        r = frame.chart.dim
         for idx in range(k):
             theta = 2.0 * math.pi * idx / k
             e = [0.0] * r
             e[0] = math.cos(theta)
             if r > 1:
                 e[1] = math.sin(theta)
-            a_coords = [c + circle.radius * x for c, x in zip(circle.center, e)]
-            aperp = chart.lattice(a_coords)
-            # null lift: A = P + aE * E + a with aE = -(a.a)/2
-            a_e = -inner_f(frame.form, aperp, aperp) / 2.0
-            pts.append(tuple(p + a_e * ev + u for p, ev, u
-                             in zip(frame.classP_f, frame.classE_f, aperp)))
+            a = [c + circle.radius * x for c, x in zip(circle.center, e)]
+            pts.append(frame.from_cusp((1.0, sum(t * t for t in a) / 2.0, *a)))
     elif circle.model == "ball":
         if ball is None:
             raise InputError("ball model required to sample ball circles")

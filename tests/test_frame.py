@@ -45,23 +45,11 @@ def test_decompose_reassemble_round_trip(f4):
         assert f4.form.inner(dec.perp, f4.classP) == 0
 
 
-def _assert_float_split_close(frame, a):
-    """split_f of float(a) is within 1e-9 relative of the exact split of
-    the same float input, measured against its largest component."""
-    af = [float(x) for x in a]
-    exact = frame.decompose(tuple(Fraction(x) for x in af))
-    exact = (exact.aP, exact.aE, *exact.perp)
-    w, v, perp = frame.split_f(af)
-    scale = max(abs(x) for x in exact)
-    for got, want in zip((w, v, *perp), exact):
-        assert abs(Fraction(got) - want) <= Fraction(1e-9) * scale
-
-
 @given(st.integers(0, 10 ** 6), st.integers(3, 8), st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_splitting_round_trips(seed, dim, vec_seed):
     """Exact decompose round-trips on valid frames and on a nondegenerate
-    frame whose E is not null; the float split tracks the exact one."""
+    frame whose E is not null."""
     frame = random_valid_frame(seed, dim=dim)
     rng = random.Random(vec_seed)
     a = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
@@ -83,7 +71,6 @@ def test_splitting_round_trips(seed, dim, vec_seed):
         assert (dec.aP, dec.aE) == linalg.solve(
             [[inner(p, e), inner(e, e)], [inner(p, p), inner(e, p)]],
             (inner(a, e), inner(a, p)))
-        _assert_float_split_close(fr, a)
 
 
 def test_decompose_example(f4):

@@ -564,3 +564,19 @@ def test_noisy_oracle_matches_exact_reference(dim):
             want_perp = math.sqrt(sum(c * c for c in err[2:]))
             assert abs(perp - want_perp) <= tol * want_perp
             assert abs(scalar - abs(err[1])) <= tol * abs(err[1])
+
+
+def test_canonical_height_makes_no_exact_product(monkeypatch):
+    """On a warm fibration the reference divisor is checked on integer dots
+    and the group translation is charted from the frame's integers: no
+    `IntersectionForm.inner` call, for a memoized height or a new one."""
+    fib = _fib(noise=1.0, seed=3)
+    d = fib.frame.ample
+    canonical_height(fib, FiberPoint(0, (1, -1)), d, 20)
+    calls = []
+    inner = IntersectionForm.inner
+    monkeypatch.setattr(IntersectionForm, "inner",
+                        lambda *args: calls.append(args) or inner(*args))
+    canonical_height(fib, FiberPoint(0, (1, -1)), d, 20)
+    canonical_height(fib, FiberPoint(1, (2, 3)), d, 20)
+    assert calls == []

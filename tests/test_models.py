@@ -2,6 +2,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,30 @@ def test_uhs_round_trip(f4):
         p = to_upper_half_space(f4, x)
         back = from_upper_half_space(f4, p)
         assert max(abs(a - b) for a, b in zip(back, x)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_uhs_rejects_non_finite_input(f4, bad):
+    with pytest.raises(InputError):
+        to_upper_half_space(f4, [bad, 1, 0, 0])
+    with pytest.raises(InputError):
+        UpperHalfSpacePoint((0.0, 0.0), bad)
+    with pytest.raises(InputError):
+        UpperHalfSpacePoint((bad, 0.0), 1.0)
+
+
+def test_uhs_maps_check_the_chart_dimension(f4):
+    """UHS points have `chart.dim` coordinates; no map truncates others."""
+    p = to_upper_half_space(f4, f4.ample)
+    assert len(p.x) == f4.chart.dim == 2
+    for bad in (UpperHalfSpacePoint(p.x[:1], p.z),
+                UpperHalfSpacePoint(p.x + (0.0,), p.z)):
+        with pytest.raises(InputError):
+            uhs_distance(f4, p, bad)
+        with pytest.raises(InputError):
+            uhs_distance(f4, bad, p)
+        with pytest.raises(InputError):
+            from_upper_half_space(f4, bad)
 
 
 def test_cross_model_distances_agree():
@@ -269,14 +294,13 @@ def test_distances_accurate_for_close_points(frame, seed):
     assert abs(hyperbolic_distance(frame.form, x, y) - exact) < 1e-6 * exact
 
     p1 = to_upper_half_space(frame, x)
-    step = frame.chart.lattice([1e-8 * rng.uniform(-1.0, 1.0)
-                                for _ in range(frame.chart.dim)])
+    step = [1e-8 * rng.uniform(-1.0, 1.0) for _ in range(frame.chart.dim)]
     p2 = UpperHalfSpacePoint(tuple(a + b for a, b in zip(p1.x, step)),
                              p1.z * (1.0 + 1e-8 * rng.uniform(-1.0, 1.0)))
     dx = [Fraction(a) - Fraction(b) for a, b in zip(p1.x, p2.x)]
     z1, z2 = Fraction(p1.z), Fraction(p2.z)
     exact = _distance_from_cosh_excess(
-        (-_exact_quad(frame.form, dx, dx) + (z1 - z2) ** 2) / (2 * z1 * z2))
+        (sum(t * t for t in dx) + (z1 - z2) ** 2) / (2 * z1 * z2))
     assert abs(uhs_distance(frame, p1, p2) - exact) < 1e-6 * exact
 
     b1 = BallModel(frame.form, frame.ample).ball_point(x)
@@ -286,6 +310,45 @@ def test_distances_accurate_for_close_points(frame, seed):
         2 * sum((a - b) ** 2 for a, b in zip(e1, e2))
         / ((1 - sum(a * a for a in e1)) * (1 - sum(b * b for b in e2))))
     assert abs(ball_distance(b1, b2) - exact) < 1e-6 * exact
+
+
+@lru_cache(maxsize=None)
+def _ill_conditioned_pairs():
+    """(frame, x, y, 60-digit distance) over scrambled dim 7-8 frames, at
+    distance >= 0.5."""
+    out = []
+    for seed in range(12):
+        frame = random_valid_frame(seed, dim=7 + seed % 2)
+        rng = random.Random(seed)
+        for _ in range(60):
+            x, y = _random_interior(frame, rng), _random_interior(frame, rng)
+            exact = _exact_hyperbolic_distance(frame.form, x, y)
+            if exact >= 0.5:
+                out.append((frame, x, y, exact))
+    return tuple(out)
+
+
+def test_uhs_distance_of_far_points_is_accurate():
+    """On ill-conditioned frames the UHS distance of far-apart points is
+    within 1e-10 relative of the 60-digit distance of the same float
+    inputs: each input enters `cusp` exactly and is rounded once.  (The
+    inputs lie on the hyperboloid only to rounding, which the UHS map
+    assumes; that, not the map, sets the bound.)"""
+    pairs = _ill_conditioned_pairs()
+    assert len(pairs) > 400
+    for frame, x, y, exact in pairs:
+        d = uhs_distance(frame, to_upper_half_space(frame, x),
+                         to_upper_half_space(frame, y))
+        assert abs(d - exact) < 1e-10 * exact
+
+
+def test_from_cusp_inverts_cusp():
+    """from_cusp(cusp(x)) returns x to 1e-12 of its largest entry, on the
+    frames and points of the accuracy test above."""
+    for frame, x, _, _ in _ill_conditioned_pairs():
+        back = frame.from_cusp(frame.cusp([Fraction(t) for t in x]))
+        scale = max(map(abs, x))
+        assert max(abs(a - b) for a, b in zip(back, x)) < 1e-12 * scale
 
 
 @given(frames, st.integers(0, 10 ** 6))
@@ -302,8 +365,8 @@ def test_distances_of_far_points_match_arccosh(frame, seed):
     assert abs(hyperbolic_distance(form, x, y) - d) < 1e-9
 
     p1, p2 = to_upper_half_space(frame, x), to_upper_half_space(frame, y)
-    dx = [a - b for a, b in zip(p1.x, p2.x)]
-    chord2 = -inner_f(form, dx, dx) + (p1.z - p2.z) ** 2
+    chord2 = (sum((a - b) ** 2 for a, b in zip(p1.x, p2.x))
+              + (p1.z - p2.z) ** 2)
     assert abs(uhs_distance(frame, p1, p2)
                - math.acosh(1.0 + chord2 / (2.0 * p1.z * p2.z))) < 1e-9
 
