@@ -310,12 +310,6 @@ class FibrationFrame:
         return Decomposition(Fraction(w * c.q, den), Fraction(v * c.q, den),
                              tuple(Fraction(z, den) for z in perp))
 
-    def reassemble(self, d: Decomposition) -> Vector:
-        return linalg.vec_add(
-            linalg.vec_add(linalg.vec_scale(d.aP, self.classP),
-                           linalg.vec_scale(d.aE, self.classE)),
-            d.perp)
-
     def boundary_rep(self, v: Vector) -> Vector:
         """The V-component of v (requires v.E = 0); drops the E-direction."""
         return self._boundary_rep(*self.numerators(vector(v)))

@@ -125,10 +125,6 @@ def vec_scale(c, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
-def zero_vector(n: int) -> Vector:
-    return tuple(Fraction(0) for _ in range(n))
-
-
 def _gauss_jordan(a, n_cols: int):
     """Fraction-free Gauss-Jordan on the integer rows `a`, in place.
 
@@ -184,10 +180,6 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(tuple(Fraction(den * x, det) for x in row) for row in b)
 
 
-def solve(m: Matrix, b: Vector) -> Vector:
-    return mat_vec(inverse(m), b)
-
-
 def rref(m: Matrix):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     a, _ = matrix_numerators(m)
@@ -230,8 +222,3 @@ def int_mat_pow(a, den, k: int):
         if k:
             a, den = int_mat_mul(a, a), den * den
     return result, result_den
-
-
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    rows, den = int_mat_pow(*matrix_numerators(m), k)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)

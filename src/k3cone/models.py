@@ -161,16 +161,24 @@ class UpperHalfSpacePoint:
 
 
 def to_upper_half_space(frame, u) -> UpperHalfSpacePoint:
-    """Hyperboloid point U = (w, v, y) in cusp coordinates, each entry taken
-    exactly as a `Fraction`, maps to (y/w, 1/w); needs U.E > 0."""
+    """Point U = (w, v, y) in cusp coordinates, each entry taken exactly as
+    a `Fraction`, maps to (y/w, sqrt(U.U)/w): the image of U / ||U||, so
+    the map is scale-invariant and U need not lie on the hyperboloid.
+    U.U is one integer dot on the numerators `cusp_of` reads, rounded
+    once.  Needs U.E > 0 and U.U > 0 (`DomainError`)."""
     try:
         exact = [Fraction(t) for t in u]
     except (ValueError, OverflowError):
         raise InputError("point coordinates must be finite numbers") from None
-    w, _, *y = frame.cusp(exact)
+    a, da = frame.numerators(exact)
+    w, _, *y = frame.cusp_of(a, da)
     if w <= 0:
         raise DomainError("point does not pair positively with the fiber class")
-    return UpperHalfSpacePoint(tuple(t / w for t in y), 1.0 / w)
+    uu = linalg.dot(a, frame.form.images([a])[0])  # U.U = uu / (dg da^2)
+    if uu <= 0:
+        raise DomainError("point must lie inside the light cone")
+    norm = math.sqrt(uu / (frame.form.gram_numerators[1] * da * da))
+    return UpperHalfSpacePoint(tuple(t / w for t in y), norm / w)
 
 
 def from_upper_half_space(frame, point: UpperHalfSpacePoint):

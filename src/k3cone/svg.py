@@ -1,14 +1,18 @@
 """Deterministic SVG rendering of wall-circle scenes.
 
 Output is plain SVG 1.1 with fixed 6-decimal coordinate formatting, so a
-given scene renders to byte-identical documents across runs.
+given scene renders to byte-identical documents across runs.  A ball
+circle is drawn as its orthographic projection: only the two drawn
+coordinates of its points are evaluated, with the expression of
+`walls.ball_circle_points` on the first two of its axes, and each point
+is formatted once.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .walls import WallCircle, ball_circle_points
+from .walls import WallCircle, ball_circle_axes, unit_circle
 
 WIDTH = 640
 HEIGHT = 640
@@ -49,12 +53,14 @@ def _text_elem(options, x, y, text):
 
 
 def _path_elem(options, points):
-    parts = []
-    for i, (x, y) in enumerate(points):
-        cx, cy = _px(options, x, y)
-        parts.append(f"{'M' if i == 0 else 'L'} {_fmt(cx)} {_fmt(cy)}")
-    parts.append("Z")
-    return f'<path d="{" ".join(parts)}" fill="none"{_STROKE_ATTRS}/>'
+    """Closed polyline through points; `_px` and `_fmt` inlined, with one
+    "%.6f %.6f" per point."""
+    scale, x0, y0 = options.scale, WIDTH / 2.0, HEIGHT / 2.0
+    d = " L ".join(["%.6f %.6f" % (x0 + scale * x, y0 - scale * y)
+                    for x, y in points])
+    # _fmt's rule; with 6 decimals "-0.000000" can only be a whole number
+    d = d.replace("-0.000000", "0.000000")
+    return f'<path d="M {d} Z" fill="none"{_STROKE_ATTRS}/>'
 
 
 def _pad2(coords):
@@ -71,7 +77,10 @@ def _ball_circle_points(circle: WallCircle):
                  circle.center[1] + s * circle.radius * e1[1])
                 for s in (1.0, -1.0)]
     # orthographic projection to the first two coordinates
-    return [(p[0], p[1]) for p in ball_circle_points(circle, SAMPLES)]
+    (cx, ax, bx), (cy, ay, by) = ball_circle_axes(circle)[:2]
+    r = circle.radius
+    return [(cx + r * (ct * ax + st * bx), cy + r * (ct * ay + st * by))
+            for ct, st in unit_circle(SAMPLES)]
 
 
 def render_svg(scene: Sequence[WallCircle],

@@ -69,9 +69,6 @@ class Isometry:
         lhs = linalg.int_mat_mul(list(zip(*rows)), linalg.int_mat_mul(g, rows))
         return lhs == [[den * den * x for x in row] for row in g]
 
-    def is_integral(self) -> bool:
-        return self.numerators[1] == 1
-
 
 def parabolic_translation(inner, classE, v):
     """The map x -> x - (x.v + (x.E)(v.v)/2) E + (x.E) v, for v.E = 0.

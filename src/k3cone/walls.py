@@ -17,12 +17,19 @@ with D.E = 0 it degenerates to a vertical hyperplane.  In the Poincare
 ball, a wall traces a circle on the unit sphere.  The emitted closed forms
 are always gated behind a sampled residual check (|A.D| and |A.A| below
 1e-9 for reconstructed boundary classes).
+
+Per-scene work is done once: `orbit_walls` shares one `Fraction` per
+distinct numerator among its walls, a ball circle's points read
+(cos t, sin t) from one table per sample count and take its axes
+(centre, e1, e2) once, and `svg` projects onto the two coordinates it
+draws without building the others.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import linalg
@@ -55,20 +62,17 @@ def orbit_walls(frame, n: int):
 
     Every output has self-intersection -2 and meets the fiber class once.
     The integer numerators of each D_m come from `frame.section_map` over
-    one fixed denominator, so they dedupe as they are; `Fraction`s are
-    built only for the walls kept.
+    one fixed denominator, so they dedupe as they are; one `Fraction` is
+    built per distinct numerator of the walls kept, and shared.
     """
     if n < 0:
         raise InputError("orbit box size must be nonnegative")
     image, den = frame.section_map
-    seen = set()
-    out = []
-    for ms in itertools.product(range(-n, n + 1), repeat=frame.rank):
-        d = image(ms)
-        if d not in seen:
-            seen.add(d)
-            out.append(tuple(Fraction(x, den) for x in d))
-    return out
+    kept = dict.fromkeys(map(image, itertools.product(range(-n, n + 1),
+                                                      repeat=frame.rank)))
+    distinct = set(itertools.chain.from_iterable(kept))
+    frac = {x: Fraction(x, den) for x in distinct}
+    return [tuple(map(frac.__getitem__, d)) for d in kept]
 
 
 def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
@@ -139,16 +143,29 @@ def _plane_frame(normal):
     return basis
 
 
-def ball_circle_points(circle: WallCircle, k: int):
-    """k points center + r (cos t e1 + sin t e2), t = 2 pi idx / k, on a
-    ball wall circle; e1, e2 span the complement of the circle's normal
-    (e2 = 0 when the ball is 2-dimensional)."""
+@lru_cache(maxsize=8)
+def unit_circle(k: int) -> tuple:
+    """(cos t, sin t) at t = 2 pi idx / k for idx < k, built once per k."""
+    return tuple((math.cos(t), math.sin(t))
+                 for t in (2.0 * math.pi * idx / k for idx in range(k)))
+
+
+def ball_circle_axes(circle: WallCircle) -> list:
+    """(centre, e1, e2) entries per coordinate of a ball wall circle; e1, e2
+    span the complement of its normal (e2 = 0 when the ball is
+    2-dimensional)."""
     basis = _plane_frame(list(circle.normal))
     e1 = basis[0]
     e2 = basis[1] if len(basis) > 1 else [0.0] * len(e1)
-    thetas = (2.0 * math.pi * idx / k for idx in range(k))
-    return [[c + circle.radius * (math.cos(t) * a + math.sin(t) * b)
-             for c, a, b in zip(circle.center, e1, e2)] for t in thetas]
+    return list(zip(circle.center, e1, e2))
+
+
+def ball_circle_points(circle: WallCircle, k: int):
+    """k points center + r (cos t e1 + sin t e2), t = 2 pi idx / k, on a
+    ball wall circle, over `ball_circle_axes` and `unit_circle`."""
+    axes, r = ball_circle_axes(circle), circle.radius
+    return [[c + r * (ct * a + st * b) for c, a, b in axes]
+            for ct, st in unit_circle(k)]
 
 
 def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
@@ -158,18 +175,16 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     The returned float lattice vectors are the oracle for the closed forms:
     each should satisfy A.A ~ 0 and A.D ~ 0.  A uhs sample a (chart
     coordinates) is the null class with cusp coordinates (1, |a|^2/2, a),
-    mapped back by `FibrationFrame.from_cusp`.
+    mapped back by `FibrationFrame.from_cusp`.  `InputError` unless k >= 1.
     """
+    if k < 1:
+        raise InputError("a wall circle needs at least one sample")
     pts = []
     if circle.model == "uhs":
         frame = frame_or_form
         r = frame.chart.dim
-        for idx in range(k):
-            theta = 2.0 * math.pi * idx / k
-            e = [0.0] * r
-            e[0] = math.cos(theta)
-            if r > 1:
-                e[1] = math.sin(theta)
+        for ct, st in unit_circle(k):
+            e = ([ct, st] + [0.0] * r)[:r]
             a = [c + circle.radius * x for c, x in zip(circle.center, e)]
             pts.append(frame.from_cusp((1.0, sum(t * t for t in a) / 2.0, *a)))
     elif circle.model == "ball":
@@ -182,9 +197,12 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
 
 
 def max_residual(form, circle: WallCircle, samples) -> float:
-    """Worst |A.A| and |A.D| over the reconstructed sample points."""
+    """Worst |A.A| and |A.D| over a nonempty sequence of reconstructed
+    sample points; D is converted to floats once per circle."""
+    if not samples:
+        raise InputError("no samples to check the wall circle against")
+    d = [float(x) for x in circle.source_class]
     worst = 0.0
     for a in samples:
-        worst = max(worst, abs(inner_f(form, a, a)),
-                    abs(inner_f(form, a, circle.source_class)))
+        worst = max(worst, abs(inner_f(form, a, a)), abs(inner_f(form, a, d)))
     return worst

@@ -26,6 +26,30 @@ def f4():
     return f4_frame()
 
 
+def zero_vector(n: int):
+    return tuple(Fraction(0) for _ in range(n))
+
+
+def solve(m, b):
+    """Exact solution x of m x = b for an invertible m: the reference
+    solver of the tests, over `linalg.inverse` and `linalg.mat_vec`."""
+    return linalg.mat_vec(linalg.inverse(linalg.matrix(m)), b)
+
+
+def mat_pow(m, k: int):
+    """m^k as a `Fraction` matrix, through `linalg.int_mat_pow`."""
+    rows, den = linalg.int_mat_pow(*linalg.matrix_numerators(m), k)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def reassemble(frame: FibrationFrame, d):
+    """aP P + aE E + perp: the class a `Decomposition` splits."""
+    return linalg.vec_add(
+        linalg.vec_add(linalg.vec_scale(d.aP, frame.classP),
+                       linalg.vec_scale(d.aE, frame.classE)),
+        d.perp)
+
+
 def random_unimodular(rng: random.Random, n: int):
     """Random integer matrix of determinant +-1 (elementary column ops)."""
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -92,7 +116,7 @@ def random_orthogonal_to_fiber(frame: FibrationFrame, rng: random.Random):
 def random_boundary_class(frame: FibrationFrame, rng: random.Random):
     """Random rational null class A = P + aE*E + u on the ample side."""
     basis = frame.perp_basis()
-    u = linalg.zero_vector(frame.form.dim)
+    u = zero_vector(frame.form.dim)
     for b in basis:
         c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         u = linalg.vec_add(u, linalg.vec_scale(c, b))

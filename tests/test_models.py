@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_boundary_class, random_valid_frame
+from conftest import (random_boundary_class, random_valid_frame, solve,
+                      zero_vector)
 from k3cone import linalg
 from k3cone.errors import CuspError, DomainError, InputError
 from k3cone.frame import FibrationFrame
@@ -197,7 +198,7 @@ def test_boundary_chart_isometry(f4):
     for _ in range(20):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                   for _ in range(chart.dim)]
-        u = linalg.zero_vector(4)
+        u = zero_vector(4)
         for c, b in zip(coeffs, chart.basis):
             u = linalg.vec_add(u, linalg.vec_scale(c, b))
         e = chart.euclid(u)
@@ -215,7 +216,7 @@ def test_chart_inverse_built_once(monkeypatch):
     monkeypatch.setattr(linalg, "inverse",
                         lambda m: inverses.append(m) or inverse(m))
     coeffs = (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7))
-    u = linalg.zero_vector(frame.form.dim)
+    u = zero_vector(frame.form.dim)
     for c, b in zip(coeffs, chart.basis):
         u = linalg.vec_add(u, linalg.vec_scale(c, b))
     assert chart.coefficients(u) == coeffs
@@ -236,7 +237,7 @@ def test_chart_coefficients_solve_the_gram_system(seed, dim, scrambled,
               for _ in range(dim))
     rhs = tuple(-frame.form.inner(b, u) for b in chart.basis)
     coeffs = chart.coefficients(u)
-    assert coeffs == linalg.solve(chart.gram, rhs)
+    assert coeffs == solve(chart.gram, rhs)
     assert all(type(c) is Fraction for c in coeffs)
 
 
@@ -330,16 +331,38 @@ def _ill_conditioned_pairs():
 
 def test_uhs_distance_of_far_points_is_accurate():
     """On ill-conditioned frames the UHS distance of far-apart points is
-    within 1e-10 relative of the 60-digit distance of the same float
-    inputs: each input enters `cusp` exactly and is rounded once.  (The
-    inputs lie on the hyperboloid only to rounding, which the UHS map
-    assumes; that, not the map, sets the bound.)"""
+    within 1e-13 relative of the 60-digit distance of the same float
+    inputs.  Each input enters `cusp` exactly and is rounded once, and the
+    map normalizes it by its exact U.U, so the inputs need not lie on the
+    hyperboloid (they do only to rounding, up to 2.2e-10 here).  The
+    measured worst is 4.2e-15."""
     pairs = _ill_conditioned_pairs()
     assert len(pairs) > 400
     for frame, x, y, exact in pairs:
         d = uhs_distance(frame, to_upper_half_space(frame, x),
                          to_upper_half_space(frame, y))
-        assert abs(d - exact) < 1e-10 * exact
+        assert abs(d - exact) < 1e-13 * exact
+
+
+def test_uhs_map_is_scale_invariant(f4):
+    """U and cU (c > 0) map to the same point, as for U / ||U||."""
+    for u in (f4.ample, (3, 2, 1, 0), _random_interior(f4, random.Random(5))):
+        p = to_upper_half_space(f4, u)
+        q = to_upper_half_space(f4, [4 * Fraction(t) for t in u])
+        assert q.x == p.x
+        assert abs(q.z - p.z) <= 1e-15 * p.z
+
+
+def test_uhs_rejects_points_outside_the_light_cone(f4):
+    """A null class or a spacelike one with U.E > 0 has no UHS point."""
+    null = random_boundary_class(f4, random.Random(6))
+    assert f4.form.norm2(null) == 0
+    assert f4.form.inner(null, f4.classE) > 0
+    assert f4.form.norm2(f4.classO) == -2 and f4.form.inner(
+        f4.classO, f4.classE) > 0
+    for u in (null, f4.classO, [float(t) for t in f4.classO]):
+        with pytest.raises(DomainError, match="light cone"):
+            to_upper_half_space(f4, u)
 
 
 def test_from_cusp_inverts_cusp():

@@ -1,17 +1,18 @@
 import itertools
 import math
 import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_frame
-from k3cone import f4_frame, linalg
+from conftest import random_valid_frame, zero_vector
+from k3cone import f4_frame, linalg, svg, walls
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
-from k3cone.models import BallModel, BoundaryChart
+from k3cone.models import BallModel, BoundaryChart, inner_f
 from k3cone.svg import RenderOptions, render_svg
 from k3cone.translations import section_translate, translation
 from k3cone.walls import (max_residual, orbit_walls, sample_wall_circle,
@@ -43,7 +44,7 @@ def reference_orbit(frame, n):
     `itertools.product` order."""
     out = []
     for ms in itertools.product(range(-n, n + 1), repeat=frame.rank):
-        w = linalg.zero_vector(frame.form.dim)
+        w = zero_vector(frame.form.dim)
         for m, v in zip(ms, frame.translations):
             w = linalg.vec_add(w, linalg.vec_scale(m, v))
         d = section_translate(frame, w)
@@ -251,3 +252,123 @@ def test_default_chart_is_built_once_per_frame(monkeypatch):
         sample_wall_circle(frame, circle, 4)
     assert built == [frame]
     assert frame.chart.basis == frame.perp_basis()
+
+
+# -- per-scene work done once: equal to the per-point forms -------------------
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_residual_gate_needs_samples(f4, k):
+    """No sample count below 1, and no residual of an empty sample: the
+    < 1e-9 gate would pass on 0.0 with nothing checked."""
+    ball = BallModel(f4.form, f4.ample)
+    d = f4.sections[0]
+    for circle, target, kw in (
+            (wall_circle_uhs(f4, d), f4, {}),
+            (wall_circle_ball(f4.form, d, ball), f4.form, {"ball": ball})):
+        with pytest.raises(InputError, match="at least one sample"):
+            sample_wall_circle(target, circle, k, **kw)
+        with pytest.raises(InputError, match="no samples"):
+            max_residual(f4.form, circle, [])
+
+
+def ref_ball_circle_points(circle, k):
+    """Per point and per coordinate, as `ball_circle_points` once was."""
+    basis = walls._plane_frame(list(circle.normal))
+    e1 = basis[0]
+    e2 = basis[1] if len(basis) > 1 else [0.0] * len(e1)
+    thetas = (2.0 * math.pi * idx / k for idx in range(k))
+    return [[c + circle.radius * (math.cos(t) * a + math.sin(t) * b)
+             for c, a, b in zip(circle.center, e1, e2)] for t in thetas]
+
+
+def ref_fmt(v):
+    s = f"{v:.6f}"
+    return "0.000000" if s == "-0.000000" else s
+
+
+def ref_path_elem(options, points):
+    parts = []
+    for i, (x, y) in enumerate(points):
+        cx = svg.WIDTH / 2.0 + options.scale * x
+        cy = svg.HEIGHT / 2.0 - options.scale * y
+        parts.append(f"{'M' if i == 0 else 'L'} {ref_fmt(cx)} {ref_fmt(cy)}")
+    parts.append("Z")
+    return f'<path d="{" ".join(parts)}" fill="none"{svg._STROKE_ATTRS}/>'
+
+
+def ref_svg_ball_points(circle):
+    if len(circle.center) == 2:
+        normal = circle.normal
+        e1 = (-normal[1], normal[0])
+        return [(circle.center[0] + s * circle.radius * e1[0],
+                 circle.center[1] + s * circle.radius * e1[1])
+                for s in (1.0, -1.0)]
+    return [(p[0], p[1]) for p in ref_ball_circle_points(circle, svg.SAMPLES)]
+
+
+def ref_render(scene, options):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svg, "_path_elem", ref_path_elem)
+        mp.setattr(svg, "_ball_circle_points", ref_svg_ball_points)
+        return render_svg(scene, options)
+
+
+def ref_orbit_walls(frame, n):
+    """One `Fraction` per entry of every kept wall."""
+    image, den = frame.section_map
+    out, seen = [], set()
+    for ms in itertools.product(range(-n, n + 1), repeat=frame.rank):
+        d = image(ms)
+        if d not in seen:
+            seen.add(d)
+            out.append(tuple(Fraction(x, den) for x in d))
+    return out
+
+
+def ref_max_residual(form, circle, samples):
+    worst = 0.0
+    for a in samples:
+        worst = max(worst, abs(inner_f(form, a, a)),
+                    abs(inner_f(form, a, circle.source_class)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wall_scenes_match_per_point_forms(seed):
+    """On every dim 3-8 frame of the seed, plain and moved by a unimodular
+    change of basis: the ball render, the circle points, the orbit and the
+    residuals equal their per-point forms exactly (dim 3 draws the
+    two-point traces of the 2-dimensional ball).  The rendered scene is
+    that of `orbit_walls(frame, 1)`, cut at 81 walls (all of them up to
+    dim 6) to bound the per-point reference's time."""
+    for dim in range(3, 9):
+        for scrambled in (False, True):
+            frame = random_valid_frame(seed, dim, scrambled)
+            classes = orbit_walls(frame, 1)
+            assert classes == ref_orbit_walls(frame, 1)
+            ball = BallModel(frame.form, frame.ample)
+            scene = [wall_circle_ball(frame.form, d, ball)
+                     for d in classes[:81]]
+            options = RenderOptions(scale=280.0)
+            assert render_svg(scene, options) == ref_render(scene, options)
+            for circle in scene[:4]:
+                for k in (1, 3, 16, 64):
+                    assert (walls.ball_circle_points(circle, k)
+                            == ref_ball_circle_points(circle, k))
+                samples = sample_wall_circle(frame.form, circle, 16, ball=ball)
+                assert (max_residual(frame.form, circle, samples)
+                        == ref_max_residual(frame.form, circle, samples))
+                uhs = wall_circle_uhs(frame, circle.source_class)
+                samples = sample_wall_circle(frame, uhs, 16)
+                assert (max_residual(frame.form, uhs, samples)
+                        == ref_max_residual(frame.form, uhs, samples))
+
+
+def test_path_keeps_the_negative_zero_rule():
+    """A pixel coordinate in (-5e-7, 0] prints as 0.000000, as `_fmt` does;
+    other negative coordinates keep their sign."""
+    options = RenderOptions(scale=1.0)
+    points = [(-320.0000001, 320.0000001), (-320.5, 320.25), (-0.0, 0.0)]
+    doc = svg._path_elem(options, points)
+    assert doc == ref_path_elem(options, points)
+    assert "-0.000000" not in doc and "L -0.500000 -0.250000 L" in doc
