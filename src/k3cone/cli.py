@@ -13,7 +13,7 @@ from . import configio, heights, walls
 from .curves import (CurveQ, canonical_height as curve_canonical_height,
                      naive_height, nt_pairing as curve_nt_pairing,
                      specialization_scan)
-from .errors import K3ConeError
+from .errors import InputError, K3ConeError
 from .heights import SyntheticFibration
 from .models import BallModel
 from .svg import RenderOptions, render_svg
@@ -22,6 +22,19 @@ from .svg import RenderOptions, render_svg
 def _fail(exc: K3ConeError):
     click.echo(f"ERROR\t{type(exc).__name__}\t{exc}", err=True)
     sys.exit(1)
+
+
+def _parse(kind, text, name):
+    """kind(text); `InputError` naming the input if the text is malformed."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad {name}: {text!r}") from None
+
+
+def _point(text):
+    x, y = text.split(",")
+    return Fraction(x), Fraction(y)
 
 
 def _emit(out, text):
@@ -109,7 +122,8 @@ def synthetic_pair(frame_path, seed, noise, fibers, n_max, out):
     """Normalized pairing table of the synthetic fibration oracle."""
     try:
         frame = configio.load_frame(frame_path)
-        fiber_heights = [float(h) for h in fibers.split(",") if h]
+        fiber_heights = [_parse(float, h, "--fibers")
+                         for h in fibers.split(",") if h]
         fib = SyntheticFibration(frame, fiber_heights, noise, seed)
         lines = ["hE\ti\tj\tpairing\tnormalized\ttarget\tdeviation"]
         for i in range(frame.rank):
@@ -135,11 +149,9 @@ def synthetic_pair(frame_path, seed, noise, fibers, n_max, out):
 def curve_heights(a_coeff, b_coeff, points, tolerance, out):
     """Naive and canonical heights, plus pairings, on y^2 = x^3 + ax + b."""
     try:
-        curve = CurveQ(Fraction(a_coeff), Fraction(b_coeff))
-        pts = []
-        for raw in points:
-            x, y = raw.split(",")
-            pts.append((Fraction(x), Fraction(y)))
+        curve = CurveQ(_parse(Fraction, a_coeff, "--a"),
+                       _parse(Fraction, b_coeff, "--b"))
+        pts = [_parse(_point, raw, "--point") for raw in points]
         lines = ["kind\ti\tj\tvalue"]
         for i, p in enumerate(pts):
             lines.append(f"naive\t{i}\t-\t{naive_height(p):.9g}")
@@ -151,9 +163,8 @@ def curve_heights(a_coeff, b_coeff, points, tolerance, out):
                 val = curve_nt_pairing(curve, pts[i], pts[j], tolerance)
                 lines.append(f"pairing\t{i}\t{j}\t{val:.9g}")
         _emit(out, "\n".join(lines) + "\n")
-    except (K3ConeError, ValueError) as exc:
-        _fail(exc if isinstance(exc, K3ConeError) else
-              K3ConeError(f"bad curve input: {exc}"))
+    except K3ConeError as exc:
+        _fail(exc)
 
 
 @main.command("specialize-scan")
@@ -167,9 +178,11 @@ def specialize_scan(pencil_path, t_min, t_max, geometric_step, tolerance, out):
     """Pairing matrices of the specialized sections along t = t_min * step^k."""
     try:
         pencil = configio.load_pencil(pencil_path)
-        t0, t1, step = Fraction(t_min), Fraction(t_max), Fraction(geometric_step)
+        t0, t1, step = (_parse(Fraction, t_min, "--t-min"),
+                        _parse(Fraction, t_max, "--t-max"),
+                        _parse(Fraction, geometric_step, "--geometric-step"))
         if step <= 1 or t0 <= 0:
-            raise K3ConeError("need t_min > 0 and geometric step > 1")
+            raise InputError("need t_min > 0 and geometric step > 1")
         ts = []
         t = t0
         while t <= t1:

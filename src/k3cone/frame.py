@@ -10,13 +10,14 @@ coordinate subspace
 on which the form is negative definite.
 
 The exact work runs on integers the frame computes once (`fixed`): the
-numerators of E, O, P and the ample class over one denominator, and their
-integer Gram images g C.  A product x.C with one of these classes is then
-one `numerators` of x and one integer dot, and each public call takes the
-numerators of its argument once.  `Fraction`s are built only for what a
+numerators of E, O, P and the ample class over one denominator, their
+integer Gram images g C, and E.E, P.P, E.P.  A product x.C with one of
+these classes is then one `numerators` of x and one integer dot, and each
+public call takes the numerators of its argument once.  `Fraction`s are built only for what a
 call returns.  `decompose` splits a class exactly as aP*P + aE*E + perp,
-perp in V.  `cusp` gives the float cusp coordinates (w, v, y) of an exact
-class, y its chart coordinates; `from_cusp` maps them to a float vector.
+perp in V, by Cramer's rule on those products.  `cusp` gives the float
+cusp coordinates (w, v, y) of an exact class, y its chart coordinates;
+`from_cusp` maps them to a float vector.
 `section_map` gives the section translates D_m = T_w([O]) on integer
 numerators, and the section classes D_i = T_{v_i}([O]) are its images of
 the unit vectors (`sections`), derived on first read and cached; they are
@@ -31,7 +32,7 @@ from typing import NamedTuple
 
 from . import involutions, linalg
 from .errors import FrameError, InputError
-from .lattice import IntersectionForm, plane_splitting, signature
+from .lattice import IntersectionForm, signature
 from .linalg import Matrix, Vector, dot, vector
 from .models import BoundaryChart
 
@@ -50,8 +51,9 @@ class FixedClasses(NamedTuple):
     denominator q, with their integer Gram images g C.
 
     For x = a / da, x.C = (a . gC) / (da den) with den = dg q, and the
-    product of two of these classes is (c . gC') / (den q).  det is the
-    numerator of (E.P)^2 - (E.E)(P.P) over (den q)^2.
+    product of two of these classes is (c . gC') / (den q): ee, pp and ep
+    are those numerators of E.E, P.P and E.P, and det = ep^2 - ee pp that
+    of (E.P)^2 - (E.E)(P.P) over (den q)^2.
     """
 
     E: tuple
@@ -64,6 +66,9 @@ class FixedClasses(NamedTuple):
     gA: tuple
     q: int
     den: int
+    ee: int
+    pp: int
+    ep: int
     det: int
 
 
@@ -144,11 +149,10 @@ class FibrationFrame:
         p = [x + y for x, y in zip(o, e)]
         classes = tuple(map(tuple, (e, o, p, amp)))
         images = tuple(map(tuple, self.form.images(classes)))
-        ge, gp = images[0], images[2]
-        ep = dot(e, gp)
+        ee, pp, ep = dot(e, images[0]), dot(p, images[2]), dot(e, images[2])
         return FixedClasses(*classes, *images, q,
                             self.form.gram_numerators[1] * q,
-                            ep * ep - dot(e, ge) * dot(p, gp))
+                            ee, pp, ep, ep * ep - ee * pp)
 
     def numerators(self, x) -> tuple:
         """(integer numerators, denominator) of an exact vector (entries
@@ -259,21 +263,17 @@ class FibrationFrame:
 
     # -- splitting ---------------------------------------------------------
 
-    @cached_property
-    def _split(self):
-        """`plane_splitting` on the integer numerators e, p of E and P, the
-        product with e or p read off their cached Gram images: an integer
-        vector a -> det (w, v, perp) for a = w p + v e + perp, det the
-        integer determinant of `fixed`."""
-        c = self.fixed
-        images = {c.E: c.gE, c.P: c.gP}
-        return plane_splitting(lambda x, y: dot(x, images[y]), c.E, c.P)
-
     def split_numerators(self, a) -> tuple:
-        """det (w, v, perp) on integers for integer numerators a: see
-        `decompose`.  Raises `FrameError` unless perp.E = perp.P = 0."""
-        w, v, perp = self._split(a)
+        """det (w, v, perp) for integer numerators a = w P + v E + perp:
+        Cramer's rule on the products in `fixed`, with no division.
+        `FrameError` on a degenerate (E, P) pair or unless perp is in V."""
         c = self.fixed
+        if not c.det:
+            raise FrameError("degenerate (E, P) pair: determinant 0")
+        xe, xp = dot(a, c.gE), dot(a, c.gP)
+        w = xe * c.ep - xp * c.ee
+        v = xp * c.ep - xe * c.pp
+        perp = tuple(c.det * x - w * p - v * e for x, p, e in zip(a, c.P, c.E))
         if dot(perp, c.gE) or dot(perp, c.gP):
             raise FrameError("perp component is not orthogonal to E and P")
         return w, v, perp
@@ -319,12 +319,11 @@ class FibrationFrame:
         c = self.fixed
         if dot(a, c.gE):
             raise InputError("vector is not orthogonal to the fiber class")
-        ep = dot(c.E, c.gP)
-        if ep == 0:
+        if c.ep == 0:
             raise FrameError("fiber class is orthogonal to P = O + E")
         vp = dot(a, c.gP)
-        den = da * ep
-        return tuple(Fraction(ep * x - vp * y, den) for x, y in zip(a, c.E))
+        den = da * c.ep
+        return tuple(Fraction(c.ep * x - vp * y, den) for x, y in zip(a, c.E))
 
     def vperp_rep(self, di: Vector) -> Vector:
         """Translation vector recovered from a section class:

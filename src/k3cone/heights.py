@@ -10,9 +10,10 @@ iterated noise obeys the growth contract |perp| <= M n, |scalar| <= M |v| n^2.
 
 Heights live in cusp coordinates (w, v, y) = wP + vE + sum y_k b_k
 (`FibrationFrame.cusp_of`, product `models.cusp_inner`): the base height
-is (h(E), 0, 0...), noise is (0, scalar, perp), and exact classes (the
-group translation, the reference divisor D) are converted once each, from
-integer numerators (the frame's `translation_numerators`, one of D).
+is (h(E), 0, 0...), noise is (0, scalar, perp), and exact classes are
+converted once each from integer numerators: the reference divisor D to
+cusp coordinates, the group translation v (`translation_numerators`) to
+its chart coordinates u, so that T_v (h, 0, 0) = (h, h (|u|^2 / 2), h u).
 
 Canonical heights are memoized per fibration, keyed by (point, D in cusp
 coordinates, n_max): `canonical_height`, `nt_pairing` and
@@ -28,9 +29,8 @@ prefix-consistent (the first n steps do not depend on how many are run).
 Cost model: a height at n_max runs 2 n_max steps of the error recurrence,
 each r + 1 draws from the height's one generator plus O(r) float work,
 and three exact translates.  The error (0, e, y) is advanced as two
-scalars, e += <y, u> + s and y += c: its w is 0.0 exactly, so every other
-term of the translation T_u is +-0.0 and the doubles equal those of
-T_u err + noise.
+scalars, e += <y, u> + s and y += c: its w is 0, so that is T_u err +
+noise.
 
 Sign convention: the Lorentz product is negative definite on the boundary
 subspace, so the canonical height comes out as -h(E) (v.v) ([E].D) / 2 >= 0
@@ -48,7 +48,6 @@ from operator import index, mul
 from .errors import FrameError, InputError
 from .linalg import Vector, dot, vector
 from .models import cusp_inner
-from .translations import parabolic_translation
 
 
 def _integer(n, name: str, least=None) -> int:
@@ -120,20 +119,19 @@ class SyntheticFibration:
             raise InputError("noise bound must be finite and nonnegative")
         if not all(0.0 < h < math.inf for h in self.fiber_heights):
             raise InputError("fiber heights must be finite and positive")
-        c, n = frame.fixed, frame.form.dim
-        if (dot(c.E, c.gE), dot(c.P, c.gP), dot(c.E, c.gP)) != (0, 0, c.den * c.q):
+        c = frame.fixed
+        if (c.ee, c.pp, c.ep) != (0, 0, c.den * c.q):
             raise FrameError("synthetic oracle needs E.E = P.P = 0, E.P = 1")
         self.frame = frame
         self.seed = _integer(seed, "seed")
-        self.classE = (0.0, 1.0) + (0.0,) * (n - 2)
-        self._perp_cap = self.noise_bound / math.sqrt(max(n - 2, 1))
+        self._perp_cap = self.noise_bound / math.sqrt(max(frame.form.dim - 2, 1))
         self._heights = {}
 
     def base_height(self, fiber: int):
         """h(O_E) = h(E) P = (h(E), 0, 0...), so h(O_E).[E] = h(E) exactly."""
         if not 0 <= fiber < len(self.fiber_heights):
             raise InputError(f"no fiber with index {fiber}")
-        return (self.fiber_heights[fiber], 0.0) + self.classE[2:]
+        return (self.fiber_heights[fiber],) + (0.0,) * (self.frame.form.dim - 1)
 
     def _group_numerators(self, point: FiberPoint):
         """(numerators of w = sum m_i v_i, their denominator qv): sum m_i
@@ -149,12 +147,16 @@ class SyntheticFibration:
         w, qv = self._group_numerators(point)
         return tuple(Fraction(x, qv) for x in w)
 
-    def _translation(self, u):
-        """x -> T_u x on cusp coordinates, u the cusp coordinates of v."""
-        return parabolic_translation(cusp_inner, self.classE, u)
+    def _chart_translation(self, point: FiberPoint):
+        """The chart coordinates u of w = sum m_i v_i: T_w depends on u."""
+        return self.frame.chart.euclid_of(*self._group_numerators(point))
 
-    def _cusp_translation(self, point: FiberPoint):
-        return self.frame.cusp_of(*self._group_numerators(point))
+    def _translated_base(self, fiber: int, u):
+        """T_v h(O_E) for v with chart coordinates u.  In cusp coordinates
+        T_v (w, e, y) = (w, e + <y, u> + w |u|^2 / 2, y + w u), so at
+        h(O_E) = (h, 0, 0) it is (h, h (|u|^2 / 2), h u)."""
+        h = self.base_height(fiber)[0]
+        return (h, h * (sum(map(mul, u, u)) / 2), *(h * t for t in u))
 
     def _stream(self, point: FiberPoint, name: str):
         """The point's noise generator `name`:
@@ -169,8 +171,7 @@ class SyntheticFibration:
         "point" generator: r of uniform(-M/sqrt(r), M/sqrt(r)) for perp,
         so |perp| <= M, then uniform(-M, M) for the scalar.
         """
-        h = self._translation(self._cusp_translation(point))(
-            self.base_height(point.fiber))
+        h = self._translated_base(point.fiber, self._chart_translation(point))
         m, cap = self.noise_bound, self._perp_cap
         rng = self._stream(point, "point")
         perp = tuple(rng.uniform(-cap, cap) for _ in h[2:])
@@ -180,20 +181,20 @@ class SyntheticFibration:
     def iterated_height(self, point: FiberPoint, n: int):
         """h(tau_v^n O_E): exact translate plus per-step accumulated noise."""
         n = _integer(n, "step count", least=0)
-        return self._iterated_heights(point, self._cusp_translation(point),
+        return self._iterated_heights(point, self._chart_translation(point),
                                       (n,))[0]
 
     def _iterated_heights(self, point: FiberPoint, u, steps):
         """`iterated_height` at each of the distinct ascending step counts,
-        from one pass over the error recurrence; u is the cusp translation.
+        from one pass over the error recurrence; u is the chart translation.
         Only the errors at those steps are built as vectors."""
-        base = self.base_height(point.fiber)
         errors, at, kept = self._errors(point, u), 0, []
         for k in steps:
             e, y = next(itertools.islice(errors, k - at, None))
             kept.append((0.0, e) + y)
             at = k + 1
-        exact = (self._translation(tuple(n * c for c in u))(base) for n in steps)
+        exact = (self._translated_base(point.fiber, tuple(n * t for t in u))
+                 for n in steps)
         return [tuple(a + b for a, b in zip(h, err))
                 for h, err in zip(exact, kept)]
 
@@ -201,14 +202,10 @@ class SyntheticFibration:
         """(e, y) of the accumulated iterated error (0, e, y) after steps
         0, 1, 2, ...
 
-        err_0 = 0 and err_{k+1} = T_u err_k + noise_k, noise_k = (0, s, c).
-        Every error has w = 0.0 exactly, so in T_u (w, e, y) =
-        (w, e + <y, u> + w|u|^2/2, y + w u) each term that carries w (or
-        x.E = w) is +-0.0.  The scalar recurrence e += <y, u> + s, y += c
-        therefore gives the translated error bit for bit on finite values:
-        a +-0.0 term can change only the sign of a zero, and adding the
-        draw, which is never -0.0, makes that sum the same.  <y, u> is
-        sum(map(mul, y, u)) in the order of `models.cusp_inner`.
+        err_0 = 0 and err_{k+1} = T_u err_k + noise_k, noise_k = (0, s, c),
+        u the chart translation.  Every error has w = 0, and T_u (0, e, y)
+        = (0, e + <y, u>, y), so the recurrence is e += <y, u> + s,
+        y += c, with <y, u> = sum(map(mul, y, u)).
 
         The noise is one stream per height, the point's "steps" generator
         drawn in order: at each step r draws of uniform(-M/sqrt(r),
@@ -218,7 +215,7 @@ class SyntheticFibration:
         float work and no reseed.  Without noise the error stays zero and
         nothing is drawn.
         """
-        zero = (0.0,) * (len(u) - 2)
+        zero = (0.0,) * len(u)
         yield 0.0, zero
         if self.noise_bound == 0.0:
             yield from itertools.repeat((0.0, zero))
@@ -226,10 +223,10 @@ class SyntheticFibration:
         lo, width = -cap, cap - -cap
         lo_s, width_s = -m, m - -m
         draw = self._stream(point, "steps").random
-        e, y, uy = 0.0, zero, u[2:]
+        e, y = 0.0, zero
         while True:
             y_next = tuple([a + (lo + width * draw()) for a in y])
-            e = e + sum(map(mul, y, uy)) + (lo_s + width_s * draw())
+            e = e + sum(map(mul, y, u)) + (lo_s + width_s * draw())
             y = y_next
             yield e, y
 
@@ -237,7 +234,7 @@ class SyntheticFibration:
         """(n, |y|, |v|) of the error (0, v, y) for n = 1..n_steps: its
         boundary norm and E-component, for the growth-contract checks."""
         n_steps = _integer(n_steps, "n_steps", least=0)
-        u = self._cusp_translation(point)
+        u = self._chart_translation(point)
         errors = itertools.islice(self._errors(point, u), 1, n_steps + 1)
         return [(n, math.hypot(*y), abs(e))
                 for n, (e, y) in enumerate(errors, start=1)]
@@ -261,13 +258,13 @@ def _height(fib: SyntheticFibration, point: FiberPoint, dc, n_max: int):
     """(value, bound) of `canonical_height`, from the fibration's memo."""
     key = (point, dc, n_max)
     if key not in fib._heights:
-        u = fib._cusp_translation(point)
+        u = fib._chart_translation(point)
         s0, s1, s2 = (cusp_inner(h, dc) for h in
                       fib._iterated_heights(point, u, (0, n_max, 2 * n_max)))
         value = (s2 - 2.0 * s1 + s0) / (2.0 * n_max * n_max)
         m = fib.noise_bound
         fib._heights[key] = (
-            value, 3.0 * m * math.hypot(*u[2:]) * dc[0]
+            value, 3.0 * m * math.hypot(*u) * dc[0]
             + 2.0 * m * (dc[0] + math.hypot(*dc[2:])) / n_max)
     return fib._heights[key]
 

@@ -16,13 +16,9 @@ basis as integer columns B_c with one nonzero integer scale s_c each
 B^T g B, and builds the `Fraction` basis and diagonal once, at the end.
 The one float value here is `IntersectionForm.gram_f`, a double-precision
 copy of the Gram matrix that is computed once per form and read only by
-`models.inner_f`; real-valued geometry lives in `models`.
-
-`plane_splitting`, a closure over a bilinear product, is the one
-splitting x = wP + vE + perp; the frame runs it over integer numerators
-and Gram images.  It is homogeneous, so the split stays on integers:
-`FibrationFrame.decompose` divides once, and `FibrationFrame.cusp` rounds
-w and v from the same integers.
+`models.inner_f`; real-valued geometry lives in `models`.  The same
+diagonalization, of a chart's Gram on the boundary subspace, gives
+`models.BoundaryChart` its orthogonal basis.
 """
 
 from dataclasses import dataclass
@@ -32,7 +28,7 @@ from math import gcd
 from operator import mul
 
 from . import linalg
-from .errors import DegenerateFormError, FrameError, InputError
+from .errors import DegenerateFormError, InputError
 from .linalg import Matrix, Vector, matrix
 
 
@@ -212,34 +208,6 @@ def in_light_cone(form: IntersectionForm, x: Vector, ample: Vector) -> bool:
     if form.norm2(ample) <= 0:
         raise InputError("reference vector must have positive self-product")
     return form.norm2(x) > 0 and form.inner(x, ample) > 0
-
-
-def plane_splitting(inner, classE, classP):
-    """x -> det (w, v, perp) for x = wP + vE + perp, perp orthogonal to E and P.
-
-    Cramer's rule on x.E = w E.P + v E.E, x.P = w P.P + v E.P, with E.E,
-    P.P, E.P and det = (E.P)^2 - (E.E)(P.P) computed once; a degenerate
-    plane raises `FrameError`.  The closure returns the splitting of det x:
-    det w = x.E E.P - x.P E.E, det v = x.P E.P - x.E P.P and
-    det x - (det w) P - (det v) E, with no division, so integer numerators
-    and an integer `inner` keep it on integers.  The caller divides by det
-    once.  Scalars are whatever `inner` and the entries are, as in
-    `translations.parabolic_translation`.
-    """
-    ee, pp = inner(classE, classE), inner(classP, classP)
-    ep = inner(classE, classP)
-    det = ep * ep - ee * pp
-    if not det:
-        raise FrameError("degenerate (E, P) pair: determinant 0")
-
-    def split(x):
-        xe, xp = inner(x, classE), inner(x, classP)
-        w = xe * ep - xp * ee
-        v = xp * ep - xe * pp
-        return w, v, tuple(det * xi - w * pi - v * ei
-                           for xi, pi, ei in zip(x, classP, classE))
-
-    return split
 
 
 def form_from_dict(doc: dict) -> IntersectionForm:

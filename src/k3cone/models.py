@@ -8,9 +8,10 @@ precision.  Distances use the chord form d = 2 asinh(chord / 2) rather
 than arccosh(1 + x), which loses half the digits for points close
 together.  The UHS model and the synthetic height oracle work in cusp
 coordinates (`FibrationFrame.cusp`), free of a scrambled basis's
-cancellation; `inner_f` is the lattice-coordinate oracle.  Stated
-tolerances: 1e-12 for identities that are exact underneath, 1e-9 for
-cross-model agreement.
+cancellation; `inner_f` is the lattice-coordinate oracle.  `BoundaryChart`
+and `BallModel` are both built on an exact `congruent_diagonalization`.
+Stated tolerances: 1e-12 for identities that are exact underneath, 1e-9
+for cross-model agreement.
 """
 
 import math
@@ -20,7 +21,7 @@ from operator import mul
 
 from . import linalg
 from .errors import CuspError, DomainError, InputError
-from .lattice import IntersectionForm
+from .lattice import IntersectionForm, congruent_diagonalization
 from .linalg import Vector, vector
 
 
@@ -275,76 +276,52 @@ def ball_distance(b1, b2) -> float:
 class BoundaryChart:
     """Orthonormal Euclidean coordinates on V = {x : x.E = x.P = 0}.
 
-    Built from a deterministic exact basis of V and a Cholesky factor of its
-    (negated, positive definite) Gram matrix, so that the 2-norm of the
-    coordinates equals sqrt(-u.u).  The exact map u -> G^-1 (-B J u) to
-    coordinates in that basis (G the chart Gram, B the basis rows, J the
-    lattice Gram) is built once, at construction, as integer numerators
-    over one denominator.
+    Built from a deterministic exact basis of V and the exact
+    `congruent_diagonalization` of its (negated, positive definite) Gram
+    G.  With pivots in basis order that is G = L D L^T, so the map is
+    Cholesky's: the columns of L^-T give orthogonal vectors b'_k in V with
+    -b'_k.b'_k = d_k, and y_k = -(u.b'_k) / sqrt(d_k), so that the 2-norm
+    of y equals sqrt(-u.u).  The b'_k are kept as integer numerators over
+    one denominator with their negated integer Gram images, and sqrt(d_k)
+    as a double, all built once, at construction.
     """
 
     def __init__(self, frame):
         self.form = form = frame.form
         self.basis = frame.boundary_basis
-        self._basis_f = [[float(x) for x in b] for b in self.basis]
-        r = len(self.basis)
-        self.gram = linalg.matrix(
-            [[-form.inner(bi, bj) for bj in self.basis] for bi in self.basis])
-        # dense Cholesky of a tiny positive definite matrix
-        g = [[float(x) for x in row] for row in self.gram]
-        low = [[0.0] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i + 1):
-                s = g[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
-                if i == j:
-                    if s <= 0:
-                        raise DomainError("boundary Gram is not positive definite")
-                    low[i][i] = math.sqrt(s)
-                else:
-                    low[i][j] = s / low[j][j]
-        self._low = low
-        # G^-1 (-B J) = -(G^-1 B J): negate the denominator, not every entry
-        rows, den = linalg.matrix_numerators(linalg.mat_mul(
-            linalg.inverse(self.gram), linalg.mat_mul(self.basis, form.gram)))
-        self._coeff_rows, self._coeff_den = rows, -den
-        self.dim = r
-
-    def _numerators(self, u):
-        a, da = linalg.numerators(vector(u))
-        if len(a) != self.form.dim:
-            raise InputError("vector dimension does not match the form")
-        return a, da
-
-    def coefficients(self, u) -> Vector:
-        """Exact coordinates of an exact vector u in the stored basis, which
-        are those of its perp: B J kills E and P."""
-        a, da = self._numerators(u)
-        den = self._coeff_den * da
-        return tuple(Fraction(sum(map(mul, row, a)), den)
-                     for row in self._coeff_rows)
+        s, diag = congruent_diagonalization(IntersectionForm(
+            [[-form.inner(bi, bj) for bj in self.basis] for bi in self.basis]))
+        if not all(d > 0 for d in diag):
+            raise DomainError("boundary Gram is not positive definite")
+        # b'_k = sum_i s_ik b_i, column k of s read in the basis of V
+        ortho = [[sum(row[k] * b[j] for row, b in zip(s, self.basis))
+                  for j in range(form.dim)] for k in range(len(diag))]
+        rows, q = linalg.matrix_numerators(ortho)
+        # u.b'_k = -(a . h_k) / (da dg q) for u = a / da, h_k = -g (q b'_k)
+        self._images = [[-x for x in g] for g in form.images(rows)]
+        self._den = form.gram_numerators[1] * q
+        self._roots = [math.sqrt(d) for d in diag]
+        self._ortho_f = [[float(x) for x in b] for b in ortho]
+        self.dim = len(diag)
 
     def euclid_of(self, a, da):
-        """Euclidean coordinates L^T c of x = a / da (integer numerators), c
-        its basis coordinates as integer quotients, each rounded once."""
-        den = self._coeff_den * da
-        c = [sum(map(mul, row, a)) / den for row in self._coeff_rows]
-        r = self.dim
-        return tuple(sum(self._low[i][k] * c[i] for i in range(k, r))
-                     for k in range(r))
+        """Euclidean coordinates of x = a / da (integer numerators): per
+        coordinate one integer dot, one integer quotient rounded once, and
+        one division by sqrt(d_k), so a rescaled a gives the same doubles."""
+        den = self._den * da
+        return tuple(linalg.dot(a, h) / den / root
+                     for h, root in zip(self._images, self._roots))
 
     def euclid(self, u):
         """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u) for u in V."""
-        return self.euclid_of(*self._numerators(u))
+        a, da = linalg.numerators(vector(u))
+        if len(a) != self.form.dim:
+            raise InputError("vector dimension does not match the form")
+        return self.euclid_of(a, da)
 
     def lattice(self, e):
-        """Float lattice vector with the given Euclidean coordinates."""
-        r = self.dim
-        # back-substitute L^T c = e
-        c = [0.0] * r
-        for i in range(r - 1, -1, -1):
-            s = e[i] - sum(self._low[j][i] * c[j] for j in range(i + 1, r))
-            c[i] = s / self._low[i][i]
-        n = self.form.dim
-        basis = self._basis_f
-        return tuple(sum(c[i] * basis[i][j] for i in range(r))
-                     for j in range(n))
+        """Float lattice vector sum_k e_k b'_k / sqrt(d_k) in V with the
+        given Euclidean coordinates."""
+        c = [t / root for t, root in zip(e, self._roots)]
+        return tuple(sum(ck * b[j] for ck, b in zip(c, self._ortho_f))
+                     for j in range(self.form.dim))

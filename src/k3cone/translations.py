@@ -6,7 +6,8 @@ The core map sends x to
 
 for v with v.E = 0.  It preserves the form, fixes E, and acts on the
 Euclidean boundary at the cusp E as translation by (the boundary component
-of) v.
+of) v: (w, e, y) -> (w, e + <y, u> + w|u|^2/2, y + w u) in cusp
+coordinates, u the chart coordinates of v, as `heights` writes it out.
 
 Every exact map here, and every reflection of `involutions`, is an
 `Isometry` held as integer rows over one denominator; its `Fraction`
@@ -68,28 +69,6 @@ class Isometry:
         g, _ = self.form.gram_numerators
         lhs = linalg.int_mat_mul(list(zip(*rows)), linalg.int_mat_mul(g, rows))
         return lhs == [[den * den * x for x in row] for row in g]
-
-
-def parabolic_translation(inner, classE, v):
-    """The map x -> x - (x.v + (x.E)(v.v)/2) E + (x.E) v, for v.E = 0.
-
-    `inner` is the bilinear product, and the scalars are whatever it and
-    the entries of E, v and x are: `IntersectionForm.inner` on rational
-    vectors gives the exact map, `models.inner_f` on float vectors a float
-    one.  Over `models.cusp_inner`, with E = (0, 1, 0...) and v = (0, 0, u)
-    in cusp coordinates, it is the O(r) Euclidean translation (w, v, y) ->
-    (w, v + <y, u> + w|u|^2/2, y + w u) seen from the cusp [E].  v.v/2 is
-    computed once per v.
-    """
-    half_vv = inner(v, v) / 2
-
-    def apply(x):
-        xe = inner(x, classE)
-        coeff = inner(x, v) + xe * half_vv
-        return tuple(xi - coeff * ei + xe * vi
-                     for xi, ei, vi in zip(x, classE, v))
-
-    return apply
 
 
 def translation_matrix(form: IntersectionForm, classE: Vector, v: Vector) -> Isometry:

@@ -153,7 +153,9 @@ def unit_circle(k: int) -> tuple:
 def ball_circle_axes(circle: WallCircle) -> list:
     """(centre, e1, e2) entries per coordinate of a ball wall circle; e1, e2
     span the complement of its normal (e2 = 0 when the ball is
-    2-dimensional)."""
+    2-dimensional).  `InputError` on a 1-dimensional ball."""
+    if len(circle.center) < 2:
+        raise InputError("walls have no boundary trace in a 1-dimensional ball")
     basis = _plane_frame(list(circle.normal))
     e1 = basis[0]
     e2 = basis[1] if len(basis) > 1 else [0.0] * len(e1)
@@ -175,7 +177,9 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     The returned float lattice vectors are the oracle for the closed forms:
     each should satisfy A.A ~ 0 and A.D ~ 0.  A uhs sample a (chart
     coordinates) is the null class with cusp coordinates (1, |a|^2/2, a),
-    mapped back by `FibrationFrame.from_cusp`.  `InputError` unless k >= 1.
+    mapped back by `FibrationFrame.from_cusp`.  A 1-dimensional trace is
+    two points, sampled min(k, 2) times.  `InputError` unless k >= 1, and
+    on a 0-dimensional boundary, which walls do not meet.
     """
     if k < 1:
         raise InputError("a wall circle needs at least one sample")
@@ -183,13 +187,16 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     if circle.model == "uhs":
         frame = frame_or_form
         r = frame.chart.dim
-        for ct, st in unit_circle(k):
+        if r == 0:
+            raise InputError("walls have no trace on a 0-dimensional boundary")
+        for ct, st in unit_circle(min(k, 2) if r == 1 else k):
             e = ([ct, st] + [0.0] * r)[:r]
             a = [c + circle.radius * x for c, x in zip(circle.center, e)]
             pts.append(frame.from_cusp((1.0, sum(t * t for t in a) / 2.0, *a)))
     elif circle.model == "ball":
         if ball is None:
             raise InputError("ball model required to sample ball circles")
+        k = min(k, 2) if len(circle.center) == 2 else k
         pts = [ball.null_lift(u) for u in ball_circle_points(circle, k)]
     else:
         raise InputError(f"unknown circle model {circle.model!r}")

@@ -42,6 +42,26 @@ def mat_pow(m, k: int):
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
+def parabolic_translation(inner, classE, v):
+    """Reference x -> x - (x.v + (x.E)(v.v)/2) E + (x.E) v, for v.E = 0.
+
+    Written once over any bilinear product `inner`: `IntersectionForm.inner`
+    on rational vectors gives the exact map, `models.inner_f` on float
+    vectors a float one, and `models.cusp_inner` on cusp coordinates, with
+    E = (0, 1, 0...) and v = (0, 0, u), the Euclidean translation
+    (w, v, y) -> (w, v + <y, u> + w|u|^2/2, y + w u) seen from the cusp.
+    """
+    half_vv = inner(v, v) / 2
+
+    def apply(x):
+        xe = inner(x, classE)
+        coeff = inner(x, v) + xe * half_vv
+        return tuple(xi - coeff * ei + xe * vi
+                     for xi, ei, vi in zip(x, classE, v))
+
+    return apply
+
+
 def reassemble(frame: FibrationFrame, d):
     """aP P + aE E + perp: the class a `Decomposition` splits."""
     return linalg.vec_add(

@@ -158,6 +158,36 @@ def test_specialize_scan_rejects_bad_range(runner):
     assert "ERROR" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["synthetic-pair", FRAME, "--fibers", "10,abc"],
+    ["specialize-scan", PENCIL, "--t-min", "abc"],
+    ["specialize-scan", PENCIL, "--t-min", "1/0"],
+    ["specialize-scan", PENCIL, "--t-min", "0", "--t-max", "8"],
+    ["curve-heights", "--a", "0", "--b", "x", "--point", "3,5"],
+    ["curve-heights", "--a", "0", "--b", "-2", "--point", "3"],
+])
+def test_malformed_input_is_an_input_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+
+
+def test_render_ball_rejects_a_rank_zero_frame(runner, tmp_path):
+    """A rank-0 frame's ball is 1-dimensional: its walls have no trace."""
+    config = tmp_path / "rank0.json"
+    config.write_text(json.dumps({"gram": [[0, 1], [1, 0]], "E": [1, 0],
+                                  "O": [-1, 1], "ample": [2, 1],
+                                  "translations": []}))
+    out = tmp_path / "rank0.svg"
+    result = runner.invoke(main, ["render", str(config), "--model", "ball",
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+    assert not out.exists()
+
+
 # Generated by the CLI before the (E, P) splitting was rewritten; any
 # refactor must leave these outputs byte-identical.
 GOLDEN_RUNS = [

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import (random_orthogonal_to_fiber, random_unimodular,
                       random_valid_frame, reassemble, solve)
 from k3cone import configio, involutions, lattice, linalg
-from k3cone import frame as frame_module
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
@@ -257,11 +256,10 @@ def test_decompose_wraps_only_a_degenerate_pair(f4, monkeypatch):
     flat = FibrationFrame(f4.form, (0, 0, 0, 0), f4.classO, f4.ample)
     with pytest.raises(FrameError, match="degenerate"):
         flat.decompose(f4.ample)
-
-    def broken_splitting(inner, classE, classP):
-        raise TypeError("broken splitting")
-
-    monkeypatch.setattr(frame_module, "plane_splitting", broken_splitting)
+    # a determinant that does not match the cached products fails the
+    # orthogonality check of the split, not the degeneracy check
     fresh = FibrationFrame(f4.form, f4.classE, f4.classO, f4.ample)
-    with pytest.raises(TypeError, match="broken splitting"):
+    c = fresh.fixed
+    monkeypatch.setitem(fresh.__dict__, "fixed", c._replace(det=c.det + 1))
+    with pytest.raises(FrameError, match="not orthogonal"):
         fresh.decompose(f4.ample)

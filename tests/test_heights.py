@@ -6,7 +6,7 @@ from operator import add, mul
 
 import pytest
 
-from conftest import random_valid_frame
+from conftest import parabolic_translation, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
@@ -15,7 +15,6 @@ from k3cone.heights import (FiberPoint, SyntheticFibration, canonical_height,
 from k3cone.lattice import IntersectionForm
 from k3cone.linalg import vector
 from k3cone.models import cusp_inner
-from k3cone.translations import parabolic_translation
 
 
 def _fib(noise=0.0, seed=0, heights=(10.0, 100.0)):
@@ -23,8 +22,10 @@ def _fib(noise=0.0, seed=0, heights=(10.0, 100.0)):
 
 
 def _translate_cusp(fib, u, x):
-    """Float T_u x on cusp coordinates from the shared translation formula."""
-    return parabolic_translation(cusp_inner, fib.classE, u)(x)
+    """Float T_u x on cusp coordinates from the reference translation
+    formula, with the fiber class (0, 1, 0...) in cusp coordinates."""
+    classE = (0.0, 1.0) + (0.0,) * (len(u) - 2)
+    return parabolic_translation(cusp_inner, classE, u)(x)
 
 
 def _replayed_noise(fib, point, name="steps"):
@@ -76,7 +77,7 @@ def test_fiber_point_normalizes_integral_entries():
     plain = FiberPoint(0, (2, -2))
     # both points key their noise streams as "3|0|(2, -2)|..."
     u = fib.frame.cusp(fib.group_translation(point))
-    _, (e, y) = itertools.islice(fib._errors(point, u), 2)
+    _, (e, y) = itertools.islice(fib._errors(point, u[2:]), 2)
     assert (0.0, e) + y == next(_replayed_noise(fib, plain))
     h = _translate_cusp(fib, u, fib.base_height(0))
     assert fib.vector_height(point) == tuple(
@@ -168,11 +169,12 @@ def test_rank_zero_frame():
 def test_base_height_pairs_to_fiber_height():
     fib = _fib()
     frame = fib.frame
-    assert fib.classE == frame.cusp(frame.classE) == (0.0, 1.0, 0.0, 0.0)
+    classE = frame.cusp(frame.classE)
+    assert classE == (0.0, 1.0, 0.0, 0.0)
     for fiber, h in enumerate(fib.fiber_heights):
         base = fib.base_height(fiber)
         assert base == frame.cusp(linalg.vec_scale(int(h), frame.classP))
-        assert cusp_inner(base, fib.classE) == h
+        assert cusp_inner(base, classE) == h
 
 
 def test_vector_height_noiseless_is_exact_translate():
@@ -362,7 +364,7 @@ def test_noise_is_one_fresh_generator_per_key(dim):
     for fiber in (0, 1):
         point = FiberPoint(fiber, [rng.randint(-2, 2) for _ in range(r)])
         u = frame.cusp(fib.group_translation(point))
-        errors = list(itertools.islice(fib._errors(point, u), 401))
+        errors = list(itertools.islice(fib._errors(point, u[2:]), 401))
         want = random.Random(f"11|{fiber}|{point.group_vector}|steps")
         draws = []
         for _ in range(400):

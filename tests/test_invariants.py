@@ -7,7 +7,7 @@ check still fires.  Plain `assert` would vanish under `python -O`.
 
 import pytest
 
-from k3cone import curves, f4_frame, frame, involutions, lattice, linalg
+from k3cone import curves, f4_frame, involutions, lattice, linalg
 from k3cone.errors import (DegenerateFormError, FrameError, InputError,
                            K3ConeError)
 from k3cone.translations import Isometry
@@ -15,10 +15,6 @@ from k3cone.translations import Isometry
 
 def _wrong_inverse(m):
     return linalg.identity(len(m))
-
-
-def _wrong_splitting(inner, classE, classP):
-    return lambda x: (0, 0, x)
 
 
 _int_mat_mul = linalg.int_mat_mul
@@ -42,26 +38,35 @@ def _never_contains(self, p):
     return False
 
 
+def _patch(owner, attr, broken):
+    return lambda monkeypatch, f: monkeypatch.setattr(owner, attr, broken)
+
+
+def _wrong_det(monkeypatch, f):
+    # the splitting's Cramer determinant no longer matches E.E, P.P, E.P
+    c = f.fixed
+    monkeypatch.setitem(f.__dict__, "fixed", c._replace(det=c.det + 1))
+
+
 CASES = [
-    ("dual_basis", linalg, "inverse", _wrong_inverse,
+    ("dual_basis", _patch(linalg, "inverse", _wrong_inverse),
      lambda f: lattice.dual_basis(f.form), DegenerateFormError),
-    ("decompose", frame, "plane_splitting", _wrong_splitting,
-     lambda f: f.decompose(f.ample), FrameError),
-    ("reflection_through", linalg, "int_mat_mul", _wrong_square_product,
+    ("decompose", _wrong_det, lambda f: f.decompose(f.ample), FrameError),
+    ("reflection_through", _patch(linalg, "int_mat_mul", _wrong_square_product),
      involutions.sigma0_pullback, FrameError),
-    ("reflection_fixed_span", linalg, "int_mat_mul", _wrong_thin_product,
+    ("reflection_fixed_span",
+     _patch(linalg, "int_mat_mul", _wrong_thin_product),
      involutions.sigma0_pullback, FrameError),
-    ("specialize", curves.CurveQ, "contains", _never_contains,
+    ("specialize", _patch(curves.CurveQ, "contains", _never_contains),
      lambda f: curves.default_pencil().specialize(2), InputError),
 ]
 
 
-@pytest.mark.parametrize("owner, attr, broken, call, error",
+@pytest.mark.parametrize("corrupt, call, error",
                          [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_broken_invariant_raises(monkeypatch, owner, attr, broken, call,
-                                 error):
+def test_broken_invariant_raises(monkeypatch, corrupt, call, error):
     frame = f4_frame()
-    monkeypatch.setattr(owner, attr, broken)
+    corrupt(monkeypatch, frame)
     with pytest.raises(error):
         call(frame)
 

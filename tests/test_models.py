@@ -209,20 +209,23 @@ def test_boundary_chart_isometry(f4):
 
 
 def test_chart_inverse_built_once(monkeypatch):
+    """The chart is built from an exact diagonalization: neither building
+    it nor using it inverts or multiplies a `Fraction` matrix."""
     frame = random_valid_frame(3, 6)
+    calls = []
+    for name in ("inverse", "mat_mul"):
+        fn = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *m, fn=fn: calls.append(m)
+                            or fn(*m))
     chart = BoundaryChart(frame)
-    inverses = []
-    inverse = linalg.inverse
-    monkeypatch.setattr(linalg, "inverse",
-                        lambda m: inverses.append(m) or inverse(m))
     coeffs = (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7))
     u = zero_vector(frame.form.dim)
     for c, b in zip(coeffs, chart.basis):
         u = linalg.vec_add(u, linalg.vec_scale(c, b))
-    assert chart.coefficients(u) == coeffs
+    assert chart.euclid(u) == chart.euclid(linalg.vec_add(u, frame.classE))
     for v in frame.translations:
-        chart.euclid(v)
-    assert inverses == []
+        chart.lattice(chart.euclid(v))
+    assert calls == []
 
 
 @given(st.integers(0, 10 ** 6), st.integers(3, 8), st.booleans(),
@@ -230,15 +233,78 @@ def test_chart_inverse_built_once(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_chart_coefficients_solve_the_gram_system(seed, dim, scrambled,
                                                   vec_seed):
+    """euclid reads u's perp, and its lattice vector solves the chart's
+    Gram system -b.x = -b.u for every basis vector b, to rounding."""
     frame = random_valid_frame(seed, dim, scrambled)
     chart = frame.chart
     rng = random.Random(vec_seed)
     u = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12))
               for _ in range(dim))
-    rhs = tuple(-frame.form.inner(b, u) for b in chart.basis)
-    coeffs = chart.coefficients(u)
-    assert coeffs == solve(chart.gram, rhs)
-    assert all(type(c) is Fraction for c in coeffs)
+    y = chart.euclid(u)
+    assert y == chart.euclid(frame.decompose(u).perp)
+    x = chart.lattice(y)
+    for b in chart.basis:
+        want = float(-frame.form.inner(b, u))
+        scale = math.sqrt(-float(frame.form.norm2(b))) * math.hypot(*y)
+        assert abs(-inner_f(frame.form, b, x) - want) <= 1e-12 * scale
+
+
+def _exact_ldl(frame):
+    """(L, D) of an exact LDL^T of the chart Gram G = -B J B^T (B the
+    basis rows, J the lattice Gram), L unit lower triangular."""
+    basis, inner = frame.boundary_basis, frame.form.inner
+    g = [[-inner(bi, bj) for bj in basis] for bi in basis]
+    r = len(g)
+    low = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    d = []
+    for j in range(r):
+        d.append(g[j][j] - sum(low[j][k] ** 2 * d[k] for k in range(j)))
+        for i in range(j + 1, r):
+            low[i][j] = (g[i][j] - sum(low[i][k] * low[j][k] * d[k]
+                                       for k in range(j))) / d[j]
+    return low, d
+
+
+def _dec(q):
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def test_chart_is_accurate_to_a_60_digit_reference():
+    """On scrambled frames of dims 5 and 8, `euclid` and `lattice` are
+    within 1e-15 (of the largest entry) of Cholesky's map D^(1/2) L^T c
+    and its inverse taken to 60 digits, c the exact solution of
+    G c = -B J u."""
+    for seed in range(6):
+        for dim in (5, 8):
+            frame = random_valid_frame(seed, dim)
+            basis, inner = frame.boundary_basis, frame.form.inner
+            low, d = _exact_ldl(frame)
+            r = len(d)
+            rng = random.Random(seed)
+            for _ in range(10):
+                u = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                          for _ in range(dim))
+                c = solve([[-inner(bi, bj) for bj in basis] for bi in basis],
+                          [-inner(b, u) for b in basis])
+                y = frame.chart.euclid(u)
+                x = frame.chart.lattice(y)
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    want = [_dec(dk).sqrt() * _dec(sum(
+                        low[i][k] * c[i] for i in range(k, r)))
+                        for k, dk in enumerate(d)]
+                    # back-substitute L^T c' = D^(-1/2) y for y's lattice vector
+                    z = [Decimal(t) / _dec(dk).sqrt() for t, dk in zip(y, d)]
+                    back = [Decimal(0)] * r
+                    for i in reversed(range(r)):
+                        back[i] = z[i] - sum(_dec(low[j][i]) * back[j]
+                                             for j in range(i + 1, r))
+                    lat = [sum(back[i] * _dec(basis[i][j]) for i in range(r))
+                           for j in range(dim)]
+                    for got, ref in ((y, want), (x, lat)):
+                        scale = max(map(abs, ref))
+                        err = max(abs(Decimal(a) - b) for a, b in zip(got, ref))
+                        assert err <= Decimal("1e-15") * scale
 
 
 # -- distances of close and far pairs ----------------------------------------

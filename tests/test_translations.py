@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_orthogonal_to_fiber, random_valid_frame
+from conftest import (parabolic_translation, random_orthogonal_to_fiber,
+                      random_valid_frame)
 from k3cone import f4_frame, linalg
 from k3cone.errors import InputError
 from k3cone.models import inner_f
 from k3cone.involutions import (sigma0_pullback, sigma_i_pullback,
                                 tau_pushforward)
-from k3cone.translations import (Isometry, compose, parabolic_translation,
-                                 power, section_translate, translation)
+from k3cone.translations import (Isometry, compose, power, section_translate,
+                                 translation)
 
 
 def test_f4_translation_matrix():

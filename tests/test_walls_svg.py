@@ -87,6 +87,37 @@ def test_orbit_walls_special_frames(f4):
     assert orbit_walls(rank0, 4) == [rank0.classO]
 
 
+def test_rank_zero_walls_have_no_boundary_trace():
+    """The ball of a rank-0 frame is 1-dimensional and its UHS boundary a
+    point, so neither model can draw or sample a wall trace."""
+    rank0 = FibrationFrame.create(IntersectionForm(((0, 1), (1, 0))),
+                                  (1, 0), (-1, 1), (2, 1), ())
+    ball = BallModel(rank0.form, rank0.ample)
+    circle = wall_circle_ball(rank0.form, rank0.classO, ball)
+    with pytest.raises(InputError):
+        render_svg([circle])
+    with pytest.raises(InputError):
+        sample_wall_circle(rank0.form, circle, 16, ball)
+    with pytest.raises(InputError):
+        sample_wall_circle(rank0, wall_circle_uhs(rank0, rank0.classO), 16)
+
+
+def test_rank_one_traces_are_sampled_on_the_wall():
+    """On a rank-1 frame a wall's trace is two points, in both models;
+    sampling it asks for 16 points and gets those two, on the wall."""
+    for seed in range(12):
+        frame = random_valid_frame(seed, 3)
+        ball = BallModel(frame.form, frame.ample)
+        for d in orbit_walls(frame, 2):
+            uhs = wall_circle_uhs(frame, d)
+            disc = wall_circle_ball(frame.form, d, ball)
+            for circle, samples in (
+                    (uhs, sample_wall_circle(frame, uhs, 16)),
+                    (disc, sample_wall_circle(frame.form, disc, 16, ball))):
+                assert len(samples) == 2
+                assert max_residual(frame.form, circle, samples) < 1e-9
+
+
 @pytest.mark.parametrize("classO", [(0, 1, 0, 0), (-1, 2, 0, 0)])
 def test_orbit_walls_reject_inconsistent_frame(f4, classO):
     # O.O = 0, and O.O = -4 with O.E = 2: no translate is a section class
