@@ -315,6 +315,12 @@ class FibrationFrame:
         return self._boundary_rep(*self.numerators(vector(v)))
 
     def _boundary_rep(self, a, da) -> Vector:
+        x, den = self._boundary_numerators(a, da)
+        return tuple(Fraction(t, den) for t in x)
+
+    def _boundary_numerators(self, a, da) -> tuple:
+        """(integer numerators, denominator) of the V-component of a / da;
+        `InputError` unless a / da is orthogonal to E."""
         # v - (v.P / E.P) E = (E.P a - (a.gP) e) / (da E.P) in `fixed` units
         c = self.fixed
         if dot(a, c.gE):
@@ -322,8 +328,7 @@ class FibrationFrame:
         if c.ep == 0:
             raise FrameError("fiber class is orthogonal to P = O + E")
         vp = dot(a, c.gP)
-        den = da * c.ep
-        return tuple(Fraction(c.ep * x - vp * y, den) for x, y in zip(a, c.E))
+        return [c.ep * x - vp * y for x, y in zip(a, c.E)], da * c.ep
 
     def vperp_rep(self, di: Vector) -> Vector:
         """Translation vector recovered from a section class:

@@ -28,9 +28,13 @@ prefix-consistent (the first n steps do not depend on how many are run).
 
 Cost model: a height at n_max runs 2 n_max steps of the error recurrence,
 each r + 1 draws from the height's one generator plus O(r) float work,
-and three exact translates.  The error (0, e, y) is advanced as two
-scalars, e += <y, u> + s and y += c: its w is 0, so that is T_u err +
-noise.
+and three exact translates.  The error (0, e, y) is advanced as
+e += <y, u> + s and y += c: its w is 0, so that is T_u err + noise.  The
+steps run a block of up to 1024 at a time, with the block's draws taken
+at once and each of e, y_1..y_r advanced by one C-level `accumulate`, so
+no Python code runs per step; the floats are those of stepping one at a
+time, memory is O(r) floats per block step whatever n is, and only the
+errors at steps 0, n_max and 2 n_max are read.
 
 Sign convention: the Lorentz product is negative definite on the boundary
 subspace, so the canonical height comes out as -h(E) (v.v) ([E].D) / 2 >= 0
@@ -38,16 +42,18 @@ and the normalized pairing matrix converges to the positive semidefinite
 Euclidean Gram matrix [-v_i.v_j].
 """
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, mul
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import add, index, mul
 
 from .errors import FrameError, InputError
 from .linalg import Vector, dot, vector
 from .models import cusp_inner
+
+_BLOCK = 1024  # steps of the error recurrence run per block
 
 
 def _integer(n, name: str, least=None) -> int:
@@ -186,12 +192,13 @@ class SyntheticFibration:
 
     def _iterated_heights(self, point: FiberPoint, u, steps):
         """`iterated_height` at each of the distinct ascending step counts,
-        from one pass over the error recurrence; u is the chart translation.
-        Only the errors at those steps are built as vectors."""
-        errors, at, kept = self._errors(point, u), 0, []
+        from one run of the error recurrence up to the last of them; u is
+        the chart translation.  Only the errors at those steps are read."""
+        rows = chain.from_iterable(
+            starmap(zip, self._error_blocks(point, u, steps[-1])))
+        at, kept = 0, []
         for k in steps:
-            e, y = next(itertools.islice(errors, k - at, None))
-            kept.append((0.0, e) + y)
+            kept.append((0.0,) + next(islice(rows, k - at, None)))
             at = k + 1
         exact = (self._translated_base(point.fiber, tuple(n * t for t in u))
                  for n in steps)
@@ -200,42 +207,68 @@ class SyntheticFibration:
 
     def _errors(self, point: FiberPoint, u):
         """(e, y) of the accumulated iterated error (0, e, y) after steps
-        0, 1, 2, ...
+        0, 1, 2, ..., one step at a time from `_error_blocks`."""
+        rows = chain.from_iterable(starmap(zip, self._error_blocks(point, u)))
+        return ((row[0], row[1:]) for row in rows)
+
+    def _error_blocks(self, point: FiberPoint, u, n=None):
+        """The error recurrence of one height, a block of at most _BLOCK
+        steps at a time, up to step n (without end if n is None).
 
         err_0 = 0 and err_{k+1} = T_u err_k + noise_k, noise_k = (0, s, c),
         u the chart translation.  Every error has w = 0, and T_u (0, e, y)
         = (0, e + <y, u>, y), so the recurrence is e += <y, u> + s,
-        y += c, with <y, u> = sum(map(mul, y, u)).
+        y += c.  Yields the errors (0, e, y) as columns (es, y_1s, ...,
+        y_rs): first the zero error of step 0, then one block after another.
 
         The noise is one stream per height, the point's "steps" generator
         drawn in order: at each step r draws of uniform(-M/sqrt(r),
         M/sqrt(r)) for c, so |c| <= M, then uniform(-M, M) for s, each
         spelled as the stdlib's own a + (b - a) random().  So the first n
-        steps are the same whatever n is asked for.  A step costs O(r)
-        float work and no reseed.  Without noise the error stays zero and
-        nothing is drawn.
+        steps are the same whatever n is asked for.  A block takes its
+        (r + 1) k draws at once and runs on C-level maps: c and s as
+        lo + width x, each y_j one `accumulate`, <y_t, u> as
+        0 + y_1 u_1 + ... + y_r u_r in r passes (the order of
+        sum(map(mul, y, u))), and e one `accumulate` over the interleaved
+        <y_t, u>, s_t, so e_{t+1} = (e_t + <y_t, u>) + s_t.  The floats are
+        those of stepping one at a time, and a block holds O(r _BLOCK) of
+        them.  Without noise the error stays zero and nothing is drawn.
         """
-        zero = (0.0,) * len(u)
-        yield 0.0, zero
+        r = len(u)
+        yield ([0.0],) * (r + 1)
+        sizes = (repeat(_BLOCK) if n is None
+                 else (min(_BLOCK, n - t) for t in range(0, n, _BLOCK)))
         if self.noise_bound == 0.0:
-            yield from itertools.repeat((0.0, zero))
+            yield from (([0.0] * k,) * (r + 1) for k in sizes)
+            return
         m, cap = self.noise_bound, self._perp_cap
         lo, width = -cap, cap - -cap
         lo_s, width_s = -m, m - -m
         draw = self._stream(point, "steps").random
-        e, y = 0.0, zero
-        while True:
-            y_next = tuple([a + (lo + width * draw()) for a in y])
-            e = e + sum(map(mul, y, u)) + (lo_s + width_s * draw())
-            y = y_next
-            yield e, y
+        e, y = 0.0, (0.0,) * r
+        for k in sizes:
+            draws = list(starmap(draw, repeat((), (r + 1) * k)))
+            # y_j at the block's k + 1 states, its first the last block's
+            ys = [list(accumulate(map(add, repeat(lo), map(
+                mul, repeat(width), draws[j::r + 1])), initial=y0))
+                  for j, y0 in enumerate(y)]
+            dots = repeat(0, k)
+            for yj, uj in zip(ys, u):
+                dots = map(add, dots, map(mul, yj, repeat(uj, k)))
+            terms = [0.0] * (2 * k)  # <y_t, u>, s_t, <y_t+1, u>, ...
+            terms[0::2] = dots
+            terms[1::2] = map(add, repeat(lo_s),
+                              map(mul, repeat(width_s), draws[r::r + 1]))
+            es = list(accumulate(terms, initial=e))[2::2]
+            e, y = es[-1], [yj[-1] for yj in ys]
+            yield (es, *(yj[1:] for yj in ys))
 
     def error_trace(self, point: FiberPoint, n_steps: int):
         """(n, |y|, |v|) of the error (0, v, y) for n = 1..n_steps: its
         boundary norm and E-component, for the growth-contract checks."""
         n_steps = _integer(n_steps, "n_steps", least=0)
         u = self._chart_translation(point)
-        errors = itertools.islice(self._errors(point, u), 1, n_steps + 1)
+        errors = islice(self._errors(point, u), 1, n_steps + 1)
         return [(n, math.hypot(*y), abs(e))
                 for n, (e, y) in enumerate(errors, start=1)]
 
@@ -317,16 +350,18 @@ def limit_experiment(fib: SyntheticFibration, i: int, j: int, d,
     """Normalized pairing per fiber against the Euclidean Gram target.
 
     Emits pairing / (h(E) ([E].D)) for every fiber; the target is the
-    Euclidean value -v_i.v_j, approached as h(E) grows.  Both indices
-    must lie in range(rank).
+    Euclidean value -v_i.v_j, approached as h(E) grows: one integer dot
+    on `translation_numerators` over qv^2 times the Gram denominator,
+    rounded once.  Both indices must lie in range(rank).
     """
     frame = fib.frame
     if i not in range(frame.rank) or j not in range(frame.rank):
         raise InputError(
             f"translation indices must lie in range({frame.rank})")
     dc = _reference(fib, d, n_max)
-    vi, vj = frame.translations[i], frame.translations[j]
-    target = float(-frame.form.inner(vi, vj))  # exact negation avoids -0.0
+    vs, gv, qv = frame.translation_numerators
+    # the negated integer is 0, never -0.0, when v_i.v_j = 0
+    target = -dot(vs[i], gv[j]) / (qv * qv * frame.form.gram_numerators[1])
     rows = []
     for fiber, h_e in enumerate(fib.fiber_heights):
         p1 = FiberPoint(fiber, tuple(int(k == i) for k in range(frame.rank)))
@@ -343,12 +378,14 @@ def cauchy_schwarz_check(frame, u, v) -> bool:
 
     Primes drop the E-component; the products u.v and u'.v' agree, and the
     form is negative definite on the primed subspace, so this is the exact
-    rational Cauchy-Schwarz verdict.
+    rational Cauchy-Schwarz verdict.  It is decided on integers: one
+    `numerators` per argument, its V-component's numerators (which raise
+    `InputError` unless it is orthogonal to E), and three integer dots.
     """
-    u, v = vector(u), vector(v)
-    form = frame.form
-    if form.inner(u, frame.classE) != 0 or form.inner(v, frame.classE) != 0:
-        raise InputError("arguments must be orthogonal to the fiber class")
-    up = frame.boundary_rep(u)
-    vp = frame.boundary_rep(v)
-    return form.inner(u, v) ** 2 <= form.norm2(up) * form.norm2(vp)
+    a, da = frame.numerators(vector(u))
+    b, db = frame.numerators(vector(v))
+    x, dx = frame._boundary_numerators(a, da)
+    y, dy = frame._boundary_numerators(b, db)
+    gb, gx, gy = frame.form.images([b, x, y])
+    # u.v = a.gb / (da db dg), u'.u' = x.gx / (dx^2 dg), v'.v' = y.gy / (dy^2 dg)
+    return (dot(a, gb) * dx * dy) ** 2 <= dot(x, gx) * dot(y, gy) * (da * db) ** 2

@@ -83,6 +83,8 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     chart coordinates and radius sqrt(2)/|delta|; every section translate
     (delta = 1) shares radius sqrt(2).  delta = 0 walls degenerate to
     hyperplanes.  D.D and delta are integer dots on one `numerators` of D.
+    `InputError` on a 0-dimensional boundary (rank 0), which walls do not
+    meet.
     """
     d = vector(d)
     x, dx = frame.numerators(d)
@@ -90,6 +92,8 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     if linalg.dot(x, frame.form.images([x])[0]) != -2 * dg * dx * dx:
         raise InputError("wall class must have self-intersection -2")
     chart = chart or frame.chart
+    if not chart.dim:
+        raise InputError("walls have no trace on a 0-dimensional boundary")
     den = frame.fixed.den
     xe = linalg.dot(x, frame.fixed.gE)  # delta = xe / (dx den)
     if xe:

@@ -188,6 +188,20 @@ def test_render_ball_rejects_a_rank_zero_frame(runner, tmp_path):
     assert not out.exists()
 
 
+def test_render_uhs_rejects_a_rank_zero_frame(runner, tmp_path):
+    """A rank-0 frame's UHS boundary is a point that no wall meets."""
+    config = tmp_path / "rank0.json"
+    config.write_text(json.dumps({"gram": [[0, 1], [1, 0]], "E": [1, 0],
+                                  "O": [-1, 1], "ample": [2, 1],
+                                  "translations": []}))
+    out = tmp_path / "rank0.svg"
+    result = runner.invoke(main, ["render", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+    assert not out.exists()
+
+
 # Generated by the CLI before the (E, P) splitting was rewritten; any
 # refactor must leave these outputs byte-identical.
 GOLDEN_RUNS = [
@@ -195,6 +209,10 @@ GOLDEN_RUNS = [
     (["orbit", FRAME, "--N", "3"], "cli_orbit_f4_N3.tsv"),
     (["synthetic-pair", FRAME, "--noise", "1", "--seed", "7"],
      "cli_synthetic_pair_noise1_seed7.tsv"),
+    # 2 x 700 steps cross a block boundary of the heights recurrence; the
+    # golden was generated by stepping the recurrence one step at a time
+    (["synthetic-pair", FRAME, "--seed", "7", "--noise", "1", "--n-max",
+      "700"], "cli_synthetic_pair_noise1_seed7_n700.tsv"),
     (["specialize-scan", PENCIL, "--t-min", "8", "--t-max", "32",
       "--tolerance", "1e-3"], "cli_specialize_scan_8_32.tsv"),
     (["curve-heights", "--a", "0", "--b", "-2", "--point", "3,5",

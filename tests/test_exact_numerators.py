@@ -12,6 +12,7 @@ entries so that the Gram matrix and the classes have denominators.
 
 import gc
 import itertools
+import math
 import pathlib
 import random
 import weakref
@@ -24,6 +25,7 @@ from conftest import random_unimodular, random_valid_frame
 from k3cone import configio, involutions, lattice, linalg, models, translations
 from k3cone.errors import CuspError, DomainError, FrameError
 from k3cone.frame import Decomposition, FibrationFrame
+from k3cone.heights import SyntheticFibration, limit_experiment
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = range(12)
@@ -237,6 +239,20 @@ def test_validate_matches_reference_on_broken_frames(classO):
     lines = broken.validate().lines()
     assert lines == ref_validate_lines(broken)
     assert any(line.startswith("fail") for line in lines)
+
+
+@pytest.mark.parametrize("name", FRAME_IDS)
+def test_limit_target_matches_reference(name):
+    """`limit_experiment`'s target -v_i.v_j, one integer dot rounded once,
+    is the float of the exact `Fraction` product, and never -0.0."""
+    frame = frames()[name]
+    fib = SyntheticFibration(frame, (10.0,))
+    vs = frame.translations
+    for i, j in itertools.product(range(frame.rank), repeat=2):
+        want = float(-frame.form.inner(vs[i], vs[j]))
+        [row] = limit_experiment(fib, i, j, frame.ample, 1)
+        assert row.target == want
+        assert math.copysign(1.0, row.target) == math.copysign(1.0, want)
 
 
 @pytest.mark.parametrize("name", FRAME_IDS)

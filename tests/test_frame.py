@@ -170,6 +170,14 @@ def test_cauchy_schwarz_exact(f4):
         assert cauchy_schwarz_check(f4, shifted, v)
 
 
+def test_cauchy_schwarz_rejects_arguments_not_orthogonal_to_the_fiber(f4):
+    from k3cone import cauchy_schwarz_check
+    v = random_orthogonal_to_fiber(f4, random.Random(5))
+    for args in ((f4.classO, v), (v, f4.classO)):
+        with pytest.raises(InputError, match="orthogonal to the fiber"):
+            cauchy_schwarz_check(f4, *args)
+
+
 # -- config ingestion --------------------------------------------------------
 
 def test_frame_from_dict_round_trip(f4):

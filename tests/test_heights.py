@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import add, mul
 
@@ -10,8 +11,8 @@ from conftest import parabolic_translation, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
-from k3cone.heights import (FiberPoint, SyntheticFibration, canonical_height,
-                            limit_experiment, nt_pairing)
+from k3cone.heights import (_BLOCK, FiberPoint, SyntheticFibration,
+                            canonical_height, limit_experiment, nt_pairing)
 from k3cone.lattice import IntersectionForm
 from k3cone.linalg import vector
 from k3cone.models import cusp_inner
@@ -315,13 +316,13 @@ def test_memoized_tables_equal_fresh_tables(dim, noise):
 def _count_errors(monkeypatch):
     """Record the fiber of every run of the error recurrence."""
     fibers = []
-    errors = SyntheticFibration._errors
+    blocks = SyntheticFibration._error_blocks
 
-    def counted(self, point, u):
+    def counted(self, point, u, n=None):
         fibers.append(point.fiber)
-        return errors(self, point, u)
+        return blocks(self, point, u, n)
 
-    monkeypatch.setattr(SyntheticFibration, "_errors", counted)
+    monkeypatch.setattr(SyntheticFibration, "_error_blocks", counted)
     return fibers
 
 
@@ -462,6 +463,43 @@ def test_one_pass_heights_match_replays(seed, dim, noise):
         assert fib.error_trace(point, 2 * n_last) == [
             (k, math.hypot(*err[2:]), abs(err[1]))
             for k, err in enumerate(errors[1:], start=1)]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_block_boundaries_match_replays(dim, noise):
+    """The recurrence runs _BLOCK steps per block; the steps on either side
+    of a block boundary are those of the step-by-step replay."""
+    frame = _rank_zero_frame() if dim == 2 else random_valid_frame(dim, dim)
+    fib = SyntheticFibration(frame, (10.0, 1000.0), noise, seed=3)
+    point = FiberPoint(1, [random.Random(dim).randint(-2, 2)
+                           for _ in range(frame.rank)])
+    steps = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
+    errors = _replayed_errors(fib, point, steps[-1])
+    u = fib._chart_translation(point)
+    served = list(itertools.islice(fib._errors(point, u), steps[-1] + 1))
+    trace = fib.error_trace(point, steps[-1])
+    for k in steps:
+        assert served[k] == (errors[k][1], errors[k][2:])
+        assert fib.iterated_height(point, k) == _replayed_iterated_height(
+            fib, point, k, errors)
+        assert trace[k - 1] == (k, math.hypot(*errors[k][2:]),
+                                abs(errors[k][1]))
+
+
+def test_iterated_height_memory_is_one_block():
+    """A run of 50 000 steps holds one block of the recurrence at a time,
+    O(r _BLOCK) floats, not O(n)."""
+    fib = _fib(noise=1.0, seed=7)
+    point = FiberPoint(0, (1, 1))
+    fib.iterated_height(point, 10)  # build the frame's cached chart first
+    tracemalloc.start()
+    try:
+        fib.iterated_height(point, 50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_error_trace_growth_contract():

@@ -102,6 +102,21 @@ def test_rank_zero_walls_have_no_boundary_trace():
         sample_wall_circle(rank0, wall_circle_uhs(rank0, rank0.classO), 16)
 
 
+def test_rank_zero_uhs_wall_circle_is_an_input_error():
+    """A rank-0 frame's UHS boundary is a point: `wall_circle_uhs` raises
+    instead of returning a circle with an empty centre, with the frame's
+    chart or a chart passed in, and a circle built by hand is not sampled."""
+    rank0 = FibrationFrame.create(IntersectionForm(((0, 1), (1, 0))),
+                                  (1, 0), (-1, 1), (2, 1), ())
+    for chart in (None, BoundaryChart(rank0)):
+        for d in orbit_walls(rank0, 2):
+            with pytest.raises(InputError, match="0-dimensional"):
+                wall_circle_uhs(rank0, d, chart)
+    by_hand = walls.WallCircle("uhs", (), math.sqrt(2.0), rank0.classO)
+    with pytest.raises(InputError, match="0-dimensional"):
+        sample_wall_circle(rank0, by_hand, 16)
+
+
 def test_rank_one_traces_are_sampled_on_the_wall():
     """On a rank-1 frame a wall's trace is two points, in both models;
     sampling it asks for 16 points and gets those two, on the wall."""
