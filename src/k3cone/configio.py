@@ -6,7 +6,7 @@ from .curves import Pencil
 from .errors import InputError
 from .frame import FibrationFrame
 from .lattice import form_from_dict
-from .linalg import vector
+from .linalg import vectors
 
 
 def _require(doc: dict, key: str, where: str):
@@ -31,7 +31,7 @@ def frame_from_dict(doc: dict) -> FibrationFrame:
         translations=_require(doc, "translations", "frame config"),
     )
     if "sections" in doc:
-        given = tuple(vector(s) for s in doc["sections"])
+        given = vectors(doc["sections"])
         if given != frame.sections:
             raise InputError(
                 "frame config: explicit sections disagree with the translates "

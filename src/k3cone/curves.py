@@ -135,8 +135,8 @@ def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
     (torsion).  Raises ResourceError with the partial estimate if the
     x-coordinate outgrows the digit budget.
     """
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise InputError("tolerance must be positive and finite")
     p = curve._require(p)
     if p is None:
         return 0.0

@@ -21,7 +21,8 @@ cusp coordinates (w, v, y) of an exact class, y its chart coordinates;
 `section_map` gives the section translates D_m = T_w([O]) on integer
 numerators, and the section classes D_i = T_{v_i}([O]) are its images of
 the unit vectors (`sections`), derived on first read and cached; they are
-not a constructor argument.  `check_section` is the one section check.
+not a constructor argument.  `check_section` is the one section check,
+and `section_map` runs it once, on O, to prove every translate.
 """
 
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ class FibrationFrame:
             if len(v) != n:
                 raise InputError(f"{name} has wrong dimension")
             object.__setattr__(self, name, v)
-        translations = tuple(vector(v) for v in self.translations)
+        translations = linalg.vectors(self.translations)
         for i, v in enumerate(translations):
             if len(v) != n:
                 raise InputError(f"translation {i} has wrong dimension")
@@ -165,7 +166,7 @@ class FibrationFrame:
     def sections(self) -> tuple:
         """The section translates D_i = T_{v_i}([O]), one per translation:
         the `section_map` images of the unit vectors, built once per frame;
-        `FrameError` if one is not a section class."""
+        `FrameError` if `section_map` cannot prove them section classes."""
         image, den = self.section_map
         units = [tuple(int(i == j) for j in range(self.rank))
                  for i in range(self.rank)]
@@ -221,39 +222,31 @@ class FibrationFrame:
             for m, step in zip(ms, steps):
                 if m:
                     d = [x + m * y for x, y in zip(d, step)]
-            return d
+            return tuple(d)
 
         return translate, c.q * qv * s
 
-    @cached_property
-    def check_section(self):
-        """(x, dx) -> None; `FrameError` unless D = x / dx has D.D = -2 and
-        D.E = 1, on integers.  It holds no frame, so `section_map` can."""
-        gram, dg = self.form.gram_numerators
-        ge, den = self.fixed.gE, self.fixed.den
-
-        def check_section(x, dx):
-            if (dot(x, [dot(row, x) for row in gram]) != -2 * dg * dx * dx
-                    or dot(x, ge) != dx * den):
-                raise FrameError(
-                    "not a section class (need D.D = -2, D.E = 1)")
-
-        return check_section
+    def check_section(self, x, dx):
+        """`FrameError` unless D = x / dx has D.D = -2 and D.E = 1."""
+        (gram, dg), c = self.form.gram_numerators, self.fixed
+        if (dot(x, [dot(row, x) for row in gram]) != -2 * dg * dx * dx
+                or dot(x, c.gE) != dx * c.den):
+            raise FrameError("not a section class (need D.D = -2, D.E = 1)")
 
     @cached_property
     def section_map(self):
         """(m -> integer numerators of D_m = T_w([O]), their denominator),
-        for w = sum m_i v_i, built once per frame on `_translates`; each
-        image passes `check_section`."""
-        translate, den = self._translates
-        check = self.check_section
+        for w = sum m_i v_i: `_translates`, proved once per frame.
 
-        def image(ms):
-            d = translate(ms)
-            check(d, den)
-            return tuple(d)
-
-        return image, den
+        T_w fixes E and preserves the form whenever E.E = 0 and w.E = 0, so
+        then D_w.D_w = O.O and D_w.E = O.E: every D_m is a section class if
+        O is.  `FrameError` unless these three hold, on integers.
+        """
+        c = self.fixed
+        if c.ee or any(dot(v, c.gE) for v in self.translation_numerators[0]):
+            raise FrameError("translations need E.E = 0 and v_i.E = 0")
+        self.check_section(c.O, c.q)
+        return self._translates
 
     @cached_property
     def sigma0(self):

@@ -39,7 +39,7 @@ def reflection_through(form: IntersectionForm, span, description) -> Isometry:
     `description` names the reflection in their errors.
     """
     n = form.dim
-    span = tuple(vector(s) for s in span)
+    span = linalg.vectors(span)
     if any(len(s) != n for s in span):
         raise InputError("vector dimension does not match the form")
     gram, _ = form.gram_numerators
@@ -98,8 +98,7 @@ def tau_pushforward(frame, i: int) -> Isometry:
     mismatch on a valid frame would indicate an internal inconsistency and
     is surfaced loudly.  The two are then equal, and T is returned.
     sigma_0* is the frame's cached `FibrationFrame.sigma0`, and sigma_i* is
-    built from `frame.sections[i]`, which was checked to be a section class
-    when the frame derived it.
+    built from `frame.sections[i]`, which the frame proved section classes.
     """
     sigma_i = _reflection_through_section(frame, frame.sections[i])
     a, da = sigma_i.numerators

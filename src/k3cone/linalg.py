@@ -13,11 +13,12 @@ pieces directly: `dot`, `int_mat_mul`, `int_mat_pow`, `int_inverse` and
 `lowest_terms`.
 
 Kernel operands may mix ints and Fractions (anything with `.numerator`
-and `.denominator`).  Outside input is coerced once, by `vector` and
-`matrix` in constructors and the config loader.  Dimensions in this
-package are the Picard number of a surface, i.e. tiny.
+and `.denominator`).  Outside input is coerced once, by `vector`,
+`vectors` and `matrix` in constructors and the config loader (malformed:
+`InputError`).  Dimensions here are the Picard number, i.e. tiny.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -33,16 +34,32 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"not an exact rational: {x!r}")
 
 
+def _items(x, what):
+    """x if it is list-like; `InputError` for anything else."""
+    if isinstance(x, (tuple, list)) or not isinstance(
+            x, (str, bytes, Mapping)) and hasattr(x, "__iter__"):
+        return x
+    raise InputError(f"not a {what}: {x!r}")
+
+
 def vector(entries) -> Vector:
-    return tuple(to_fraction(x) for x in entries)
+    return tuple(map(to_fraction, _items(entries, "vector")))
+
+
+def vectors(rows) -> tuple:
+    """`vector` of each of a list-like of rows, of any lengths."""
+    return tuple(map(vector, _items(rows, "list of vectors")))
 
 
 def matrix(rows) -> Matrix:
-    rows = tuple(vector(r) for r in rows)
+    rows = vectors(rows)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise InputError("ragged matrix")
     return rows

@@ -4,10 +4,10 @@ Exact rational identities (boundary metric, phi) stay exact, and run on
 the frame's cached integers (`FibrationFrame.fixed`): one `numerators`
 per argument, integer dots, one `Fraction` per returned value.  Anything
 involving square roots or hyperbolic functions is done in double
-precision.  Distances use the chord form d = 2 asinh(chord / 2) rather
-than arccosh(1 + x), which loses half the digits for points close
-together.  The UHS model and the synthetic height oracle work in cusp
-coordinates (`FibrationFrame.cusp`), free of a scrambled basis's
+precision.  Distances are asinh forms (`hyperbolic_distance` on exact
+integer products, UHS and ball on chords), not arccosh(1 + x), which
+loses half the digits for close points.  The UHS model and the synthetic
+height oracle work in cusp coordinates, free of a scrambled basis's
 cancellation; `inner_f` is the lattice-coordinate oracle.  `BoundaryChart`
 and `BallModel` are both built on an exact `congruent_diagonalization`.
 Stated tolerances: 1e-12 for identities that are exact underneath, 1e-9
@@ -23,10 +23,6 @@ from . import linalg
 from .errors import CuspError, DomainError, InputError
 from .lattice import IntersectionForm, congruent_diagonalization
 from .linalg import Vector, vector
-
-
-def _floats(v):
-    return [float(x) for x in v]
 
 
 def inner_f(form: IntersectionForm, u, v) -> float:
@@ -53,28 +49,41 @@ def cusp_inner(x, y) -> float:
     return x[0] * y[1] + x[1] * y[0] - sum(map(mul, x[2:], y[2:]))
 
 
+def _exact_numerators(u, dim) -> tuple:
+    """(integer numerators, denominator) of u, each entry taken exactly by
+    `as_integer_ratio`; `InputError` unless u is dim finite numbers."""
+    try:
+        ratios = [t.as_integer_ratio() for t in u]
+    except (AttributeError, ValueError, OverflowError):
+        raise InputError("point coordinates must be finite numbers") from None
+    if len(ratios) != dim:
+        raise InputError("vector dimension does not match the form")
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
 def hyperbolic_distance(form: IntersectionForm, a, b) -> float:
     """arccosh(A.B / (||A|| ||B||)); scale-invariant in each argument.
 
-    Evaluated as 2 asinh(sqrt(-(x - y).(x - y)) / 2) on the unit
-    hyperboloid points x = A/||A|| and y = B/||B||, written as
-    x - y = (delta + c B) / ||A|| with delta = A - B and
-    c = 1 - ||A||/||B|| = -delta.(A + B) / (||B|| (||A|| + ||B||)).
-    Every small quantity comes from delta, whose entries are exact for
-    close points, so the result stays accurate at small distances.
+    On exact integer numerators (their denominators cancel), sinh^2 d =
+    ((A.B)^2 - (A.A)(B.B)) / ((A.A)(B.B)) is one quotient rounded once,
+    and d = asinh(sqrt(sinh^2 d)) is accurate near and far; past a double's
+    range it is log(2 sinh d), on logs of the integers.
     """
-    aa, bb, ab = inner_f(form, a, a), inner_f(form, b, b), inner_f(form, a, b)
+    (x, _), (y, _) = (_exact_numerators(p, form.dim) for p in (a, b))
+    gx, gy = form.images([x, y])
+    aa, bb, ab = linalg.dot(x, gx), linalg.dot(y, gy), linalg.dot(x, gy)
     if aa <= 0 or bb <= 0:
         raise DomainError("arguments must lie inside the light cone")
     if ab <= 0:
         raise DomainError("arguments lie in opposite cone components")
-    af, bf = _floats(a), _floats(b)
-    ra, rb = math.sqrt(aa), math.sqrt(bb)
-    delta = [x - y for x, y in zip(af, bf)]
-    c = -inner_f(form, delta, [x + y for x, y in zip(af, bf)]) / (rb * (ra + rb))
-    diff = [dx + c * y for dx, y in zip(delta, bf)]
-    chord = math.sqrt(max(-inner_f(form, diff, diff), 0.0)) / ra
-    return 2.0 * math.asinh(0.5 * chord)
+    num, den = ab * ab - aa * bb, aa * bb  # sinh^2 d = num / den
+    if num < 0:
+        raise DomainError("the form is not Lorentzian on these arguments")
+    try:
+        return math.asinh(math.sqrt(num / den))
+    except OverflowError:
+        return 0.5 * (math.log(num) - math.log(den)) + math.log(2)
 
 
 # -- boundary classes and the Euclidean metric at the cusp ------------------
@@ -162,16 +171,12 @@ class UpperHalfSpacePoint:
 
 
 def to_upper_half_space(frame, u) -> UpperHalfSpacePoint:
-    """Point U = (w, v, y) in cusp coordinates, each entry taken exactly as
-    a `Fraction`, maps to (y/w, sqrt(U.U)/w): the image of U / ||U||, so
-    the map is scale-invariant and U need not lie on the hyperboloid.
-    U.U is one integer dot on the numerators `cusp_of` reads, rounded
-    once.  Needs U.E > 0 and U.U > 0 (`DomainError`)."""
-    try:
-        exact = [Fraction(t) for t in u]
-    except (ValueError, OverflowError):
-        raise InputError("point coordinates must be finite numbers") from None
-    a, da = frame.numerators(exact)
+    """Point U = (w, v, y) in cusp coordinates, each entry taken exactly,
+    maps to (y/w, sqrt(U.U)/w): the image of U / ||U||, so the map is
+    scale-invariant and U need not lie on the hyperboloid.  U.U is one
+    integer dot on the numerators `cusp_of` reads, rounded once.  Needs
+    U.E > 0 and U.U > 0 (`DomainError`)."""
+    a, da = _exact_numerators(u, frame.form.dim)
     w, _, *y = frame.cusp_of(a, da)
     if w <= 0:
         raise DomainError("point does not pair positively with the fiber class")
@@ -216,8 +221,8 @@ class BallModel:
         self.form = form
         self.ample = vector(ample)
         s, diag = form.diagonalization
-        self._s = [_floats(row) for row in s]
-        self._s_inv = [_floats(row) for row in linalg.inverse(s)]
+        self._s = [[float(x) for x in row] for row in s]
+        self._s_inv = [[float(x) for x in row] for row in linalg.inverse(s)]
         pos = [i for i, d in enumerate(diag) if d > 0]
         order = pos + [i for i in range(form.dim) if i not in pos]
         self._order = order
@@ -250,6 +255,8 @@ class BallModel:
         """Project a closed-light-cone vector to the ball (interior) or sphere
         (null rays): w maps to wvec / (w0 + sqrt(w0^2 - |wvec|^2))."""
         w = self.signature_coords(x)
+        if not all(map(math.isfinite, w)):
+            raise InputError("vector entries must be finite")
         w0, wvec = w[0], w[1:]
         space2 = sum(t * t for t in wvec)
         q = w0 * w0 - space2
@@ -264,9 +271,13 @@ class BallModel:
 
 
 def ball_distance(b1, b2) -> float:
+    """Distance in the open unit ball; `InputError`, `DomainError` off it."""
+    if len(b1) != len(b2) or not all(map(math.isfinite, (*b1, *b2))):
+        raise InputError("ball points must be finite and of one dimension")
+    n1, n2 = (sum(t * t for t in p) for p in (b1, b2))
+    if n1 >= 1.0 or n2 >= 1.0:
+        raise DomainError("ball points must lie strictly inside the unit ball")
     d2 = sum((a - b) ** 2 for a, b in zip(b1, b2))
-    n1 = sum(a * a for a in b1)
-    n2 = sum(b * b for b in b2)
     # cosh d = 1 + 2 d2 / ((1 - n1)(1 - n2)), so sinh(d/2) = sqrt(d2 / ...)
     return 2.0 * math.asinh(math.sqrt(d2 / ((1.0 - n1) * (1.0 - n2))))
 

@@ -48,6 +48,7 @@ def _circle_elem(options, x, y, r, extra=""):
 
 def _text_elem(options, x, y, text):
     cx, cy = _px(options, x, y)
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-size="12"'
             f' font-family="monospace">{text}</text>')
 

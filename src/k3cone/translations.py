@@ -11,8 +11,8 @@ coordinates, u the chart coordinates of v, as `heights` writes it out.
 
 Every exact map here, and every reflection of `involutions`, is an
 `Isometry` held as integer rows over one denominator; its `Fraction`
-matrix is built only when read.  `section_translate` evaluates T_v([O])
-on the frame's cached integer classes (`FibrationFrame.fixed`).
+matrix is built only when read.  `translation` and `section_translate`
+run on the frame's cached integer classes (`FibrationFrame.fixed`).
 """
 
 from dataclasses import dataclass
@@ -71,42 +71,27 @@ class Isometry:
         return lhs == [[den * den * x for x in row] for row in g]
 
 
-def translation_matrix(form: IntersectionForm, classE: Vector, v: Vector) -> Isometry:
-    """The parabolic translation as an exact matrix; requires v.E = 0.
-
-    Column j is the image of the basis vector e_j, so with G the Gram matrix
+def translation(frame, v: Vector) -> Isometry:
+    """The parabolic translation attached to v (v.E = 0; T_v = T_{v+aE})
+    as an exact matrix: with G the Gram matrix, column j the image of e_j,
 
         M = I - E (Gv)^T - (v.v/2) E (GE)^T + v (GE)^T.
 
-    With G = g/dg, v = b/dv and E = e/de on integer numerators, every entry
-    is an integer over D = 2 dg^2 dv^2 de^2.
+    With E = e/q, GE = gE/(dg q) from `fixed` and v = b/dv, Gv = gv/(dg dv),
+    every entry is an integer over D = 2 dg^2 dv^2 q^2.
     """
-    gram, dg = form.gram_numerators
-    b, dv = linalg.numerators(v)
-    e, de = linalg.numerators(classE)
-    n = len(gram)
-    if len(b) != n or len(e) != n:
-        raise InputError("vector dimension does not match the form")
-    gv = [sum(map(mul, row, b)) for row in gram]  # Gv = gv / (dg dv)
-    ge = [sum(map(mul, row, e)) for row in gram]  # GE = ge / (dg de)
-    if sum(map(mul, b, ge)):
+    c = frame.fixed
+    b, dv = frame.numerators(vector(v))
+    if linalg.dot(b, c.gE):
         raise InputError("translation vector must be orthogonal to the fiber class")
-    vv = sum(map(mul, b, gv))  # v.v = vv / (dg dv^2)
-    c = 2 * dg * dv * de
-    den = c * dg * dv * de
-    rows = [[(den if i == j else 0) - c * (ei * gvj - bi * gej) - vv * ei * gej
-             for j, (gvj, gej) in enumerate(zip(gv, ge))]
-            for i, (ei, bi) in enumerate(zip(e, b))]
-    return Isometry(form, (rows, den))
-
-
-def translation(frame, v: Vector) -> Isometry:
-    """Parabolic translation attached to v on a fibration frame.
-
-    v need not lie in the boundary subspace: translations attached to v and
-    v + aE coincide, so only v.E = 0 is required.
-    """
-    return translation_matrix(frame.form, frame.classE, v)
+    gv = frame.form.images([b])[0]
+    vv = linalg.dot(b, gv)  # v.v = vv / (dg dv^2)
+    t = 2 * dv * c.den  # c.den = dg q
+    den = t * dv * c.den
+    rows = [[(den if i == j else 0) - t * (ei * gvj - bi * gej) - vv * ei * gej
+             for j, (gvj, gej) in enumerate(zip(gv, c.gE))]
+            for i, (ei, bi) in enumerate(zip(c.E, b))]
+    return Isometry(frame.form, (rows, den))
 
 
 def section_translate(frame, v: Vector) -> Vector:
@@ -121,12 +106,11 @@ def section_translate(frame, v: Vector) -> Vector:
     """
     c = frame.fixed
     b, db = frame.numerators(vector(v))
-    dg = frame.form.gram_numerators[1]
     gb = frame.form.images([b])[0]
     k = linalg.dot(c.O, c.gE)  # O.E = k / (dg q^2)
     # T D = s o + 2 k db dg q b - (2 db dg q (b.gO) + k (b.gb)) e
-    s = 2 * db * db * dg * dg * c.q * c.q
-    t = 2 * db * dg * c.q
+    t = 2 * db * c.den  # c.den = dg q
+    s = t * t // 2  # 2 (db dg q)^2
     cs = t * linalg.dot(b, c.gO) + k * linalg.dot(b, gb)
     d = [s * x + t * k * y - cs * z for x, y, z in zip(c.O, b, c.E)]
     den = c.q * s

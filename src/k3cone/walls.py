@@ -8,7 +8,7 @@ the zero section under the Mordell-Weil group.  On a valid frame
 so Shioda's height <m, m> = 4 + 2 D_m.O (Comment. Math. Univ. St. Paul.
 39, 1990) is -w.w, the Neron-Tate form the synthetic pairing targets.
 `orbit_walls` evaluates this closed form on integers through
-`FibrationFrame.section_map`.
+`FibrationFrame.section_map`, which proved every translate a section class.
 
 Every -2 class D cuts the hyperbolic cross-section along a hyperplane.
 Seen from the cusp [E] in the upper-half-space model, a wall with D.E != 0

@@ -173,6 +173,43 @@ def test_malformed_input_is_an_input_error(runner, args):
     assert "ERROR\tInputError\t" in result.output
 
 
+@pytest.mark.parametrize("field, value", [
+    ("translations", 5),
+    ("gram", 3),
+    ("E", None),
+    ("E", "1000"),
+    ("E", {"a": 1, "b": 0, "c": 0, "d": 0}),
+    ("translations", ["0010", "0001"]),
+    ("ample", ["x", 1, 0, 0]),
+    ("ample", ["1/0", 1, 0, 0]),
+    ("ample", [2.0, 1, 0, 0]),
+    ("sections", 7),
+])
+def test_malformed_config_is_an_input_error(runner, tmp_path, field, value):
+    """A config of the wrong shape is an `InputError` where it is coerced,
+    not a traceback, and never read as something else."""
+    doc = json.loads(pathlib.Path(FRAME).read_text())
+    doc[field] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["validate", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+@pytest.mark.parametrize("args", [
+    ["curve-heights", "--a", "0", "--b", "-2", "--point", "3,5"],
+    ["specialize-scan", PENCIL, "--t-min", "8", "--t-max", "8"],
+], ids=["curve-heights", "specialize-scan"])
+def test_non_finite_tolerance_is_an_input_error(runner, args, tol):
+    result = runner.invoke(main, args + ["--tolerance", tol])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+
+
 def test_render_ball_rejects_a_rank_zero_frame(runner, tmp_path):
     """A rank-0 frame's ball is 1-dimensional: its walls have no trace."""
     config = tmp_path / "rank0.json"

@@ -112,6 +112,18 @@ def test_resource_error_carries_partial():
     assert exc.value.partial > 0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    """A NaN tolerance never stops the loop and an infinite one stops it
+    after one doubling; both, like tol <= 0, are an `InputError`."""
+    with pytest.raises(InputError, match="tolerance"):
+        canonical_height(CURVE, P, tol)
+    with pytest.raises(InputError, match="tolerance"):
+        nt_pairing(CURVE, P, P, tol)
+    with pytest.raises(InputError, match="tolerance"):
+        specialization_scan(default_pencil(), [8], tolerance=tol)
+
+
 def test_nt_pairing_symmetric_bilinear():
     tol = 1e-6
     q = CURVE.multiply(2, P)

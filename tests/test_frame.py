@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (random_orthogonal_to_fiber, random_unimodular,
                       random_valid_frame, reassemble, solve)
-from k3cone import configio, involutions, lattice, linalg
+from k3cone import configio, involutions, lattice, linalg, walls
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
@@ -227,6 +227,51 @@ def test_frame_from_dict_checks_sections():
     # translates that are not section classes fail at load
     with pytest.raises(FrameError, match="not a section class"):
         configio.frame_from_dict(dict(F4_DOC, O=[0, 1, 0, 0]))
+
+
+def test_orbit_walls_check_the_section_class_once(monkeypatch):
+    """`section_map` proves every translate a section class once per frame;
+    no wall is checked again."""
+    calls = []
+    check = FibrationFrame.check_section
+
+    def counting(self, x, dx):
+        calls.append(dx)
+        return check(self, x, dx)
+
+    monkeypatch.setattr(FibrationFrame, "check_section", counting)
+    f4 = configio.frame_from_dict(dict(F4_DOC))
+    plain = FibrationFrame(f4.form, f4.classE, f4.classO, f4.ample,
+                           f4.translations)  # nothing derived yet
+    for frame in (f4, random_valid_frame(3, dim=5), plain):
+        calls.clear()
+        assert len(walls.orbit_walls(frame, 3)) > 1
+        assert len(calls) <= 1
+    assert len(calls) == 1  # the plain frame proved its sections here
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"classE": (1, 0, 1, 0)}, r"need E\.E = 0 and v_i\.E = 0"),
+    ({"translations": ((0, 0, 1, 0), (0, 1, 0, 0))},
+     r"need E\.E = 0 and v_i\.E = 0"),
+    ({"classO": (0, 1, 0, 0)}, "not a section class"),
+], ids=["E.E", "v.E", "O"])
+def test_section_map_proves_section_classes(f4, change, message):
+    args = dict(form=f4.form, classE=f4.classE, classO=f4.classO,
+                ample=f4.ample, translations=f4.translations)
+    frame = FibrationFrame(**dict(args, **change))
+    with pytest.raises(FrameError, match=message):
+        frame.section_map
+    with pytest.raises(FrameError, match=message):
+        frame.sections
+    assert not frame.validate().passed
+
+
+def test_create_checks_the_zero_section_at_rank_zero():
+    form = IntersectionForm(((0, 1), (1, 0)))
+    assert FibrationFrame.create(form, (1, 0), (-1, 1), (2, 1), ()).sections == ()
+    with pytest.raises(FrameError, match="not a section class"):
+        FibrationFrame.create(form, (1, 0), (0, 1), (2, 1), ())
 
 
 def test_frame_from_dict_missing_field():

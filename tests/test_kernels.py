@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from conftest import mat_pow
 from k3cone import linalg
 from k3cone.errors import DegenerateFormError, FrameError
+from k3cone.frame import FibrationFrame
 from k3cone.involutions import reflection_through
 from k3cone.lattice import IntersectionForm, congruent_diagonalization
-from k3cone.translations import translation_matrix
+from k3cone.translations import translation
 
 ints = st.integers(-9, 9)
 entries = st.one_of(ints, st.builds(Fraction, st.integers(-9, 9),
@@ -308,7 +309,8 @@ def test_translation_matrix(data, n):
     if k is not None:  # solve for v_k so that v.E = 0
         v[k] = 0
         v[k] = -ref_dot(h, v) / h[k]
-    got = translation_matrix(IntersectionForm(gram), e, tuple(v)).matrix
+    got = translation(FibrationFrame(IntersectionForm(gram), e, e, e),
+                      tuple(v)).matrix
     assert got == ref_translation(gram, e, v)
     assert all_fractions(got)
 

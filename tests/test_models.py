@@ -13,6 +13,7 @@ from conftest import (random_boundary_class, random_valid_frame, solve,
 from k3cone import linalg
 from k3cone.errors import CuspError, DomainError, InputError
 from k3cone.frame import FibrationFrame
+from k3cone.lattice import IntersectionForm
 from k3cone.models import (BallModel, BoundaryChart, UpperHalfSpacePoint,
                            ball_distance, boundary_distance,
                            boundary_distance_sq, check_boundary_class,
@@ -162,6 +163,43 @@ def test_ball_model_basics(f4):
     assert abs(sum(t * t for t in on_sphere) - 1.0) < 1e-6
     with pytest.raises(DomainError):
         ball.ball_point((0, 0, 1, 0))
+
+
+def test_hyperbolic_distance_beyond_a_double(f4):
+    """sinh d past 1e308 still gives d, from logs of the exact integers."""
+    a, b = (1e200, 1e-200, 0, 0), (1e-200, 1e200, 0, 0)
+    # A.A = B.B = 2, A.B = 1e400 + 1e-400: d = log(2 sinh d) = log(A.B)
+    want = math.log(a[0]) + math.log(b[1])
+    assert math.isclose(hyperbolic_distance(f4.form, a, b), want,
+                        rel_tol=1e-15)
+
+
+def test_hyperbolic_distance_needs_a_lorentzian_plane():
+    """On a definite form two vectors can pass the cone tests and still
+    have (A.B)^2 < (A.A)(B.B): a `DomainError`, not a square-root error."""
+    form = IntersectionForm(((1, 0), (0, 1)))
+    with pytest.raises(DomainError, match="not Lorentzian"):
+        hyperbolic_distance(form, (1, 0), (1, 1))
+
+
+def test_ball_distance_rejects_points_off_the_open_ball(f4):
+    ball = BallModel(f4.form, f4.ample)
+    center = ball.ball_point(f4.ample)
+    assert ball_distance(center, center) == 0.0
+    with pytest.raises(InputError, match="dimension"):
+        ball_distance((0.1, 0.2), (0.1,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            ball_distance((0.1, bad), (0.0, 0.0))
+        with pytest.raises(InputError, match="finite"):
+            ball.ball_point((2, 1, bad, 0))
+    # E is null: its ball point lies on the sphere, at infinite distance
+    on_sphere = ball.ball_point(f4.classE)
+    assert sum(t * t for t in on_sphere) == 1.0
+    for p, q in (((2, 0), (0, 0)), ((0, 0), (1.0, 0.0)),
+                 (on_sphere, center)):
+        with pytest.raises(DomainError, match="strictly inside"):
+            ball_distance(p, q)
 
 
 def test_ball_round_trip(f4):
@@ -408,6 +446,26 @@ def test_uhs_distance_of_far_points_is_accurate():
         d = uhs_distance(frame, to_upper_half_space(frame, x),
                          to_upper_half_space(frame, y))
         assert abs(d - exact) < 1e-13 * exact
+
+
+def test_hyperbolic_distance_of_far_points_is_accurate():
+    """On the same pairs the lattice-coordinate distance is within 1e-13
+    relative of the 60-digit distance: sinh^2 d comes from exact integer
+    products, rounded once."""
+    for frame, x, y, exact in _ill_conditioned_pairs():
+        d = hyperbolic_distance(frame.form, x, y)
+        assert abs(d - exact) < 1e-13 * exact
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hyperbolic_distance_rejects_non_finite_entries(f4, bad):
+    x = [float(t) for t in f4.ample]
+    y = [bad] + x[1:]
+    for args in ((x, y), (y, x)):
+        with pytest.raises(InputError, match="finite"):
+            hyperbolic_distance(f4.form, *args)
+    with pytest.raises(InputError, match="dimension"):
+        hyperbolic_distance(f4.form, x, x[1:])
 
 
 def test_uhs_map_is_scale_invariant(f4):

@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,22 @@ def test_render_rejects_bad_input(f4):
     circles, options = golden_scene(f4)
     with pytest.raises(InputError):
         render_svg(circles, RenderOptions(labels=["only-one"]))
+
+
+@pytest.mark.parametrize("model", ["uhs", "ball"])
+def test_labels_are_escaped(f4, model):
+    """Any label text leaves the document well-formed and reads back."""
+    circles, _ = golden_scene(f4)
+    if model == "ball":
+        ball = BallModel(f4.form, f4.ample)
+        circles = [wall_circle_ball(f4.form, c.source_class, ball)
+                   for c in circles]
+    labels = ["a<b&c", "O", "", "x > \"y\" 'z'"]
+    labels += [""] * (len(circles) - len(labels))
+    root = ElementTree.fromstring(render_svg(circles,
+                                             RenderOptions(labels=labels)))
+    texts = [e.text for e in root.iter() if e.tag.endswith("text")]
+    assert texts == [t for t in labels if t]
 
 
 def test_default_chart_is_built_once_per_frame(monkeypatch):
