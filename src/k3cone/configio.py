@@ -6,10 +6,12 @@ from .curves import Pencil
 from .errors import InputError
 from .frame import FibrationFrame
 from .lattice import form_from_dict
-from .linalg import vectors
+from .linalg import vector, vectors
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise InputError(f"{where}: not a JSON object")
     if key not in doc:
         raise InputError(f"{where}: missing field '{key}'")
     return doc[key]
@@ -42,9 +44,12 @@ def frame_from_dict(doc: dict) -> FibrationFrame:
 def _load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: the top level is not a JSON object")
+    return doc
 
 
 def load_frame(path) -> FibrationFrame:
@@ -52,13 +57,17 @@ def load_frame(path) -> FibrationFrame:
 
 
 def pencil_from_dict(doc: dict) -> Pencil:
-    sections = []
-    for i, sec in enumerate(_require(doc, "sections", "pencil config")):
-        sections.append((_require(sec, "x", f"pencil section {i}"),
-                         _require(sec, "y", f"pencil section {i}")))
-    return Pencil(a=tuple(_require(doc, "a", "pencil config")),
-                  b=tuple(_require(doc, "b", "pencil config")),
-                  sections=tuple(sections))
+    """{"a", "b", "sections": [{"x", "y"}, ...]}, coefficient lists through
+    `vector`."""
+    sections = _require(doc, "sections", "pencil config")
+    if not isinstance(sections, list):
+        raise InputError("pencil config: 'sections' is not a list")
+    return Pencil(a=vector(_require(doc, "a", "pencil config")),
+                  b=vector(_require(doc, "b", "pencil config")),
+                  sections=tuple(
+                      (vector(_require(sec, "x", f"pencil section {i}")),
+                       vector(_require(sec, "y", f"pencil section {i}")))
+                      for i, sec in enumerate(sections)))
 
 
 def load_pencil(path) -> Pencil:

@@ -17,8 +17,9 @@ B^T g B, and builds the `Fraction` basis and diagonal once, at the end.
 The one float value here is `IntersectionForm.gram_f`, a double-precision
 copy of the Gram matrix that is computed once per form and read only by
 `models.inner_f`; real-valued geometry lives in `models`.  The same
-diagonalization, of a chart's Gram on the boundary subspace, gives
-`models.BoundaryChart` its orthogonal basis.
+diagonalization gives the orthogonal axes of both float charts there:
+`models.BallModel` takes the form's own, `models.BoundaryChart` that of
+its Gram on the boundary subspace.
 """
 
 from dataclasses import dataclass
@@ -220,6 +221,7 @@ def form_from_dict(doc: dict) -> IntersectionForm:
         raise InputError("lattice config is missing 'gram'")
     form = IntersectionForm(doc["gram"])
     labels = doc.get("labels")
-    if labels is not None and len(labels) != form.dim:
-        raise InputError("label count does not match gram dimension")
+    if labels is not None and (not isinstance(labels, list)
+                               or len(labels) != form.dim):
+        raise InputError("labels must be a list, one per gram row")
     return form.require_lorentzian()

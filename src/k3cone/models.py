@@ -9,7 +9,8 @@ integer products, UHS and ball on chords), not arccosh(1 + x), which
 loses half the digits for close points.  The UHS model and the synthetic
 height oracle work in cusp coordinates, free of a scrambled basis's
 cancellation; `inner_f` is the lattice-coordinate oracle.  `BoundaryChart`
-and `BallModel` are both built on an exact `congruent_diagonalization`.
+and `BallModel` share one map (`_Axes`) on the integer numerators of an
+orthogonal basis from an exact `congruent_diagonalization`.
 Stated tolerances: 1e-12 for identities that are exact underneath, 1e-9
 for cross-model agreement.
 """
@@ -205,15 +206,45 @@ def uhs_distance(frame, p1: UpperHalfSpacePoint, p2: UpperHalfSpacePoint) -> flo
     return 2.0 * math.asinh(math.sqrt(chord2 / (4.0 * p1.z * p2.z)))
 
 
-# -- Poincare ball -----------------------------------------------------------
+# -- orthogonal axes and the Poincare ball ----------------------------------
 
-class BallModel:
+class _Axes:
+    """Coordinates on an orthogonal basis b_k, b_k.b_k = n_k != 0, of a
+    form's space: t_k = (x.b_k) / (sign(n_k) sqrt|n_k|), and back
+    sum_k (t_k / sqrt|n_k|) b_k.  The b_k are kept as integer rows over one
+    denominator q with their integer Gram images, and sqrt|n_k| as doubles.
+    """
+
+    def __init__(self, form: IntersectionForm, basis, norms):
+        rows, self._q = linalg.matrix_numerators(basis)
+        # x.b_k = (a . g rows_k) / (da dg q) for x = a / da
+        self._images = form.images(rows)
+        self._den = form.gram_numerators[1] * self._q
+        self._roots = [math.sqrt(abs(n)) for n in norms]
+        self._signed = [r if n > 0 else -r for r, n in zip(self._roots, norms)]
+        self._cols = [[row[j] for row in rows] for j in range(form.dim)]
+
+    def coords(self, a, da) -> tuple:
+        """t of x = a / da (integer numerators): per coordinate one integer
+        dot, one integer quotient rounded once, and one division by a double,
+        so a rescaled a gives the same doubles."""
+        den = self._den * da
+        return tuple(linalg.dot(a, h) / den / r
+                     for h, r in zip(self._images, self._signed))
+
+    def vector(self, t) -> tuple:
+        """The float vector sum_k (t_k / sqrt|n_k|) b_k."""
+        c = [tk / r for tk, r in zip(t, self._roots)]
+        return tuple(sum(map(mul, c, col)) / self._q for col in self._cols)
+
+
+class BallModel(_Axes):
     """Signature coordinates and Poincare-ball projection for a form.
 
-    The form is congruence-diagonalized exactly with pivots in input-basis
-    order, then scaled over the reals to diag(1, -1, ..., -1) with the
-    positive direction first and oriented so the ample class has positive
-    time coordinate.  Renderings are therefore deterministic.
+    The axes are the columns of the form's exact `diagonalization`, the
+    positive one first, the first negated when the ample class pairs
+    negatively with it: x.x = w0^2 - |wvec|^2, and the ample class has
+    positive time coordinate.  Renderings are therefore deterministic.
     """
 
     def __init__(self, form: IntersectionForm, ample: Vector):
@@ -221,46 +252,33 @@ class BallModel:
         self.form = form
         self.ample = vector(ample)
         s, diag = form.diagonalization
-        self._s = [[float(x) for x in row] for row in s]
-        self._s_inv = [[float(x) for x in row] for row in linalg.inverse(s)]
-        pos = [i for i, d in enumerate(diag) if d > 0]
-        order = pos + [i for i in range(form.dim) if i not in pos]
-        self._order = order
-        self._scales = [math.sqrt(abs(float(diag[i]))) for i in order]
-        # orient the time axis toward the ample class: the sign rides on
-        # the first scale, and (-s) c == -(s c) exactly in floats
-        if self.signature_coords(self.ample)[0] < 0:
-            self._scales[0] = -self._scales[0]
+        order = sorted(range(form.dim), key=lambda k: diag[k] < 0)
+        basis = [[row[k] for row in s] for k in order]
+        a, b = linalg.numerators(self.ample)[0], linalg.numerators(basis[0])[0]
+        if linalg.dot(a, form.images([b])[0]) < 0:
+            basis[0] = [-t for t in basis[0]]
+        super().__init__(form, basis, [diag[k] for k in order])
 
-    def signature_coords(self, x):
-        """Real coordinates w with x.x = w0^2 - w1^2 - ... - w_{n-1}^2."""
-        n = self.form.dim
-        if len(x) != n:
-            raise InputError("vector dimension does not match the form")
-        xf = [float(x[j]) for j in range(n)]
-        c = [sum(a * b for a, b in zip(row, xf)) for row in self._s_inv]
-        return [self._scales[k] * c[self._order[k]] for k in range(n)]
+    def signature_coords(self, x) -> tuple:
+        """Real coordinates w with x.x = w0^2 - w1^2 - ... - w_{n-1}^2; each
+        entry of x is taken exactly."""
+        return self.coords(*_exact_numerators(x, self.form.dim))
 
     def from_signature_coords(self, w):
         """Inverse of `signature_coords` (float lattice vector)."""
-        n = self.form.dim
-        if len(w) != n:
+        if len(w) != self.form.dim:
             raise InputError("vector dimension does not match the form")
-        c = [0.0] * n
-        for k in range(n):
-            c[self._order[k]] = w[k] / self._scales[k]
-        return tuple(sum(a * b for a, b in zip(row, c)) for row in self._s)
+        return self.vector(w)
 
     def ball_point(self, x):
         """Project a closed-light-cone vector to the ball (interior) or sphere
-        (null rays): w maps to wvec / (w0 + sqrt(w0^2 - |wvec|^2))."""
-        w = self.signature_coords(x)
-        if not all(map(math.isfinite, w)):
-            raise InputError("vector entries must be finite")
-        w0, wvec = w[0], w[1:]
-        space2 = sum(t * t for t in wvec)
-        q = w0 * w0 - space2
-        scale2 = max(abs(w0 * w0), space2, 1.0)
+        (null rays): w maps to wvec / (w0 + sqrt(x.x)), x.x one integer dot
+        on x's exact numerators, rounded once."""
+        a, da = _exact_numerators(x, self.form.dim)
+        w0, *wvec = self.coords(a, da)
+        dg = self.form.gram_numerators[1]
+        q = linalg.dot(a, self.form.images([a])[0]) / (dg * da * da)
+        scale2 = max(abs(w0 * w0), sum(t * t for t in wvec), 1.0)
         if w0 <= 0 or q < -1e-9 * scale2:
             raise DomainError("vector is outside the closed light cone")
         return tuple(t / (w0 + math.sqrt(max(q, 0.0))) for t in wvec)
@@ -284,17 +302,15 @@ def ball_distance(b1, b2) -> float:
 
 # -- Euclidean chart of the boundary subspace -------------------------------
 
-class BoundaryChart:
+class BoundaryChart(_Axes):
     """Orthonormal Euclidean coordinates on V = {x : x.E = x.P = 0}.
 
     Built from a deterministic exact basis of V and the exact
     `congruent_diagonalization` of its (negated, positive definite) Gram
     G.  With pivots in basis order that is G = L D L^T, so the map is
     Cholesky's: the columns of L^-T give orthogonal vectors b'_k in V with
-    -b'_k.b'_k = d_k, and y_k = -(u.b'_k) / sqrt(d_k), so that the 2-norm
-    of y equals sqrt(-u.u).  The b'_k are kept as integer numerators over
-    one denominator with their negated integer Gram images, and sqrt(d_k)
-    as a double, all built once, at construction.
+    b'_k.b'_k = -d_k, and y_k = -(u.b'_k) / sqrt(d_k), so that the 2-norm
+    of y equals sqrt(-u.u).  Built once, at construction.
     """
 
     def __init__(self, frame):
@@ -307,32 +323,12 @@ class BoundaryChart:
         # b'_k = sum_i s_ik b_i, column k of s read in the basis of V
         ortho = [[sum(row[k] * b[j] for row, b in zip(s, self.basis))
                   for j in range(form.dim)] for k in range(len(diag))]
-        rows, q = linalg.matrix_numerators(ortho)
-        # u.b'_k = -(a . h_k) / (da dg q) for u = a / da, h_k = -g (q b'_k)
-        self._images = [[-x for x in g] for g in form.images(rows)]
-        self._den = form.gram_numerators[1] * q
-        self._roots = [math.sqrt(d) for d in diag]
-        self._ortho_f = [[float(x) for x in b] for b in ortho]
+        super().__init__(form, ortho, [-d for d in diag])
         self.dim = len(diag)
 
-    def euclid_of(self, a, da):
-        """Euclidean coordinates of x = a / da (integer numerators): per
-        coordinate one integer dot, one integer quotient rounded once, and
-        one division by sqrt(d_k), so a rescaled a gives the same doubles."""
-        den = self._den * da
-        return tuple(linalg.dot(a, h) / den / root
-                     for h, root in zip(self._images, self._roots))
+    euclid_of = _Axes.coords  # on integer numerators a / da
+    lattice = _Axes.vector  # sum_k e_k b'_k / sqrt(d_k), a float vector in V
 
     def euclid(self, u):
         """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u) for u in V."""
-        a, da = linalg.numerators(vector(u))
-        if len(a) != self.form.dim:
-            raise InputError("vector dimension does not match the form")
-        return self.euclid_of(a, da)
-
-    def lattice(self, e):
-        """Float lattice vector sum_k e_k b'_k / sqrt(d_k) in V with the
-        given Euclidean coordinates."""
-        c = [t / root for t, root in zip(e, self._roots)]
-        return tuple(sum(ck * b[j] for ck, b in zip(c, self._ortho_f))
-                     for j in range(self.form.dim))
+        return self.coords(*_exact_numerators(vector(u), self.form.dim))

@@ -111,13 +111,16 @@ def wall_circle_ball(form, d: Vector, ball: BallModel) -> WallCircle:
 
     In signature coordinates D = (d0, dvec), the null rays orthogonal to D
     hit the sphere along {u : <u, dvec> = d0}, a circle of radius
-    sqrt(1 - d0^2/|dvec|^2) centered at (d0/|dvec|^2) dvec.
+    sqrt(1 - d0^2/|dvec|^2) centered at (d0/|dvec|^2) dvec.  D.D and the
+    coordinates are taken on one `numerators` of D.
     """
     d = vector(d)
-    if form.norm2(d) >= 0:
+    x, dx = linalg.numerators(d)
+    if len(x) != form.dim:
+        raise InputError("vector dimension does not match the form")
+    if linalg.dot(x, form.images([x])[0]) >= 0:
         raise InputError("wall class must have negative self-intersection")
-    w = ball.signature_coords(d)
-    d0, dvec = w[0], w[1:]
+    d0, *dvec = ball.coords(x, dx)
     space2 = sum(t * t for t in dvec)
     # space2 > d0^2 precisely because D.D < 0
     center = tuple(d0 * t / space2 for t in dvec)

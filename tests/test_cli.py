@@ -184,6 +184,8 @@ def test_malformed_input_is_an_input_error(runner, args):
     ("ample", ["1/0", 1, 0, 0]),
     ("ample", [2.0, 1, 0, 0]),
     ("sections", 7),
+    ("E", [True, False, False, False]),
+    ("labels", 5),
 ])
 def test_malformed_config_is_an_input_error(runner, tmp_path, field, value):
     """A config of the wrong shape is an `InputError` where it is coerced,
@@ -193,6 +195,30 @@ def test_malformed_config_is_an_input_error(runner, tmp_path, field, value):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(doc))
     result = runner.invoke(main, ["validate", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("validate", 3),
+    ("validate", "gram"),
+    ("specialize-scan", 3),
+    ("specialize-scan", {"a": 5, "b": [0], "sections": []}),
+    ("specialize-scan", {"a": [0, 0, -1], "b": [0, 0, 1], "sections": 5}),
+    ("specialize-scan", {"a": [0, 0, -1], "b": [0, 0, 1], "sections": [5]}),
+    ("specialize-scan", {"a": [False, 0, -1], "b": [0, 0, 1],
+                         "sections": []}),
+])
+def test_malformed_config_document_is_an_input_error(runner, tmp_path,
+                                                      command, doc):
+    """A top level that is not an object, and pencil fields of the wrong
+    shape, are an `InputError` at load, not a traceback or a silent read."""
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    scan = (["--t-min", "8", "--t-max", "8"] if command == "specialize-scan"
+            else [])
+    result = runner.invoke(main, [command, str(config), *scan])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "ERROR\tInputError\t" in result.output

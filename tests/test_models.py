@@ -157,10 +157,9 @@ def test_ball_model_basics(f4):
                - (w[0] ** 2 - sum(t * t for t in w[1:]))) < 1e-9
     center = ball.ball_point(f4.ample)
     assert sum(t * t for t in center) < 1.0
-    # null class lands on the sphere; the square root of the clipped
-    # discriminant costs sqrt(eps), so the bound is 1e-6, not 1e-9
+    # null class lands on the sphere
     on_sphere = ball.ball_point((2, 1, 1, 0))
-    assert abs(sum(t * t for t in on_sphere) - 1.0) < 1e-6
+    assert abs(sum(t * t for t in on_sphere) - 1.0) < 1e-15
     with pytest.raises(DomainError):
         ball.ball_point((0, 0, 1, 0))
 
@@ -200,6 +199,32 @@ def test_ball_distance_rejects_points_off_the_open_ball(f4):
                  (on_sphere, center)):
         with pytest.raises(DomainError, match="strictly inside"):
             ball_distance(p, q)
+
+
+def test_null_classes_land_on_the_sphere():
+    """x.x is exact, so a null class has x.x = 0 and its ball point is
+    wvec / w0: on the unit sphere to rounding."""
+    for seed in range(6):
+        for dim in range(3, 9):
+            frame = random_valid_frame(seed, dim)
+            ball = BallModel(frame.form, frame.ample)
+            rng = random.Random(seed)
+            for _ in range(10):
+                p = ball.ball_point(random_boundary_class(frame, rng))
+                assert abs(sum(t * t for t in p) - 1.0) <= 1e-15
+
+
+def test_null_lifts_project_back_to_the_ball():
+    """A float null lift rounds off the cone by a few ulps either way; the
+    slack in `ball_point` keeps it from being a `DomainError`."""
+    rng = random.Random(11)
+    for dim in range(3, 9):
+        frame = random_valid_frame(dim, dim)
+        ball = BallModel(frame.form, frame.ample)
+        for _ in range(200):
+            u = [rng.gauss(0.0, 1.0) for _ in range(dim - 1)]
+            norm = math.sqrt(sum(t * t for t in u))
+            ball.ball_point(ball.null_lift([t / norm for t in u]))
 
 
 def test_ball_round_trip(f4):
@@ -454,6 +479,16 @@ def test_hyperbolic_distance_of_far_points_is_accurate():
     products, rounded once."""
     for frame, x, y, exact in _ill_conditioned_pairs():
         d = hyperbolic_distance(frame.form, x, y)
+        assert abs(d - exact) < 1e-13 * exact
+
+
+def test_ball_distance_of_far_points_is_accurate():
+    """On the same pairs the ball distance is within 1e-13 relative of the
+    60-digit distance: each entry enters `ball_point` exactly, and x.x is
+    an exact integer dot rounded once."""
+    for frame, x, y, exact in _ill_conditioned_pairs():
+        ball = BallModel(frame.form, frame.ample)
+        d = ball_distance(ball.ball_point(x), ball.ball_point(y))
         assert abs(d - exact) < 1e-13 * exact
 
 

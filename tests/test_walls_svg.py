@@ -185,6 +185,25 @@ def test_wall_circle_uhs_makes_no_exact_product(monkeypatch):
     assert calls == []
 
 
+def test_wall_circle_ball_makes_no_exact_product(monkeypatch):
+    """A ball circle takes D.D and its coordinates on one `numerators` of D:
+    no `IntersectionForm.inner` call."""
+    frame = random_valid_frame(2, dim=6)
+    ball = BallModel(frame.form, frame.ample)
+    classes = list(frame.sections) + orbit_walls(frame, 1)
+    want = [wall_circle_ball(frame.form, d, ball) for d in classes]
+    calls = []
+    inner = IntersectionForm.inner
+
+    def counting_inner(form, u, v):
+        calls.append("inner")
+        return inner(form, u, v)
+
+    monkeypatch.setattr(IntersectionForm, "inner", counting_inner)
+    assert [wall_circle_ball(frame.form, d, ball) for d in classes] == want
+    assert calls == []
+
+
 def test_uhs_circle_rejects_non_wall(f4):
     with pytest.raises(InputError):
         wall_circle_uhs(f4, f4.classE)
