@@ -140,8 +140,7 @@ def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
     p = curve._require(p)
     if p is None:
         return 0.0
-    x = to_fraction(p[0])
-    num, den = x.numerator, x.denominator
+    num, den = p[0].numerator, p[0].denominator
     est = _log_height(num, den)
     for m in range(1, MAX_DOUBLINGS + 1):
         step = _x_double(num, den, curve.a, curve.b)
@@ -238,19 +237,14 @@ class Pencil:
                                  "equation identically")
 
     def specialize(self, t0) -> tuple:
-        """Exact substitution; raises SingularFiberError when disc(t0) = 0."""
+        """Exact substitution; raises SingularFiberError when disc(t0) = 0.
+        The points need no check: `__post_init__` proved every section."""
         t0 = to_fraction(t0)
         a, b = _poly_eval(self.a, t0), _poly_eval(self.b, t0)
         if 4 * a ** 3 + 27 * b ** 2 == 0:
             raise SingularFiberError(f"singular fiber at t = {t0}")
-        curve = CurveQ(a, b)
-        points = []
-        for x, y in self.sections:
-            pt = (_poly_eval(x, t0), _poly_eval(y, t0))
-            if not curve.contains(pt):
-                raise InputError(f"section {pt} is not on the fiber at t = {t0}")
-            points.append(pt)
-        return curve, points
+        return CurveQ(a, b), [(_poly_eval(x, t0), _poly_eval(y, t0))
+                              for x, y in self.sections]
 
 
 def default_pencil() -> Pencil:
@@ -284,17 +278,23 @@ def specialization_scan(pencil: Pencil, t_values,
                         tolerance: float = 1e-4) -> ScanResult:
     """Pairing matrices of the specialized sections along a parameter sweep.
 
-    Singular fibers are skipped with a recorded reason.  Diagnostics:
-    successive max-entry differences of the normalized matrices, and a
-    per-entry least-squares slope of pairing against parameter height.
+    Singular fibers, and fibers of parameter height 0 (t = 0, 1 or -1),
+    which leave nothing to normalize by, are skipped with a recorded
+    reason.  Diagnostics: successive max-entry differences of the
+    normalized matrices, and a per-entry least-squares slope of pairing
+    against parameter height.
     """
     rows = []
     skipped = []
-    for t0 in t_values:
+    for t0 in map(to_fraction, t_values):
         try:
             curve, points = pencil.specialize(t0)
         except SingularFiberError as exc:
-            skipped.append((to_fraction(t0), str(exc)))
+            skipped.append((t0, str(exc)))
+            continue
+        h_t = parameter_height(t0)
+        if not h_t:
+            skipped.append((t0, f"parameter height 0 at t = {t0}"))
             continue
         r = len(points)
         heights = {}
@@ -313,16 +313,15 @@ def specialization_scan(pencil: Pencil, t_values,
                 if i == j:
                     val = 2.0 * hhat((i,), points[i])
                 else:
-                    s = curve.add(points[i], points[j])
+                    s = curve._add(points[i], points[j])
                     val = (hhat((i, j), s) - hhat((i,), points[i])
                            - hhat((j,), points[j]))
                 matrix[i][j] = matrix[j][i] = val
-        h_t = parameter_height(t0)
         norm = tuple(tuple(x / h_t for x in row) for row in matrix)
-        rows.append(ScanRow(to_fraction(t0), h_t,
-                            tuple(tuple(row) for row in matrix), norm))
+        rows.append(ScanRow(t0, h_t, tuple(map(tuple, matrix)), norm))
     if not rows:
-        raise InputError("all fibers were singular")
+        raise InputError("no fiber could be scanned: each was singular "
+                         "or had parameter height 0")
 
     diffs = []
     for prev, cur in zip(rows, rows[1:]):

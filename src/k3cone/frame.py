@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import involutions, linalg
 from .errors import FrameError, InputError
 from .lattice import IntersectionForm, signature
-from .linalg import Matrix, Vector, dot, vector
+from .linalg import Vector, dot, vector
 from .models import BoundaryChart
 
 
@@ -87,9 +87,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if c.status == "fail"]
 
     def lines(self):
         return [f"{c.status:8s} {c.name}" + (f": {c.detail}" if c.detail else "")
@@ -171,10 +168,6 @@ class FibrationFrame:
         units = [tuple(int(i == j) for j in range(self.rank))
                  for i in range(self.rank)]
         return tuple(tuple(Fraction(x, den) for x in image(m)) for m in units)
-
-    @cached_property
-    def classP(self) -> Vector:
-        return linalg.vec_add(self.classO, self.classE)
 
     @property
     def rank(self) -> int:
@@ -323,25 +316,6 @@ class FibrationFrame:
         vp = dot(a, c.gP)
         return [c.ep * x - vp * y for x, y in zip(a, c.E)], da * c.ep
 
-    def vperp_rep(self, di: Vector) -> Vector:
-        """Translation vector recovered from a section class:
-
-            v = D_i - [O] - (2 + D_i.[O]) E,
-
-        on the numerators x / dx of D_i: with den = dg q that of `fixed`,
-        v dx den q = den q x - dx den o - (2 dx den + x . gO) e.
-        """
-        x, dx = self.numerators(vector(di))
-        self.check_section(x, dx)
-        c = self.fixed
-        t = 2 * dx * c.den + dot(x, c.gO)
-        v = [c.den * c.q * a - dx * c.den * o - t * e
-             for a, o, e in zip(x, c.O, c.E)]
-        if dot(v, c.gE) or dot(v, c.gP):
-            raise FrameError("recovered vector is not in the boundary subspace")
-        den = dx * c.den * c.q
-        return tuple(Fraction(z, den) for z in v)
-
     # -- boundary subspace -------------------------------------------------
 
     def perp_basis(self):
@@ -358,21 +332,6 @@ class FibrationFrame:
     def chart(self):
         """The default `BoundaryChart` on V, built once per frame."""
         return BoundaryChart(self)
-
-    def change_basis(self, u: Matrix) -> "FibrationFrame":
-        """Transport the frame through the basis change with matrix u.
-
-        Columns of u are the old coordinates of the new basis vectors; the
-        gram matrix becomes u^T J u and vectors pick up coordinates u^-1 x.
-        """
-        u = linalg.matrix(u)
-        u_inv = linalg.inverse(u)
-        new_form = IntersectionForm(
-            linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(self.form.gram, u)))
-        mv = lambda x: linalg.mat_vec(u_inv, x)
-        return FibrationFrame(new_form, mv(self.classE), mv(self.classO),
-                              mv(self.ample),
-                              tuple(mv(v) for v in self.translations))
 
     # -- validation --------------------------------------------------------
 

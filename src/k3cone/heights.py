@@ -45,12 +45,11 @@ Euclidean Gram matrix [-v_i.v_j].
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, index, mul
 
 from .errors import FrameError, InputError
-from .linalg import Vector, dot, vector
+from .linalg import dot, vector
 from .models import cusp_inner
 
 _BLOCK = 1024  # steps of the error recurrence run per block
@@ -148,10 +147,6 @@ class SyntheticFibration:
         vs, _, qv = self.frame.translation_numerators
         return [sum(m * v[j] for m, v in zip(ms, vs))
                 for j in range(self.frame.form.dim)], qv
-
-    def group_translation(self, point: FiberPoint) -> Vector:
-        w, qv = self._group_numerators(point)
-        return tuple(Fraction(x, qv) for x in w)
 
     def _chart_translation(self, point: FiberPoint):
         """The chart coordinates u of w = sum m_i v_i: T_w depends on u."""

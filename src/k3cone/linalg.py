@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Matrices are tuples of tuples of `fractions.Fraction`; vectors are tuples.
-Exact values stay `Fraction` at the API, but the kernels (`mat_vec`,
-`mat_mul`, `inverse`, `rref`) compute on integer numerators over one
-common denominator per operand and build one canonical `Fraction` per
-output entry.  Inversion and row reduction are fraction-free Gauss-Jordan
+Exact values stay `Fraction` at the API, but the kernels (`mat_mul`,
+`inverse`, `rref`) compute on integer numerators over one common
+denominator per operand and build one canonical `Fraction` per output
+entry.  Inversion and row reduction are fraction-free Gauss-Jordan
 elimination in Bareiss form (Bareiss, Math. Comp. 22, 1968): every
 intermediate entry is a minor of the input, so each division is exact.
 Callers that keep a matrix as (integer rows, denominator) themselves, such
@@ -66,11 +66,6 @@ def matrix(rows) -> Matrix:
     return rows
 
 
-def identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
@@ -91,15 +86,6 @@ def matrix_numerators(m):
     den = lcm(*[x.denominator for row in m for x in row])
     return [[x.numerator * (den // x.denominator) for x in row]
             for row in m], den
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    if (len(m[0]) if m else 0) != len(v):
-        raise InputError("dimension mismatch in mat_vec")
-    a, da = matrix_numerators(m)
-    b, db = numerators(v)
-    den = da * db
-    return tuple(Fraction(sum(map(mul, row, b)), den) for row in a)
 
 
 def int_mat_mul(a, b):

@@ -63,6 +63,19 @@ def _exact_numerators(u, dim) -> tuple:
     return [n * (den // d) for n, d in ratios], den
 
 
+def _scaled_numerators(u, dim) -> tuple:
+    """`_exact_numerators` of u, its largest entry brought near 1 by a power
+    of two when past 2^400 or below 2^-400: a scale-invariant map's value is
+    unchanged, and its quotients stay in a double's range."""
+    a, da = _exact_numerators(u, dim)
+    shift = max(map(abs, a)).bit_length() - da.bit_length()
+    if shift > 400:
+        da <<= shift
+    elif shift < -400:
+        a = [x << -shift for x in a]
+    return a, da
+
+
 def hyperbolic_distance(form: IntersectionForm, a, b) -> float:
     """arccosh(A.B / (||A|| ||B||)); scale-invariant in each argument.
 
@@ -175,9 +188,10 @@ def to_upper_half_space(frame, u) -> UpperHalfSpacePoint:
     """Point U = (w, v, y) in cusp coordinates, each entry taken exactly,
     maps to (y/w, sqrt(U.U)/w): the image of U / ||U||, so the map is
     scale-invariant and U need not lie on the hyperboloid.  U.U is one
-    integer dot on the numerators `cusp_of` reads, rounded once.  Needs
-    U.E > 0 and U.U > 0 (`DomainError`)."""
-    a, da = _exact_numerators(u, frame.form.dim)
+    integer dot on the numerators `cusp_of` reads, rounded once; any finite
+    U is in range (`_scaled_numerators`).  Needs U.E > 0 and U.U > 0
+    (`DomainError`)."""
+    a, da = _scaled_numerators(u, frame.form.dim)
     w, _, *y = frame.cusp_of(a, da)
     if w <= 0:
         raise DomainError("point does not pair positively with the fiber class")
@@ -261,7 +275,8 @@ class BallModel(_Axes):
 
     def signature_coords(self, x) -> tuple:
         """Real coordinates w with x.x = w0^2 - w1^2 - ... - w_{n-1}^2; each
-        entry of x is taken exactly."""
+        entry of x is taken exactly.  Linear, not scale-invariant: a w_k
+        past the double range raises `OverflowError`."""
         return self.coords(*_exact_numerators(x, self.form.dim))
 
     def from_signature_coords(self, w):
@@ -273,8 +288,9 @@ class BallModel(_Axes):
     def ball_point(self, x):
         """Project a closed-light-cone vector to the ball (interior) or sphere
         (null rays): w maps to wvec / (w0 + sqrt(x.x)), x.x one integer dot
-        on x's exact numerators, rounded once."""
-        a, da = _exact_numerators(x, self.form.dim)
+        on x's exact numerators, rounded once; any finite x is in range
+        (`_scaled_numerators`)."""
+        a, da = _scaled_numerators(x, self.form.dim)
         w0, *wvec = self.coords(a, da)
         dg = self.form.gram_numerators[1]
         q = linalg.dot(a, self.form.images([a])[0]) / (dg * da * da)
@@ -330,5 +346,6 @@ class BoundaryChart(_Axes):
     lattice = _Axes.vector  # sum_k e_k b'_k / sqrt(d_k), a float vector in V
 
     def euclid(self, u):
-        """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u) for u in V."""
+        """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u) for u in V.
+        Linear: a coordinate past the double range raises `OverflowError`."""
         return self.coords(*_exact_numerators(vector(u), self.form.dim))

@@ -30,10 +30,21 @@ def zero_vector(n: int):
     return tuple(Fraction(0) for _ in range(n))
 
 
+def identity(n: int):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n))
+                 for i in range(n))
+
+
+def mat_vec(m, v):
+    """m v as `Fraction`s, one row dot at a time."""
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
+                 for row in m)
+
+
 def solve(m, b):
     """Exact solution x of m x = b for an invertible m: the reference
-    solver of the tests, over `linalg.inverse` and `linalg.mat_vec`."""
-    return linalg.mat_vec(linalg.inverse(linalg.matrix(m)), b)
+    solver of the tests, over `linalg.inverse` and `mat_vec`."""
+    return mat_vec(linalg.inverse(linalg.matrix(m)), b)
 
 
 def mat_pow(m, k: int):
@@ -62,10 +73,40 @@ def parabolic_translation(inner, classE, v):
     return apply
 
 
+def class_p(frame: FibrationFrame):
+    """P = O + E, the null class that meets E once."""
+    return linalg.vec_add(frame.classO, frame.classE)
+
+
+def group_translation(frame: FibrationFrame, point):
+    """w = sum m_i v_i over the frame's translations, for the group vector
+    m of a `heights.FiberPoint`."""
+    w = [Fraction(0)] * frame.form.dim
+    for m, v in zip(point.group_vector, frame.translations):
+        w = [a + m * b for a, b in zip(w, v)]
+    return tuple(w)
+
+
+def change_basis(frame: FibrationFrame, u) -> FibrationFrame:
+    """Transport the frame through the basis change with matrix u.
+
+    Columns of u are the old coordinates of the new basis vectors; the
+    gram matrix becomes u^T J u and vectors pick up coordinates u^-1 x.
+    """
+    u = linalg.matrix(u)
+    u_inv = linalg.inverse(u)
+    new_form = IntersectionForm(
+        linalg.mat_mul(linalg.transpose(u), linalg.mat_mul(frame.form.gram, u)))
+    mv = lambda x: mat_vec(u_inv, x)
+    return FibrationFrame(new_form, mv(frame.classE), mv(frame.classO),
+                          mv(frame.ample),
+                          tuple(mv(v) for v in frame.translations))
+
+
 def reassemble(frame: FibrationFrame, d):
     """aP P + aE E + perp: the class a `Decomposition` splits."""
     return linalg.vec_add(
-        linalg.vec_add(linalg.vec_scale(d.aP, frame.classP),
+        linalg.vec_add(linalg.vec_scale(d.aP, class_p(frame)),
                        linalg.vec_scale(d.aE, frame.classE)),
         d.perp)
 
@@ -118,7 +159,7 @@ def random_valid_frame(seed: int, dim: int = 4,
                       for i in range(r)],
     )
     if scrambled:
-        frame = frame.change_basis(random_unimodular(rng, dim))
+        frame = change_basis(frame, random_unimodular(rng, dim))
     return frame
 
 
@@ -142,4 +183,4 @@ def random_boundary_class(frame: FibrationFrame, rng: random.Random):
         u = linalg.vec_add(u, linalg.vec_scale(c, b))
     ae = -frame.form.norm2(u) / 2
     return linalg.vec_add(
-        linalg.vec_add(frame.classP, linalg.vec_scale(ae, frame.classE)), u)
+        linalg.vec_add(class_p(frame), linalg.vec_scale(ae, frame.classE)), u)

@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import (random_boundary_class, random_orthogonal_to_fiber,
+from conftest import (class_p, group_translation, identity,
+                      random_boundary_class, random_orthogonal_to_fiber,
                       random_valid_frame)
 from k3cone import f4_frame, linalg
 from k3cone.curves import (CurveQ, canonical_height as curve_hhat,
@@ -102,9 +103,9 @@ def test_04_involution_eigenstructure(capsys):
         refls += [sigma_i_pullback(frame, d) for d in frame.sections]
         for refl in refls:
             m = refl.matrix
-            ok = ok and linalg.mat_mul(m, m) == linalg.identity(n)
+            ok = ok and linalg.mat_mul(m, m) == identity(n)
             ok = ok and refl.preserves_form()
-            ident = linalg.identity(n)
+            ident = identity(n)
             minus = linalg.matrix([[m[i][j] - ident[i][j] for j in range(n)]
                                    for i in range(n)])
             plus = linalg.matrix([[m[i][j] + ident[i][j] for j in range(n)]
@@ -127,7 +128,7 @@ def test_05_boundary_metric_exact(capsys):
         ok = ok and boundary_distance_sq(f4, a, b) == -f4.form.norm2(diff)
     # reference example: P and its translate by f1 are at distance 2
     t = translation(f4, f4.translations[0])
-    ok = ok and boundary_distance_sq(f4, f4.classP, t(f4.classP)) == 4
+    ok = ok and boundary_distance_sq(f4, class_p(f4), t(class_p(f4))) == 4
     _report(capsys, 5, "boundary metric exactness", ok, 5.0,
             time.process_time() - start)
 
@@ -223,7 +224,7 @@ def test_08_error_growth_contract(capsys):
         fib = SyntheticFibration(f4, (10.0,), m, seed)
         for gv in ((1, 0), (0, 1), (1, 1), (2, -1)):
             point = FiberPoint(0, gv)
-            v = fib.group_translation(point)
+            v = group_translation(fib.frame, point)
             vnorm = math.sqrt(-float(f4.form.norm2(v)))
             for n, perp, scalar in fib.error_trace(point, 100):
                 ok = ok and perp <= m * n * (1.0 + 1e-9)

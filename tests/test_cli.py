@@ -151,6 +151,15 @@ def test_specialize_scan(runner, tmp_path):
                for line in lines)
 
 
+def test_specialize_scan_skips_a_zero_height_fiber(runner):
+    result = runner.invoke(
+        main, ["specialize-scan", PENCIL, "--t-min", "1", "--t-max", "4",
+               "--tolerance", "1e-2"])
+    assert result.exit_code == 0, result.output
+    assert ("# skipped t=1: parameter height 0 at t = 1"
+            in result.output.splitlines())
+
+
 def test_specialize_scan_rejects_bad_range(runner):
     result = runner.invoke(
         main, ["specialize-scan", PENCIL, "--t-min", "0", "--t-max", "8"])

@@ -169,6 +169,20 @@ def test_specialization_scan_shape():
     assert len(result.max_entry_diffs) == 1
 
 
+def test_specialization_scan_skips_zero_parameter_height():
+    """t = 1 is a smooth fiber of parameter height log 1 = 0: it is skipped
+    with a reason, not divided by; so are t = -1 and t = 0 where smooth."""
+    result = specialization_scan(default_pencil(), [1, 2, 4])
+    assert result.skipped == ((1, "parameter height 0 at t = 1"),)
+    assert [row.t for row in result.rows] == [2, 4]
+    with pytest.raises(InputError, match="no fiber could be scanned"):
+        specialization_scan(default_pencil(), [-1], tolerance=1e-2)
+    smooth = Pencil(a=(-1,), b=(1,), sections=(((1,), (1,)),))
+    result = specialization_scan(smooth, [0, 2], tolerance=1e-2)
+    assert result.skipped == ((0, "parameter height 0 at t = 0"),)
+    assert [row.t for row in result.rows] == [2]
+
+
 def test_specialization_scan_skips_singular():
     result = specialization_scan(default_pencil(), [0, 8], tolerance=1e-3)
     assert len(result.skipped) == 1

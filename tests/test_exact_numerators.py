@@ -21,7 +21,8 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import random_unimodular, random_valid_frame
+from conftest import (change_basis, class_p, random_unimodular,
+                      random_valid_frame)
 from k3cone import configio, involutions, lattice, linalg, models, translations
 from k3cone.errors import CuspError, DomainError, FrameError
 from k3cone.frame import Decomposition, FibrationFrame
@@ -42,8 +43,8 @@ def frames():
                           rng.randint(1, 4)) for _ in range(frame.form.dim)]
         rational = tuple(tuple(x * s for x, s in zip(row, scale)) for row in u)
         out[f"seed{seed}"] = frame
-        out[f"seed{seed}-unimodular"] = frame.change_basis(u)
-        out[f"seed{seed}-rational"] = frame.change_basis(rational)
+        out[f"seed{seed}-unimodular"] = change_basis(frame, u)
+        out[f"seed{seed}-rational"] = change_basis(frame, rational)
     return out
 
 
@@ -54,7 +55,7 @@ FRAME_IDS = ["f4"] + [f"seed{s}{kind}" for s in SEEDS
 # -- the reference: IntersectionForm.inner and Fraction arithmetic only -----
 
 def ref_split(frame, x):
-    inner, e, p = frame.form.inner, frame.classE, frame.classP
+    inner, e, p = frame.form.inner, frame.classE, class_p(frame)
     ee, pp, ep = inner(e, e), inner(p, p), inner(e, p)
     det = ep * ep - ee * pp
     xe, xp = inner(x, e), inner(x, p)
@@ -71,7 +72,7 @@ def ref_cusp(frame, x):
 
 def ref_boundary_rep(frame, v):
     inner, e = frame.form.inner, frame.classE
-    shift = inner(v, frame.classP) / inner(e, frame.classP)
+    shift = inner(v, class_p(frame)) / inner(e, class_p(frame))
     return tuple(x - shift * y for x, y in zip(v, e))
 
 
@@ -98,7 +99,7 @@ def ref_vperp_rep(frame, d):
 def ref_validate_lines(frame):
     """The report `FibrationFrame.validate` prints, product by product."""
     inner = frame.form.inner
-    e, o, amp, p = frame.classE, frame.classO, frame.ample, frame.classP
+    e, o, amp, p = frame.classE, frame.classO, frame.ample, class_p(frame)
     dim, r = frame.form.dim, frame.rank
     lines = []
 
@@ -169,7 +170,7 @@ def boundary_class(frame, rng):
     ample side, as the benchmark draws them; aE = -u.u/2 makes it null."""
     u = in_boundary(frame, rng)
     a_e = -frame.form.norm2(u) / 2
-    a = linalg.vec_add(linalg.vec_add(frame.classP,
+    a = linalg.vec_add(linalg.vec_add(class_p(frame),
                                       linalg.vec_scale(a_e, frame.classE)), u)
     return linalg.vec_scale(Fraction(rng.randint(1, 7), rng.randint(1, 5)), a)
 
@@ -181,7 +182,7 @@ def test_splitting_matches_reference(name):
     frame = frames()[name]
     rng = random.Random(name)
     xs = [random_rational(rng, frame.form.dim) for _ in range(8)]
-    for x in xs + [frame.ample, frame.classO, frame.classE, frame.classP]:
+    for x in xs + [frame.ample, frame.classO, frame.classE, class_p(frame)]:
         assert frame.decompose(x) == Decomposition(*ref_split(frame, x))
     for _ in range(4):
         v = orthogonal_to_fiber(frame, rng)
@@ -195,12 +196,12 @@ def test_chart_of_a_class_is_that_of_its_perp(name):
     chart = frame.chart
     rng = random.Random(name)
     xs = [random_rational(rng, frame.form.dim) for _ in range(8)]
-    for x in xs + [frame.ample, frame.classO, frame.classE, frame.classP]:
+    for x in xs + [frame.ample, frame.classO, frame.classE, class_p(frame)]:
         perp = ref_split(frame, x)[2]
         assert chart.euclid(x) == chart.euclid(perp)
         assert frame.cusp(x) == ref_cusp(frame, x)
     assert not any(chart.euclid(frame.classE))
-    assert not any(chart.euclid(frame.classP))
+    assert not any(chart.euclid(class_p(frame)))
 
 
 @pytest.mark.parametrize("name", FRAME_IDS)
@@ -210,7 +211,7 @@ def test_section_classes_match_reference(name):
     want = tuple(ref_translate(frame, v) for v in frame.translations)
     assert frame.sections == want
     for v, d in zip(frame.translations, want):
-        assert frame.vperp_rep(d) == ref_vperp_rep(frame, d) == v
+        assert ref_vperp_rep(frame, d) == v
     for _ in range(4):
         w = orthogonal_to_fiber(frame, rng)
         assert translations.section_translate(frame, w) == ref_translate(frame, w)
@@ -287,10 +288,8 @@ def test_every_section_check_rejects_a_corrupted_section(name):
     frame = frames()[name]
     bad = linalg.vec_add(frame.sections[0], frame.classE)
     with pytest.raises(FrameError, match=SECTION_ERROR):
-        frame.vperp_rep(bad)
-    with pytest.raises(FrameError, match=SECTION_ERROR):
         involutions.sigma_i_pullback(frame, bad)
-    shifted = FibrationFrame(frame.form, frame.classE, frame.classP,
+    shifted = FibrationFrame(frame.form, frame.classE, class_p(frame),
                              frame.ample, frame.translations)
     with pytest.raises(FrameError, match=SECTION_ERROR):
         shifted.section_map[0]((1,) + (0,) * (frame.rank - 1))
@@ -307,7 +306,7 @@ def test_frame_caches_hold_no_reference_cycle():
     frame.from_cusp(frame.cusp(x))
     frame.section_map[0]((1,) * frame.rank)
     assert frame.sections and frame.validate().passed
-    models.phi(frame, frame.classP)
+    models.phi(frame, class_p(frame))
     ref = weakref.ref(frame)
     enabled = gc.isenabled()
     gc.disable()

@@ -7,7 +7,8 @@ from operator import add, mul
 
 import pytest
 
-from conftest import parabolic_translation, random_valid_frame
+from conftest import (class_p, group_translation, parabolic_translation,
+                      random_valid_frame)
 from k3cone import f4_frame, linalg
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
@@ -77,7 +78,7 @@ def test_fiber_point_normalizes_integral_entries():
     fib = _fib(noise=1.0, seed=3)
     plain = FiberPoint(0, (2, -2))
     # both points key their noise streams as "3|0|(2, -2)|..."
-    u = fib.frame.cusp(fib.group_translation(point))
+    u = fib.frame.cusp(group_translation(fib.frame, point))
     _, (e, y) = itertools.islice(fib._errors(point, u[2:]), 2)
     assert (0.0, e) + y == next(_replayed_noise(fib, plain))
     h = _translate_cusp(fib, u, fib.base_height(0))
@@ -127,7 +128,7 @@ def test_input_validation():
     with pytest.raises(InputError):
         fib.base_height(5)
     with pytest.raises(InputError):
-        fib.group_translation(FiberPoint(0, (1,)))
+        fib.vector_height(FiberPoint(0, (1,)))
 
 
 @pytest.mark.parametrize("heights, noise", [
@@ -174,7 +175,7 @@ def test_base_height_pairs_to_fiber_height():
     assert classE == (0.0, 1.0, 0.0, 0.0)
     for fiber, h in enumerate(fib.fiber_heights):
         base = fib.base_height(fiber)
-        assert base == frame.cusp(linalg.vec_scale(int(h), frame.classP))
+        assert base == frame.cusp(linalg.vec_scale(int(h), class_p(frame)))
         assert cusp_inner(base, classE) == h
 
 
@@ -183,13 +184,13 @@ def test_vector_height_noiseless_is_exact_translate():
     frame = fib.frame
     point = FiberPoint(0, (1, 0))
     h = fib.vector_height(point)
-    v = fib.group_translation(point)
+    v = group_translation(fib.frame, point)
     u = frame.cusp(v)
     assert h == _translate_cusp(fib, u, fib.base_height(0))
     # T_u (w, v, y) = (w, v + <y, u> + w |u|^2 / 2, y + w u) with |u| = 2
     assert h == (10.0, 20.0, 20.0, 0.0)
     exact = parabolic_translation(frame.form.inner, frame.classE, v)(
-        linalg.vec_scale(10, frame.classP))
+        linalg.vec_scale(10, class_p(frame)))
     assert h == frame.cusp(exact)
 
 
@@ -364,7 +365,7 @@ def test_noise_is_one_fresh_generator_per_key(dim):
     rng = random.Random(dim)
     for fiber in (0, 1):
         point = FiberPoint(fiber, [rng.randint(-2, 2) for _ in range(r)])
-        u = frame.cusp(fib.group_translation(point))
+        u = frame.cusp(group_translation(fib.frame, point))
         errors = list(itertools.islice(fib._errors(point, u[2:]), 401))
         want = random.Random(f"11|{fiber}|{point.group_vector}|steps")
         draws = []
@@ -389,7 +390,7 @@ def _replayed_errors(fib, point, n):
     """Reference: the errors after steps 0..n, replayed step by step with
     the shared translation formula, err_{k+1} = T_u err_k + noise_k, the
     noise drawn in order from the point's independently replayed stream."""
-    u = fib.frame.cusp(fib.group_translation(point))
+    u = fib.frame.cusp(group_translation(fib.frame, point))
     noise = _replayed_noise(fib, point)
     errors = [(0.0,) * len(u)]
     for _ in range(n):
@@ -428,7 +429,7 @@ def test_noise_streams_are_prefix_consistent(dim):
 
 def _replayed_iterated_height(fib, point, n, errors):
     """Reference: exact translate plus the replayed error after n steps."""
-    u = fib.frame.cusp(fib.group_translation(point))
+    u = fib.frame.cusp(group_translation(fib.frame, point))
     exact = _translate_cusp(fib, tuple(n * c for c in u),
                             fib.base_height(point.fiber))
     return tuple(a + b for a, b in zip(exact, errors[n]))
@@ -506,7 +507,7 @@ def test_error_trace_growth_contract():
     m = 0.5
     for seed in range(3):
         fib = SyntheticFibration(f4_frame(), (10.0,), m, seed)
-        v = fib.group_translation(FiberPoint(0, (1, 1)))
+        v = group_translation(fib.frame, FiberPoint(0, (1, 1)))
         vnorm = math.sqrt(-float(fib.frame.form.norm2(v)))
         rows = fib.error_trace(FiberPoint(0, (1, 1)), 100)
         for n, perp, scalar in rows:
@@ -524,7 +525,7 @@ def test_random_frame_synthetic_consistency():
     frame = random_valid_frame(2, dim=5)
     fib = SyntheticFibration(frame, (100.0,), 0.0, 0)
     point = FiberPoint(0, tuple(1 for _ in range(frame.rank)))
-    v = fib.group_translation(point)
+    v = group_translation(fib.frame, point)
     expected = -100.0 * float(frame.form.norm2(v)) * float(
         frame.form.inner(frame.ample, frame.classE)) / 2.0
     value, _ = canonical_height(fib, point, frame.ample)
@@ -566,7 +567,7 @@ def _exact_model(fib, point, n_max):
     Same inputs as the float oracle (the converted translation and the
     noise draws), evaluated in `Fraction`s with the cusp product.
     """
-    u = _exact_cusp(fib.frame, fib.group_translation(point))
+    u = _exact_cusp(fib.frame, group_translation(fib.frame, point))
     e = (0, 1) + (0,) * (len(u) - 2)
     base = (Fraction(fib.fiber_heights[point.fiber]),) + (0,) * (len(u) - 1)
     step = parabolic_translation(_exact_dot, e, u)

@@ -7,14 +7,14 @@ check still fires.  Plain `assert` would vanish under `python -O`.
 
 import pytest
 
-from k3cone import curves, f4_frame, involutions, lattice, linalg
-from k3cone.errors import (DegenerateFormError, FrameError, InputError,
-                           K3ConeError)
+from conftest import identity
+from k3cone import f4_frame, involutions, lattice, linalg
+from k3cone.errors import DegenerateFormError, FrameError, K3ConeError
 from k3cone.translations import Isometry
 
 
 def _wrong_inverse(m):
-    return linalg.identity(len(m))
+    return identity(len(m))
 
 
 _int_mat_mul = linalg.int_mat_mul
@@ -32,10 +32,6 @@ def _wrong_thin_product(a, b):
     if len(b[0]) == len(b):
         return _int_mat_mul(a, b)
     return [[0] * len(b[0]) for _ in a]
-
-
-def _never_contains(self, p):
-    return False
 
 
 def _patch(owner, attr, broken):
@@ -57,8 +53,6 @@ CASES = [
     ("reflection_fixed_span",
      _patch(linalg, "int_mat_mul", _wrong_thin_product),
      involutions.sigma0_pullback, FrameError),
-    ("specialize", _patch(curves.CurveQ, "contains", _never_contains),
-     lambda f: curves.default_pencil().specialize(2), InputError),
 ]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_valid_frame
+from conftest import identity, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import FrameError
 from k3cone.frame import FibrationFrame
@@ -12,7 +12,7 @@ from k3cone.translations import translation
 
 def _eigenspace_ranks(form, m):
     n = form.dim
-    ident = linalg.identity(n)
+    ident = identity(n)
     minus = linalg.matrix([[m[i][j] - ident[i][j] for j in range(n)]
                            for i in range(n)])
     plus = linalg.matrix([[m[i][j] + ident[i][j] for j in range(n)]
@@ -28,7 +28,7 @@ def test_sigma0_f4():
     assert s0(frame.classO) == frame.classO
     assert s0((0, 0, 1, 0)) == (0, 0, -1, 0)
     assert s0.preserves_form()
-    assert linalg.mat_mul(s0.matrix, s0.matrix) == linalg.identity(4)
+    assert linalg.mat_mul(s0.matrix, s0.matrix) == identity(4)
 
 
 def test_sigma_i_fixes_its_span():

@@ -235,15 +235,6 @@ def test_inner(data, n):
     assert type(got) is Fraction
 
 
-@given(st.data(), dims, dims)
-@SETTINGS
-def test_mat_vec(data, rows, cols):
-    m, v = data.draw(matrices(rows, cols)), data.draw(vectors(cols))
-    got = linalg.mat_vec(m, v)
-    assert got == ref_mat_vec(m, v)
-    assert all_fractions([got])
-
-
 @given(st.data(), dims, dims, dims)
 @SETTINGS
 def test_mat_mul(data, rows, inner, cols):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_frame
+from conftest import identity, random_valid_frame
 from k3cone import f4_frame, linalg
 from k3cone.errors import DegenerateFormError, InputError
 from k3cone.lattice import (IntersectionForm, congruent_diagonalization,
@@ -37,7 +37,7 @@ def test_signature_f4():
 
 
 def test_signature_degenerate_and_euclidean():
-    assert signature(IntersectionForm(linalg.identity(3))) == (3, 0, 0)
+    assert signature(IntersectionForm(identity(3))) == (3, 0, 0)
     assert signature(IntersectionForm(
         linalg.matrix([[1, 1], [1, 1]]))) == (1, 0, 1)
 

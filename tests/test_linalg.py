@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_pow, zero_vector
+from conftest import identity, mat_pow, mat_vec, zero_vector
 from k3cone import linalg
 from k3cone.errors import DegenerateFormError, InputError
 
@@ -25,7 +25,7 @@ def test_to_fraction_rejects_floats():
 def test_inverse_round_trip():
     m = linalg.matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
     inv = linalg.inverse(m)
-    assert linalg.mat_mul(m, inv) == linalg.identity(3)
+    assert linalg.mat_mul(m, inv) == identity(3)
 
 
 def test_inverse_singular_raises():
@@ -36,7 +36,7 @@ def test_inverse_singular_raises():
 def test_solve_exact():
     m = linalg.matrix([[0, 1], [1, 0]])
     b = (Fraction(3), Fraction(5, 2))
-    assert linalg.mat_vec(linalg.inverse(m), b) == (Fraction(5, 2), Fraction(3))
+    assert mat_vec(linalg.inverse(m), b) == (Fraction(5, 2), Fraction(3))
 
 
 def test_nullspace_deterministic_and_correct():
@@ -44,19 +44,19 @@ def test_nullspace_deterministic_and_correct():
     ns = linalg.nullspace(m)
     assert len(ns) == 2
     for v in ns:
-        assert all(x == 0 for x in linalg.mat_vec(m, v))
+        assert all(x == 0 for x in mat_vec(m, v))
     assert ns == linalg.nullspace(m)
 
 
 def test_rank():
     assert linalg.rank(linalg.matrix([[1, 2], [2, 4]])) == 1
-    assert linalg.rank(linalg.identity(3)) == 3
+    assert linalg.rank(identity(3)) == 3
 
 
 def test_mat_pow_negative_exponent():
     m = linalg.matrix([[1, 1], [0, 1]])
     assert mat_pow(m, -2) == linalg.matrix([[1, -2], [0, 1]])
-    assert mat_pow(m, 0) == linalg.identity(2)
+    assert mat_pow(m, 0) == identity(2)
 
 
 @given(st.lists(fractions, min_size=2, max_size=2),

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_boundary_class, random_valid_frame, solve,
-                      zero_vector)
+from conftest import (class_p, random_boundary_class, random_valid_frame,
+                      solve, zero_vector)
 from k3cone import linalg
 from k3cone.errors import CuspError, DomainError, InputError
 from k3cone.frame import FibrationFrame
@@ -49,7 +49,7 @@ def test_hyperbolic_distance_domain(f4):
 
 
 def test_check_boundary_class(f4):
-    a = linalg.vec_add(linalg.vec_add(f4.classP,
+    a = linalg.vec_add(linalg.vec_add(class_p(f4),
                                       linalg.vec_scale(2, f4.classE)),
                        (0, 0, 1, 0))
     assert f4.form.norm2(a) == 0
@@ -63,7 +63,7 @@ def test_check_boundary_class(f4):
     flipped = FibrationFrame(f4.form, f4.classE, f4.classO,
                              linalg.vec_scale(-1, f4.ample))
     with pytest.raises(DomainError, match="negatively"):
-        check_boundary_class(flipped, linalg.vec_scale(-1, f4.classP))
+        check_boundary_class(flipped, linalg.vec_scale(-1, class_p(f4)))
 
 
 def test_inner_f_matches_exact_inner(f4):
@@ -87,9 +87,9 @@ def test_phi_example_and_invariance(f4):
 def test_boundary_distance_f4_example(f4):
     # A = [O]'s null companion P; B = T_{f1} P: squared distance = -f1.f1 = 4
     t = translation(f4, f4.translations[0])
-    b = t(f4.classP)
-    assert boundary_distance_sq(f4, f4.classP, b) == 4
-    assert boundary_distance(f4, f4.classP, b) == 2.0
+    b = t(class_p(f4))
+    assert boundary_distance_sq(f4, class_p(f4), b) == 4
+    assert boundary_distance(f4, class_p(f4), b) == 2.0
 
 
 def test_boundary_metric_equals_chart_norm(f4):
@@ -510,6 +510,34 @@ def test_uhs_map_is_scale_invariant(f4):
         q = to_upper_half_space(f4, [4 * Fraction(t) for t in u])
         assert q.x == p.x
         assert abs(q.z - p.z) <= 1e-15 * p.z
+
+
+def _close(p, q):
+    scale = max(map(abs, q))
+    return all(abs(a - b) <= 1e-15 * scale for a, b in zip(p, q))
+
+
+def test_scale_invariant_maps_take_any_finite_input(f4):
+    """x.x of (2e154, 1e154, 0, 0) and of (3e300, 1e300, 0, 0) is past the
+    double range, and that of (2e-200, 1e-200, 0, 0) below it, yet they lie
+    on the rays of (2, 1, 0, 0) and (3, 1, 0, 0); power-of-two multiples of
+    one point give the same doubles."""
+    ball = BallModel(f4.form, f4.ample)
+
+    def uhs(x):
+        p = to_upper_half_space(f4, x)
+        return (*p.x, p.z)
+
+    for far, near in (((2e154, 1e154, 0, 0), (2, 1, 0, 0)),
+                      ((3e300, 1e300, 0, 0), (3, 1, 0, 0)),
+                      ((2e-200, 1e-200, 0, 0), (2, 1, 0, 0))):
+        assert _close(ball.ball_point(far), ball.ball_point(near))
+        assert _close(uhs(far), uhs(near))
+    x = (5.0, 2.0, 0.5, 0.25)
+    for k in (-1000, -600, 600, 900, 1000):
+        y = tuple(t * 2.0 ** k for t in x)
+        assert ball.ball_point(y) == ball.ball_point(x)
+        assert uhs(y) == uhs(x)
 
 
 def test_uhs_rejects_points_outside_the_light_cone(f4):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (parabolic_translation, random_orthogonal_to_fiber,
-                      random_valid_frame)
+from conftest import (identity, mat_vec, parabolic_translation,
+                      random_orthogonal_to_fiber, random_valid_frame)
 from k3cone import f4_frame, linalg
 from k3cone.errors import InputError
 from k3cone.models import inner_f
@@ -149,7 +149,7 @@ def _ref_power(m, k):
     """m^k as k products onto the identity; k < 0 powers the inverse."""
     if k < 0:
         return _ref_power(linalg.inverse(m), -k)
-    result = linalg.identity(len(m))
+    result = identity(len(m))
     for _ in range(k):
         result = linalg.mat_mul(result, m)
     return result
@@ -176,7 +176,7 @@ def test_isometry_algebra_matches_fraction_reference(seed, dim, k):
     isometries = [tv, tw, sigma0_pullback(frame),
                   sigma_i_pullback(frame, d)]
     for s in isometries:
-        assert s(x) == linalg.mat_vec(s.matrix, x)
+        assert s(x) == mat_vec(s.matrix, x)
         assert s.preserves_form() and _ref_preserves(form, s.matrix)
         assert power(s, k).matrix == _ref_power(s.matrix, k)
         for t in isometries:
