@@ -45,7 +45,18 @@ def _emit(out, text):
         click.echo(text, nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: any `K3ConeError` a command raises is reported
+    by `_fail`, one boundary for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except K3ConeError as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Main)
 def main():
     """Ample-cone lattice geometry and height-pairing experiments."""
 
@@ -54,11 +65,7 @@ def main():
 @click.argument("frame_path", type=click.Path(exists=True))
 def validate(frame_path):
     """Check every frame invariant and print a structured report."""
-    try:
-        frame = configio.load_frame(frame_path)
-    except K3ConeError as exc:
-        _fail(exc)
-    report = frame.validate()
+    report = configio.load_frame(frame_path).validate()
     for line in report.lines():
         click.echo(line)
     click.echo("pass" if report.passed else "fail")
@@ -71,11 +78,8 @@ def validate(frame_path):
               help="orbit box half-width")
 def orbit(frame_path, n):
     """Enumerate section-wall translates in the box |m_i| <= N."""
-    try:
-        frame = configio.load_frame(frame_path)
-        classes = walls.orbit_walls(frame, n)
-    except K3ConeError as exc:
-        _fail(exc)
+    frame = configio.load_frame(frame_path)
+    classes = walls.orbit_walls(frame, n)
     click.echo("class\tself_intersection\tfiber_product")
     for d in classes:
         coords = ",".join(str(c) for c in d)
@@ -91,21 +95,17 @@ def orbit(frame_path, n):
 @click.option("--out", type=click.Path(), required=True)
 def render(frame_path, model, n, out):
     """Render the wall orbit as a deterministic SVG figure."""
-    try:
-        frame = configio.load_frame(frame_path)
-        classes = walls.orbit_walls(frame, n)
-        labels = ["O" if d == frame.classO else "" for d in classes]
-        if model == "uhs":
-            scene = [walls.wall_circle_uhs(frame, d) for d in classes]
-            options = RenderOptions(labels=labels, mark_infinity=True)
-        else:
-            ball = BallModel(frame.form, frame.ample)
-            scene = [walls.wall_circle_ball(frame.form, d, ball)
-                     for d in classes]
-            options = RenderOptions(labels=labels, scale=280.0)
-        _emit(out, render_svg(scene, options))
-    except K3ConeError as exc:
-        _fail(exc)
+    frame = configio.load_frame(frame_path)
+    classes = walls.orbit_walls(frame, n)
+    labels = ["O" if d == frame.classO else "" for d in classes]
+    if model == "uhs":
+        scene = [walls.wall_circle_uhs(frame, d) for d in classes]
+        options = RenderOptions(labels=labels, mark_infinity=True)
+    else:
+        ball = BallModel(frame.form, frame.ample)
+        scene = [walls.wall_circle_ball(frame.form, d, ball) for d in classes]
+        options = RenderOptions(labels=labels, scale=280.0)
+    _emit(out, render_svg(scene, options))
     click.echo(f"wrote {out}")
 
 
@@ -120,23 +120,19 @@ def render(frame_path, model, n, out):
 @click.option("--out", type=click.Path(), default=None)
 def synthetic_pair(frame_path, seed, noise, fibers, n_max, out):
     """Normalized pairing table of the synthetic fibration oracle."""
-    try:
-        frame = configio.load_frame(frame_path)
-        fiber_heights = [_parse(float, h, "--fibers")
-                         for h in fibers.split(",") if h]
-        fib = SyntheticFibration(frame, fiber_heights, noise, seed)
-        lines = ["hE\ti\tj\tpairing\tnormalized\ttarget\tdeviation"]
-        for i in range(frame.rank):
-            for j in range(frame.rank):
-                for row in heights.limit_experiment(fib, i, j, frame.ample,
-                                                    n_max):
-                    lines.append(
-                        f"{row.fiber_height:.6g}\t{i}\t{j}\t{row.pairing:.9g}"
-                        f"\t{row.normalized:.9g}\t{row.target:.9g}"
-                        f"\t{row.deviation:.9g}")
-        _emit(out, "\n".join(lines) + "\n")
-    except K3ConeError as exc:
-        _fail(exc)
+    frame = configio.load_frame(frame_path)
+    fiber_heights = [_parse(float, h, "--fibers")
+                     for h in fibers.split(",") if h]
+    fib = SyntheticFibration(frame, fiber_heights, noise, seed)
+    lines = ["hE\ti\tj\tpairing\tnormalized\ttarget\tdeviation"]
+    for i in range(frame.rank):
+        for j in range(frame.rank):
+            for row in heights.limit_experiment(fib, i, j, frame.ample, n_max):
+                lines.append(
+                    f"{row.fiber_height:.6g}\t{i}\t{j}\t{row.pairing:.9g}"
+                    f"\t{row.normalized:.9g}\t{row.target:.9g}"
+                    f"\t{row.deviation:.9g}")
+    _emit(out, "\n".join(lines) + "\n")
 
 
 @main.command("curve-heights")
@@ -148,23 +144,19 @@ def synthetic_pair(frame_path, seed, noise, fibers, n_max, out):
 @click.option("--out", type=click.Path(), default=None)
 def curve_heights(a_coeff, b_coeff, points, tolerance, out):
     """Naive and canonical heights, plus pairings, on y^2 = x^3 + ax + b."""
-    try:
-        curve = CurveQ(_parse(Fraction, a_coeff, "--a"),
-                       _parse(Fraction, b_coeff, "--b"))
-        pts = [_parse(_point, raw, "--point") for raw in points]
-        lines = ["kind\ti\tj\tvalue"]
-        for i, p in enumerate(pts):
-            lines.append(f"naive\t{i}\t-\t{naive_height(p):.9g}")
-            lines.append(
-                f"canonical\t{i}\t-\t"
-                f"{curve_canonical_height(curve, p, tolerance):.9g}")
-        for i in range(len(pts)):
-            for j in range(i, len(pts)):
-                val = curve_nt_pairing(curve, pts[i], pts[j], tolerance)
-                lines.append(f"pairing\t{i}\t{j}\t{val:.9g}")
-        _emit(out, "\n".join(lines) + "\n")
-    except K3ConeError as exc:
-        _fail(exc)
+    curve = CurveQ(_parse(Fraction, a_coeff, "--a"),
+                   _parse(Fraction, b_coeff, "--b"))
+    pts = [_parse(_point, raw, "--point") for raw in points]
+    lines = ["kind\ti\tj\tvalue"]
+    for i, p in enumerate(pts):
+        lines.append(f"naive\t{i}\t-\t{naive_height(p):.9g}")
+        lines.append(f"canonical\t{i}\t-\t"
+                     f"{curve_canonical_height(curve, p, tolerance):.9g}")
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            val = curve_nt_pairing(curve, pts[i], pts[j], tolerance)
+            lines.append(f"pairing\t{i}\t{j}\t{val:.9g}")
+    _emit(out, "\n".join(lines) + "\n")
 
 
 @main.command("specialize-scan")
@@ -176,37 +168,34 @@ def curve_heights(a_coeff, b_coeff, points, tolerance, out):
 @click.option("--out", type=click.Path(), default=None)
 def specialize_scan(pencil_path, t_min, t_max, geometric_step, tolerance, out):
     """Pairing matrices of the specialized sections along t = t_min * step^k."""
-    try:
-        pencil = configio.load_pencil(pencil_path)
-        t0, t1, step = (_parse(Fraction, t_min, "--t-min"),
-                        _parse(Fraction, t_max, "--t-max"),
-                        _parse(Fraction, geometric_step, "--geometric-step"))
-        if step <= 1 or t0 <= 0:
-            raise InputError("need t_min > 0 and geometric step > 1")
-        ts = []
-        t = t0
-        while t <= t1:
-            ts.append(t)
-            t *= step
-        result = specialization_scan(pencil, ts, tolerance)
-        lines = ["t\theight\ti\tj\tpairing\tnormalized"]
-        for row in result.rows:
-            r = len(row.pairings)
-            for i in range(r):
-                for j in range(r):
-                    lines.append(f"{row.t}\t{row.height:.9g}\t{i}\t{j}"
-                                 f"\t{row.pairings[i][j]:.9g}"
-                                 f"\t{row.normalized[i][j]:.9g}")
-        for t_skipped, reason in result.skipped:
-            lines.append(f"# skipped t={t_skipped}: {reason}")
-        diffs = ", ".join(f"{d:.6g}" for d in result.max_entry_diffs)
-        lines.append(f"# successive normalized max-entry diffs: {diffs}")
-        for i, srow in enumerate(result.slopes):
-            vals = ", ".join(f"{s:.6g}" for s in srow)
-            lines.append(f"# pairing-vs-height slope row {i}: {vals}")
-        _emit(out, "\n".join(lines) + "\n")
-    except K3ConeError as exc:
-        _fail(exc)
+    pencil = configio.load_pencil(pencil_path)
+    t0, t1, step = (_parse(Fraction, t_min, "--t-min"),
+                    _parse(Fraction, t_max, "--t-max"),
+                    _parse(Fraction, geometric_step, "--geometric-step"))
+    if step <= 1 or t0 <= 0:
+        raise InputError("need t_min > 0 and geometric step > 1")
+    ts = []
+    t = t0
+    while t <= t1:
+        ts.append(t)
+        t *= step
+    result = specialization_scan(pencil, ts, tolerance)
+    lines = ["t\theight\ti\tj\tpairing\tnormalized"]
+    for row in result.rows:
+        r = len(row.pairings)
+        for i in range(r):
+            for j in range(r):
+                lines.append(f"{row.t}\t{row.height:.9g}\t{i}\t{j}"
+                             f"\t{row.pairings[i][j]:.9g}"
+                             f"\t{row.normalized[i][j]:.9g}")
+    for t_skipped, reason in result.skipped:
+        lines.append(f"# skipped t={t_skipped}: {reason}")
+    diffs = ", ".join(f"{d:.6g}" for d in result.max_entry_diffs)
+    lines.append(f"# successive normalized max-entry diffs: {diffs}")
+    for i, srow in enumerate(result.slopes):
+        vals = ", ".join(f"{s:.6g}" for s in srow)
+        lines.append(f"# pairing-vs-height slope row {i}: {vals}")
+    _emit(out, "\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -6,20 +6,24 @@ x = p/q in lowest terms (h(infinity) = 0); the canonical height is the
 doubling limit h([2^m]P) / 4^m.  With this choice of naive height the
 canonical height is twice the classically normalized one, which cancels in
 every normalized diagnostic this package reports.
+
+A `CurveQ` caches its duplication coefficients, a `Pencil` proves its
+sections by evaluation, and doubling stops past `DIGIT_BUDGET` digits.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import InputError, ResourceError, SingularFiberError
-from .linalg import to_fraction
+from .linalg import to_fraction, to_integer
 
 Point = Optional[Tuple[Fraction, Fraction]]  # None encodes the point at infinity
 
-INFINITY: Point = None
 MAX_DOUBLINGS = 9  # doubling cap of `canonical_height`
+DIGIT_BUDGET = 10 ** 6  # x-coordinate digits past which it gives up
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,15 @@ class CurveQ:
             raise InputError("singular curve: discriminant vanishes")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @cached_property
+    def _doubling(self) -> tuple:
+        """x = p/q doubles to F(p, q) / (q G(p, q)): F's coefficients on p^4,
+        p^2 q^2, p q^3, q^4, then G's on p^3, p q^2, q^3; built once."""
+        an, ad = self.a.numerator, self.a.denominator
+        bn, bd = self.b.numerator, self.b.denominator
+        s, m, k = ad * ad * bd, an * ad * bd, bn * ad * ad
+        return s, -2 * m, -8 * k, an * an * bd, 4 * s, 4 * m, 4 * k
 
     def contains(self, p: Point) -> bool:
         if p is None:
@@ -74,7 +87,7 @@ class CurveQ:
         return (x3, y3)
 
     def multiply(self, n: int, p: Point) -> Point:
-        p = self._require(p)
+        n, p = to_integer(n, "multiplier"), self._require(p)
         if n < 0:
             n, p = -n, None if p is None else (p[0], -p[1])
         result: Point = None
@@ -100,22 +113,13 @@ def naive_height(p: Point) -> float:
     return _log_height(x.numerator, x.denominator)
 
 
-def _x_double(num: int, den: int, a: Fraction, b: Fraction):
-    """One step of the x-only duplication map on x = num/den (lowest terms).
-
-    Returns None when the doubled point is at infinity (2-torsion).
-    """
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
-    # clear coefficient denominators: work with A = an/ad, B = bn/bd
-    # x' = (x^4 - 2Ax^2 - 8Bx + A^2) / (4(x^3 + Ax + B))
-    p, q = num, den
-    p2 = p * p
-    q2 = q * q
-    num4 = (p2 * p2 * ad * ad * bd - 2 * an * ad * bd * p2 * q2
-            - 8 * bn * ad * ad * p * q * q2 + an * an * bd * q2 * q2)
-    den4 = 4 * q * (p * p2 * ad * ad * bd + an * ad * bd * p * q2
-                    + bn * ad * ad * q * q2)
+def _x_double(p: int, q: int, coeffs: tuple):
+    """One step of the x-only duplication map on x = p/q (lowest terms),
+    on `CurveQ._doubling`; None when the doubled point is at infinity."""
+    f4, f2, f1, f0, g3, g1, g0 = coeffs
+    p2, q2 = p * p, q * q
+    num4 = f4 * p2 * p2 + f2 * p2 * q2 + f1 * p * q * q2 + f0 * q2 * q2
+    den4 = q * (g3 * p * p2 + g1 * p * q2 + g0 * q * q2)
     if den4 == 0:
         return None
     g = math.gcd(num4, den4)
@@ -126,14 +130,14 @@ def _x_double(num: int, den: int, a: Fraction, b: Fraction):
     return num4, den4
 
 
-def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
-                     digit_budget: int = 10 ** 6) -> float:
+def canonical_height(curve: CurveQ, p: Point,
+                     tolerance: float = 1e-4) -> float:
     """Doubling-limit canonical height: h([2^m]P) / 4^m until stable.
 
     Stops once successive estimates differ by less than tolerance / 2, at
     the doubling cap, or cleanly at 0.0 when a doubling hits infinity
     (torsion).  Raises ResourceError with the partial estimate if the
-    x-coordinate outgrows the digit budget.
+    x-coordinate outgrows `DIGIT_BUDGET` digits.
     """
     if not 0 < tolerance < math.inf:
         raise InputError("tolerance must be positive and finite")
@@ -143,14 +147,14 @@ def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
     num, den = p[0].numerator, p[0].denominator
     est = _log_height(num, den)
     for m in range(1, MAX_DOUBLINGS + 1):
-        step = _x_double(num, den, curve.a, curve.b)
+        step = _x_double(num, den, curve._doubling)
         if step is None:
             return 0.0  # reached infinity: P is torsion
         num, den = step
         digits = max(abs(num).bit_length(), den.bit_length()) * 0.30103
-        if digits > digit_budget:
+        if digits > DIGIT_BUDGET:
             raise ResourceError(
-                f"x-coordinate exceeded {digit_budget} digits at doubling {m}",
+                f"x-coordinate exceeded {DIGIT_BUDGET} digits at doubling {m}",
                 partial=est)
         new_est = _log_height(num, den) / 4.0 ** m
         done = abs(new_est - est) < tolerance / 2.0
@@ -161,14 +165,12 @@ def canonical_height(curve: CurveQ, p: Point, tolerance: float = 1e-4,
 
 
 def naive_limit_height(curve: CurveQ, p: Point, n_max: int = 12):
-    """Independent estimator h([n]P) / n^2, n = 1..n_max (full group law).
-
-    Returns (final estimate, list of per-n values).
-    """
+    """Independent estimator h([n]P) / n^2, n = 1..n_max (full group law):
+    (final estimate, list of per-n values); `InputError` unless n_max >= 1."""
     p = curve._require(p)
     values = []
     acc: Point = None
-    for n in range(1, n_max + 1):
+    for n in range(1, to_integer(n_max, "n_max", least=1) + 1):
         acc = curve._add(acc, p)
         values.append(naive_height(acc) / (n * n))
     return values[-1], values
@@ -185,25 +187,12 @@ def nt_pairing(curve: CurveQ, p: Point, q: Point,
 
 # -- pencils -----------------------------------------------------------------
 
-def _poly_eval(coeffs, t: Fraction) -> Fraction:
+def _poly_eval(coeffs: tuple, t) -> Fraction:
+    """Horner's rule on coefficients coerced by `Pencil`."""
     acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * t + to_fraction(c)
+    for c in reversed(coeffs):
+        acc = acc * t + c
     return acc
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-            for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -211,16 +200,17 @@ class Pencil:
     """A family y^2 = x^3 + a(t) x + b(t) with polynomial sections.
 
     Coefficient lists are ascending-degree.  Each section (x(t), y(t)) must
-    satisfy the curve equation identically in t; this is checked exactly.
-    """
+    satisfy the curve equation identically in t.  With l the list lengths,
+    y^2 - x^3 - a x - b has degree <= D = max(2(ly - 1), 3(lx - 1),
+    (la - 1) + (lx - 1), lb - 1), and a nonzero polynomial of degree <= D
+    has at most D roots: the check is exact at t = 0, 1, ..., D."""
 
     a: tuple
     b: tuple
     sections: tuple  # of (x_coeffs, y_coeffs)
 
     def __post_init__(self):
-        a = tuple(to_fraction(c) for c in self.a)
-        b = tuple(to_fraction(c) for c in self.b)
+        a, b = (tuple(map(to_fraction, c)) for c in (self.a, self.b))
         secs = tuple((tuple(to_fraction(c) for c in x),
                       tuple(to_fraction(c) for c in y))
                      for x, y in self.sections)
@@ -228,13 +218,13 @@ class Pencil:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sections", secs)
         for idx, (x, y) in enumerate(secs):
-            lhs = _poly_mul(list(y), list(y))
-            rhs = _poly_mul(_poly_mul(list(x), list(x)), list(x))
-            rhs = _poly_add(rhs, _poly_mul(list(a), list(x)))
-            rhs = _poly_add(rhs, list(b))
-            if any(_poly_add(lhs, [-c for c in rhs])):
-                raise InputError(f"section {idx} does not satisfy the pencil "
-                                 "equation identically")
+            deg = max(2 * len(y) - 2, 3 * len(x) - 3, len(a) + len(x) - 2,
+                      len(b) - 1)
+            for xt, yt, at, bt in ([_poly_eval(c, t) for c in (x, y, a, b)]
+                                   for t in range(deg + 1)):
+                if yt * yt != xt ** 3 + at * xt + bt:
+                    raise InputError(f"section {idx} does not satisfy the "
+                                     "pencil equation identically")
 
     def specialize(self, t0) -> tuple:
         """Exact substitution; raises SingularFiberError when disc(t0) = 0.
@@ -274,6 +264,14 @@ class ScanResult:
     slopes: tuple  # per-entry linear-fit slope of pairing vs height
 
 
+def _scan_height(curve: CurveQ, p: Point, tolerance: float) -> float:
+    """`canonical_height`, or its partial estimate past `DIGIT_BUDGET`."""
+    try:
+        return canonical_height(curve, p, tolerance)
+    except ResourceError as exc:
+        return float(exc.partial)
+
+
 def specialization_scan(pencil: Pencil, t_values,
                         tolerance: float = 1e-4) -> ScanResult:
     """Pairing matrices of the specialized sections along a parameter sweep.
@@ -297,26 +295,14 @@ def specialization_scan(pencil: Pencil, t_values,
             skipped.append((t0, f"parameter height 0 at t = {t0}"))
             continue
         r = len(points)
-        heights = {}
-
-        def hhat(key, pt):
-            if key not in heights:
-                try:
-                    heights[key] = canonical_height(curve, pt, tolerance)
-                except ResourceError as exc:
-                    heights[key] = float(exc.partial)
-            return heights[key]
-
+        h_pts = [_scan_height(curve, pt, tolerance) for pt in points]
         matrix = [[0.0] * r for _ in range(r)]
         for i in range(r):
-            for j in range(i, r):
-                if i == j:
-                    val = 2.0 * hhat((i,), points[i])
-                else:
-                    s = curve._add(points[i], points[j])
-                    val = (hhat((i, j), s) - hhat((i,), points[i])
-                           - hhat((j,), points[j]))
-                matrix[i][j] = matrix[j][i] = val
+            matrix[i][i] = 2.0 * h_pts[i]
+            for j in range(i + 1, r):
+                s = curve._add(points[i], points[j])
+                matrix[i][j] = matrix[j][i] = (
+                    _scan_height(curve, s, tolerance) - h_pts[i]) - h_pts[j]
         norm = tuple(tuple(x / h_t for x in row) for row in matrix)
         rows.append(ScanRow(t0, h_t, tuple(map(tuple, matrix)), norm))
     if not rows:

@@ -301,20 +301,12 @@ class FibrationFrame:
         return self._boundary_rep(*self.numerators(vector(v)))
 
     def _boundary_rep(self, a, da) -> Vector:
-        x, den = self._boundary_numerators(a, da)
-        return tuple(Fraction(t, den) for t in x)
-
-    def _boundary_numerators(self, a, da) -> tuple:
-        """(integer numerators, denominator) of the V-component of a / da;
-        `InputError` unless a / da is orthogonal to E."""
-        # v - (v.P / E.P) E = (E.P a - (a.gP) e) / (da E.P) in `fixed` units
-        c = self.fixed
-        if dot(a, c.gE):
+        """The V-component of a / da: the perp of `split_numerators`, over
+        da det; `InputError` unless a / da is orthogonal to E."""
+        if dot(a, self.fixed.gE):
             raise InputError("vector is not orthogonal to the fiber class")
-        if c.ep == 0:
-            raise FrameError("fiber class is orthogonal to P = O + E")
-        vp = dot(a, c.gP)
-        return [c.ep * x - vp * y for x, y in zip(a, c.E)], da * c.ep
+        den = da * self.fixed.det
+        return tuple(Fraction(t, den) for t in self.split_numerators(a)[2])
 
     # -- boundary subspace -------------------------------------------------
 

@@ -46,25 +46,13 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, starmap
-from operator import add, index, mul
+from operator import add, mul
 
 from .errors import FrameError, InputError
-from .linalg import dot, vector
+from .linalg import dot, to_integer, vector
 from .models import cusp_inner
 
 _BLOCK = 1024  # steps of the error recurrence run per block
-
-
-def _integer(n, name: str, least=None) -> int:
-    """n as an int, validated once on entry: InputError unless it has an
-    integer type (1.0 has not) and, if `least` is given, n >= least."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, not {n!r}") from None
-    if least is not None and n < least:
-        raise InputError(f"{name} must be at least {least}")
-    return n
 
 
 def _group_entry(m) -> int:
@@ -87,7 +75,8 @@ class FiberPoint:
     group_vector: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "fiber", _integer(self.fiber, "fiber index"))
+        object.__setattr__(self, "fiber",
+                           to_integer(self.fiber, "fiber index"))
         object.__setattr__(self, "group_vector",
                            tuple(_group_entry(m) for m in self.group_vector))
 
@@ -128,7 +117,7 @@ class SyntheticFibration:
         if (c.ee, c.pp, c.ep) != (0, 0, c.den * c.q):
             raise FrameError("synthetic oracle needs E.E = P.P = 0, E.P = 1")
         self.frame = frame
-        self.seed = _integer(seed, "seed")
+        self.seed = to_integer(seed, "seed")
         self._perp_cap = self.noise_bound / math.sqrt(max(frame.form.dim - 2, 1))
         self._heights = {}
 
@@ -181,7 +170,7 @@ class SyntheticFibration:
 
     def iterated_height(self, point: FiberPoint, n: int):
         """h(tau_v^n O_E): exact translate plus per-step accumulated noise."""
-        n = _integer(n, "step count", least=0)
+        n = to_integer(n, "step count", least=0)
         return self._iterated_heights(point, self._chart_translation(point),
                                       (n,))[0]
 
@@ -261,7 +250,7 @@ class SyntheticFibration:
     def error_trace(self, point: FiberPoint, n_steps: int):
         """(n, |y|, |v|) of the error (0, v, y) for n = 1..n_steps: its
         boundary norm and E-component, for the growth-contract checks."""
-        n_steps = _integer(n_steps, "n_steps", least=0)
+        n_steps = to_integer(n_steps, "n_steps", least=0)
         u = self._chart_translation(point)
         errors = islice(self._errors(point, u), 1, n_steps + 1)
         return [(n, math.hypot(*y), abs(e))
@@ -272,7 +261,7 @@ def _reference(fib: SyntheticFibration, d, n_max: int):
     """Validate D and n_max once per public call; return D in cusp
     coordinates, whose w is [E].D.  The checks are integer dots on one
     `numerators` of D (positive denominators)."""
-    _integer(n_max, "n_max", least=1)
+    to_integer(n_max, "n_max", least=1)
     frame, c = fib.frame, fib.frame.fixed
     x, dx = frame.numerators(vector(d))
     if dot(x, frame.form.images([x])[0]) <= 0 or dot(x, c.gA) <= 0:
@@ -371,16 +360,18 @@ def limit_experiment(fib: SyntheticFibration, i: int, j: int, d,
 def cauchy_schwarz_check(frame, u, v) -> bool:
     """|u.v| <= ||u'|| ||v'|| for u, v with u.E = v.E = 0, exactly.
 
-    Primes drop the E-component; the products u.v and u'.v' agree, and the
-    form is negative definite on the primed subspace, so this is the exact
-    rational Cauchy-Schwarz verdict.  It is decided on integers: one
-    `numerators` per argument, its V-component's numerators (which raise
-    `InputError` unless it is orthogonal to E), and three integer dots.
+    Primes take the component in V = {x : x.E = x.P = 0}; on a frame with
+    E.E = 0 the products u.v and u'.v' agree, and the form is negative
+    definite on V, so this is the exact rational Cauchy-Schwarz verdict.
+    It is decided on integers: one `numerators` per argument (`InputError`
+    unless it is orthogonal to E), the perp numerators of
+    `split_numerators`, and three integer dots.
     """
-    a, da = frame.numerators(vector(u))
-    b, db = frame.numerators(vector(v))
-    x, dx = frame._boundary_numerators(a, da)
-    y, dy = frame._boundary_numerators(b, db)
+    c = frame.fixed
+    (a, da), (b, db) = (frame.numerators(vector(t)) for t in (u, v))
+    if dot(a, c.gE) or dot(b, c.gE):
+        raise InputError("vector is not orthogonal to the fiber class")
+    x, y = frame.split_numerators(a)[2], frame.split_numerators(b)[2]
     gb, gx, gy = frame.form.images([b, x, y])
-    # u.v = a.gb / (da db dg), u'.u' = x.gx / (dx^2 dg), v'.v' = y.gy / (dy^2 dg)
-    return (dot(a, gb) * dx * dy) ** 2 <= dot(x, gx) * dot(y, gy) * (da * db) ** 2
+    # u.v = a.gb / (da db dg) and u'.u' = x.gx / ((da det)^2 dg): da, db cancel
+    return (dot(a, gb) * c.det ** 2) ** 2 <= dot(x, gx) * dot(y, gy)

@@ -21,7 +21,7 @@ and `.denominator`).  Outside input is coerced once, by `vector`,
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
 from .errors import DegenerateFormError, InputError
 
@@ -40,6 +40,21 @@ def to_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise InputError(f"not an exact rational: {x!r}")
+
+
+def to_integer(n, name: str, least=None) -> int:
+    """n as an int, validated once on entry: `InputError` unless it has an
+    integer type (1.0 and `bool`s have not) and, if `least` is given,
+    n >= least."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = index(n)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, not {n!r}") from None
+    if least is not None and n < least:
+        raise InputError(f"{name} must be at least {least}")
+    return n
 
 
 def _items(x, what):

@@ -289,12 +289,13 @@ class BallModel(_Axes):
         """Project a closed-light-cone vector to the ball (interior) or sphere
         (null rays): w maps to wvec / (w0 + sqrt(x.x)), x.x one integer dot
         on x's exact numerators, rounded once; any finite x is in range
-        (`_scaled_numerators`)."""
+        (`_scaled_numerators`).  The cone check is relative: x.x may fall
+        1e-9 max(w0^2, |wvec|^2) below 0, at any scale of x."""
         a, da = _scaled_numerators(x, self.form.dim)
         w0, *wvec = self.coords(a, da)
         dg = self.form.gram_numerators[1]
         q = linalg.dot(a, self.form.images([a])[0]) / (dg * da * da)
-        scale2 = max(abs(w0 * w0), sum(t * t for t in wvec), 1.0)
+        scale2 = max(w0 * w0, sum(t * t for t in wvec))
         if w0 <= 0 or q < -1e-9 * scale2:
             raise DomainError("vector is outside the closed light cone")
         return tuple(t / (w0 + math.sqrt(max(q, 0.0))) for t in wvec)

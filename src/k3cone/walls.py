@@ -65,8 +65,7 @@ def orbit_walls(frame, n: int):
     one fixed denominator, so they dedupe as they are; one `Fraction` is
     built per distinct numerator of the walls kept, and shared.
     """
-    if n < 0:
-        raise InputError("orbit box size must be nonnegative")
+    n = linalg.to_integer(n, "orbit box size", least=0)
     image, den = frame.section_map
     kept = dict.fromkeys(map(image, itertools.product(range(-n, n + 1),
                                                       repeat=frame.rank)))
@@ -188,7 +187,7 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     two points, sampled min(k, 2) times.  `InputError` unless k >= 1, and
     on a 0-dimensional boundary, which walls do not meet.
     """
-    if k < 1:
+    if linalg.to_integer(k, "sample count") < 1:
         raise InputError("a wall circle needs at least one sample")
     pts = []
     if circle.model == "uhs":

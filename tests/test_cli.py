@@ -8,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from k3cone.cli import main
+from k3cone.errors import FrameError
+from k3cone.frame import FibrationFrame
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FRAME = str(ROOT / "configs" / "f4_frame.json")
@@ -43,6 +45,19 @@ def test_validate_fails_on_broken_frame(runner, tmp_path):
     # E.P = 0: a reported frame error, not an uncaught exception
     assert isinstance(result.exception, SystemExit)
     assert "ERROR\tFrameError\t" in result.output
+
+
+def test_a_frame_error_inside_validate_is_reported(runner, monkeypatch):
+    """The group turns a `K3ConeError` raised anywhere in a command, here
+    in `FibrationFrame.validate` itself, into an ERROR line and exit 1."""
+    def broken(self):
+        raise FrameError("broken inside validate")
+
+    monkeypatch.setattr(FibrationFrame, "validate", broken)
+    result = runner.invoke(main, ["validate", FRAME])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tFrameError\tbroken inside validate" in result.output
 
 
 def test_validate_reports_input_error(runner, tmp_path):
@@ -289,6 +304,14 @@ GOLDEN_RUNS = [
       "--tolerance", "1e-3"], "cli_specialize_scan_8_32.tsv"),
     (["curve-heights", "--a", "0", "--b", "-2", "--point", "3,5",
       "--tolerance", "1e-3"], "cli_curve_heights_3_5.tsv"),
+    # a and b with denominators: y^2 = x^3 - x + 1 rescaled by u = 2
+    (["curve-heights", "--a", "-1/16", "--b", "1/64", "--point", "1/4,1/8",
+      "--point", "0,1/8", "--tolerance", "1e-3"],
+     "cli_curve_heights_nonintegral.tsv"),
+    # t = 3/2, 9/4, 27/8: fibers whose a(t) and b(t) have denominators
+    (["specialize-scan", PENCIL, "--t-min", "3/2", "--t-max", "4",
+      "--geometric-step", "3/2", "--tolerance", "1e-2"],
+     "cli_specialize_scan_fractional_t.tsv"),
 ]
 
 

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from k3cone import curves
 from k3cone.curves import (CurveQ, Pencil, canonical_height, default_pencil,
                            naive_height, naive_limit_height, nt_pairing,
                            parameter_height, specialization_scan)
@@ -106,9 +108,10 @@ def test_oracle_agreement():
     assert len(values) == 12
 
 
-def test_resource_error_carries_partial():
+def test_resource_error_carries_partial(monkeypatch):
+    monkeypatch.setattr(curves, "DIGIT_BUDGET", 100)
     with pytest.raises(ResourceError) as exc:
-        canonical_height(CURVE, P, 1e-12, digit_budget=100)
+        canonical_height(CURVE, P, 1e-12)
     assert exc.value.partial > 0
 
 
@@ -189,3 +192,124 @@ def test_specialization_scan_skips_singular():
     assert len(result.rows) == 1
     with pytest.raises(InputError):
         specialization_scan(default_pencil(), [0], tolerance=1e-3)
+
+
+# -- the cached integers against the forms they replace ----------------------
+
+DENOMINATORS = (1, 2, 3, 4, 6, 9, 16, 27)
+
+
+def _ref_x_double(num, den, a, b):
+    """The duplication step with the coefficient integers rebuilt from a
+    and b at every call, as it was written before `CurveQ._doubling`."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    p, q = num, den
+    p2 = p * p
+    q2 = q * q
+    num4 = (p2 * p2 * ad * ad * bd - 2 * an * ad * bd * p2 * q2
+            - 8 * bn * ad * ad * p * q * q2 + an * an * bd * q2 * q2)
+    den4 = 4 * q * (p * p2 * ad * ad * bd + an * ad * bd * p * q2
+                    + bn * ad * ad * q * q2)
+    if den4 == 0:
+        return None
+    g = math.gcd(num4, den4)
+    num4 //= g
+    den4 //= g
+    if den4 < 0:
+        num4, den4 = -num4, -den4
+    return num4, den4
+
+
+def _random_rational(rng, size, dens=DENOMINATORS):
+    return Fraction(rng.randint(-size, size), rng.choice(dens))
+
+
+def test_x_double_matches_the_reference():
+    """Reduced x and the 2-torsion None agree with the reference on random
+    a, b with denominators, x of every size, and 2-torsion x = r, a root
+    of x^3 + a x + b (b := -r^3 - a r)."""
+    rng = random.Random(22)
+    torsion = 0
+    for k in range(2400):
+        a = _random_rational(rng, 40)
+        if k % 4 == 0:
+            r = _random_rational(rng, 12)
+            b = -r ** 3 - a * r
+        else:
+            b = _random_rational(rng, 40)
+        if 4 * a ** 3 + 27 * b ** 2 == 0:
+            continue
+        curve = CurveQ(a, b)
+        size, den = 10 ** rng.randint(1, 30), 10 ** rng.randint(0, 30)
+        x = r if k % 4 == 0 else Fraction(rng.randint(-size, size),
+                                          rng.randint(1, den))
+        want = _ref_x_double(x.numerator, x.denominator, a, b)
+        torsion += want is None
+        assert curves._x_double(x.numerator, x.denominator,
+                                curve._doubling) == want
+    assert torsion >= 500
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+            for i in range(n)]
+
+
+def _ref_section_ok(a, b, x, y):
+    """y^2 - x^3 - a x - b == 0 by polynomial multiplication, as `Pencil`
+    checked it before it evaluated."""
+    rhs = _poly_add(_poly_add(_poly_mul(_poly_mul(x, x), x), _poly_mul(a, x)),
+                    b)
+    return not any(_poly_add(_poly_mul(y, y), [-c for c in rhs]))
+
+
+def _accepts(a, b, x, y):
+    try:
+        Pencil(a=a, b=b, sections=((x, y),))
+    except InputError:
+        return False
+    return True
+
+
+def test_pencil_check_by_evaluation_matches_the_reference():
+    """Planted sections (b := y^2 - x^3 - a x) are accepted, perturbed ones
+    rejected, exactly as the multiplication check decides.  One perturbation
+    is c t (t - 1) ... (t - D + 1), which vanishes at D of the points
+    t = 0..D: a check one point short would accept it."""
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(300):
+        a = [_random_rational(rng, 6) for _ in range(rng.randint(0, 3))]
+        x = [_random_rational(rng, 6) for _ in range(rng.randint(1, 3))]
+        y = [_random_rational(rng, 6) for _ in range(rng.randint(1, 3))]
+        b = _poly_add(_poly_mul(y, y), [-c for c in _poly_add(
+            _poly_mul(_poly_mul(x, x), x), _poly_mul(a, x))])
+        deg = max(2 * len(y) - 2, 3 * len(x) - 3, len(a) + len(x) - 2,
+                  len(b) - 1)
+        falling = [Fraction(1)]
+        for root in range(deg):
+            falling = _poly_mul(falling, [Fraction(-root), Fraction(1)])
+        c = _random_rational(rng, 5) or Fraction(1)
+        k = rng.randint(0, deg)
+        bumped_y = list(y)
+        bumped_y[rng.randrange(len(y))] += c
+        cases = [(a, b, x, y),
+                 (a, _poly_add(b, [0] * k + [c]), x, y),
+                 (a, _poly_add(b, [c * f for f in falling]), x, y),
+                 (a, b, x, bumped_y)]
+        for case in cases:
+            want = _ref_section_ok(*case)
+            assert _accepts(*map(tuple, case)) == want
+            verdicts.append(want)
+        assert not _ref_section_ok(*cases[2])
+    assert 0 < sum(verdicts) < len(verdicts)

@@ -277,6 +277,24 @@ def test_boundary_metric_matches_reference(name):
                 2 * inner(a, b) / (inner(a, e) * inner(b, e)))
 
 
+@pytest.mark.parametrize("name", FRAME_IDS)
+def test_cauchy_schwarz_matches_reference(name):
+    """The verdict equals (u.v)^2 <= (u'.u')(v'.v') on the perps of
+    `ref_split`, on random pairs and on the equality cases v = c u + t E."""
+    from k3cone import cauchy_schwarz_check
+    frame = frames()[name]
+    rng = random.Random(name)
+    inner, e = frame.form.inner, frame.classE
+    for k in range(8):
+        u = orthogonal_to_fiber(frame, rng)
+        v = (orthogonal_to_fiber(frame, rng) if k % 2 else linalg.vec_add(
+            linalg.vec_scale(Fraction(rng.randint(-5, 5), 3), u),
+            linalg.vec_scale(rng.randint(-3, 3), e)))
+        pu, pv = ref_split(frame, u)[2], ref_split(frame, v)[2]
+        want = inner(u, v) ** 2 <= inner(pu, pu) * inner(pv, pv)
+        assert cauchy_schwarz_check(frame, u, v) is want
+
+
 SECTION_ERROR = r"not a section class \(need D\.D = -2, D\.E = 1\)"
 
 

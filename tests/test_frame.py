@@ -166,6 +166,38 @@ def test_cauchy_schwarz_exact(f4):
         assert cauchy_schwarz_check(f4, shifted, v)
 
 
+def _indefinite_frame():
+    """U + <1> + <-1>: V = {x : x.E = x.P = 0} is indefinite, so the
+    Cauchy-Schwarz verdict can be False there."""
+    form = IntersectionForm([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0],
+                             [0, 0, 0, -1]])
+    return FibrationFrame(form, (1, 0, 0, 0), (-1, 1, 0, 0), (1, 2, 0, 0))
+
+
+# (u, v, verdict) on `_indefinite_frame`: two null vectors with u.v = 2;
+# u.u = 3, v.v = 1 and u.v = 2; u = v
+INDEFINITE_CASES = [((0, 0, 1, 1), (0, 0, 1, -1), False),
+                    ((0, 0, 2, 1), (0, 0, 1, 0), False),
+                    ((0, 0, 1, 1), (0, 0, 1, 1), True)]
+
+
+def test_cauchy_schwarz_can_fail_on_an_indefinite_boundary():
+    from k3cone import cauchy_schwarz_check
+    frame = _indefinite_frame()
+    for u, v, verdict in INDEFINITE_CASES:
+        assert cauchy_schwarz_check(frame, u, v) is verdict
+    # the same vectors in a rational basis: the frame's classes then have a
+    # denominator q > 1 and det = (E.P)^2 - (E.E)(P.P) has numerator != +-1
+    m = [[Fraction(3, 2), 1, 0, 0], [0, Fraction(5, 3), 0, 1],
+         [1, 0, Fraction(7, 4), 0], [0, 2, 1, Fraction(1, 2)]]
+    scrambled = change_basis(frame, m)
+    assert scrambled.fixed.q > 1 and abs(scrambled.fixed.det) != 1
+    m_inv = linalg.inverse(linalg.matrix(m))
+    for u, v, verdict in INDEFINITE_CASES:
+        assert cauchy_schwarz_check(scrambled, mat_vec(m_inv, u),
+                                    mat_vec(m_inv, v)) is verdict
+
+
 def test_cauchy_schwarz_rejects_arguments_not_orthogonal_to_the_fiber(f4):
     from k3cone import cauchy_schwarz_check
     v = random_orthogonal_to_fiber(f4, random.Random(5))

@@ -68,3 +68,46 @@ def test_vector_ops_are_linear(u, v, c):
     right = linalg.vec_add(linalg.vec_scale(c, u), linalg.vec_scale(c, v))
     assert left == right
     assert linalg.vec_sub(u, u) == zero_vector(2)
+
+
+def _count_calls():
+    """Every count argument of the library, each given a value that is not
+    an admissible count: `linalg.to_integer` rejects all of them."""
+    from k3cone import f4_frame, walls
+    from k3cone.curves import CurveQ, naive_limit_height
+    from k3cone.heights import SyntheticFibration
+    f4 = f4_frame()
+    circle = walls.wall_circle_uhs(f4, f4.sections[0])
+    curve, p = CurveQ(0, -2), (Fraction(3), Fraction(5))
+    return {
+        "orbit-float": lambda: walls.orbit_walls(f4, 1.5),
+        "orbit-bool": lambda: walls.orbit_walls(f4, True),
+        "orbit-negative": lambda: walls.orbit_walls(f4, -1),
+        "samples-float": lambda: walls.sample_wall_circle(f4, circle, 2.5),
+        "samples-bool": lambda: walls.sample_wall_circle(f4, circle, True),
+        "samples-zero": lambda: walls.sample_wall_circle(f4, circle, 0),
+        "multiply-float": lambda: curve.multiply(1.5, p),
+        "multiply-str": lambda: curve.multiply("2", p),
+        "multiply-bool": lambda: curve.multiply(True, p),
+        "naive-limit-float": lambda: naive_limit_height(curve, p, 2.5),
+        "naive-limit-zero": lambda: naive_limit_height(curve, p, 0),
+        "naive-limit-bool": lambda: naive_limit_height(curve, p, True),
+        "seed-bool": lambda: SyntheticFibration(f4, [10.0], 1.0, True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_count_calls()))
+def test_count_arguments_are_input_errors(case):
+    with pytest.raises(InputError):
+        _count_calls()[case]()
+
+
+def test_to_integer():
+    assert linalg.to_integer(3, "n") == 3
+    assert linalg.to_integer(-3, "n") == -3
+    assert linalg.to_integer(0, "n", least=0) == 0
+    for bad in (1.0, "1", Fraction(1), None, False):
+        with pytest.raises(InputError, match="n must be an integer"):
+            linalg.to_integer(bad, "n")
+    with pytest.raises(InputError, match="n must be at least 1"):
+        linalg.to_integer(0, "n", least=1)

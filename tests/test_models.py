@@ -214,6 +214,15 @@ def test_null_classes_land_on_the_sphere():
                 assert abs(sum(t * t for t in p) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e-5, 1e-8, 2.0 ** -450])
+def test_small_spacelike_vectors_are_outside_the_cone(f4, s):
+    """x.x = -0.6 s^2 < 0 at every scale s: the cone check's slack is
+    relative to the point, so a small spacelike vector is no ball point."""
+    ball = BallModel(f4.form, f4.ample)
+    with pytest.raises(DomainError, match="closed light cone"):
+        ball.ball_point(tuple(t * s for t in (2.0, 0.1, 0.5, 0.0)))
+
+
 def test_null_lifts_project_back_to_the_ball():
     """A float null lift rounds off the cone by a few ulps either way; the
     slack in `ball_point` keeps it from being a `DomainError`."""
