@@ -6,7 +6,7 @@ from .curves import Pencil
 from .errors import InputError
 from .frame import FibrationFrame
 from .lattice import form_from_dict
-from .linalg import vector, vectors
+from .linalg import vectors
 
 
 def _require(doc: dict, key: str, where: str):
@@ -57,16 +57,16 @@ def load_frame(path) -> FibrationFrame:
 
 
 def pencil_from_dict(doc: dict) -> Pencil:
-    """{"a", "b", "sections": [{"x", "y"}, ...]}, coefficient lists through
-    `vector`."""
+    """{"a", "b", "sections": [{"x", "y"}, ...]}; `Pencil` coerces the
+    coefficient lists."""
     sections = _require(doc, "sections", "pencil config")
     if not isinstance(sections, list):
         raise InputError("pencil config: 'sections' is not a list")
-    return Pencil(a=vector(_require(doc, "a", "pencil config")),
-                  b=vector(_require(doc, "b", "pencil config")),
+    return Pencil(a=_require(doc, "a", "pencil config"),
+                  b=_require(doc, "b", "pencil config"),
                   sections=tuple(
-                      (vector(_require(sec, "x", f"pencil section {i}")),
-                       vector(_require(sec, "y", f"pencil section {i}")))
+                      (_require(sec, "x", f"pencil section {i}"),
+                       _require(sec, "y", f"pencil section {i}"))
                       for i, sec in enumerate(sections)))
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import InputError, ResourceError, SingularFiberError
-from .linalg import to_fraction, to_integer
+from .linalg import _items, to_fraction, to_integer, vector, vectors
 
 Point = Optional[Tuple[Fraction, Fraction]]  # None encodes the point at infinity
 
@@ -56,10 +56,9 @@ class CurveQ:
         return y * y == x ** 3 + self.a * x + self.b
 
     def _require(self, p: Point) -> Point:
-        if p is not None:
-            p = (to_fraction(p[0]), to_fraction(p[1]))
-            if not self.contains(p):
-                raise InputError(f"point {p} is not on the curve")
+        p = _point(p)
+        if p is not None and not self.contains(p):
+            raise InputError(f"point {p} is not on the curve")
         return p
 
     def negate(self, p: Point) -> Point:
@@ -100,6 +99,13 @@ class CurveQ:
         return result
 
 
+def _point(p) -> Point:
+    """p as an exact pair (x, y), None as it is; `InputError` otherwise."""
+    if p is not None and len(p := vector(p)) != 2:
+        raise InputError(f"a point is a pair (x, y), not {len(p)} numbers")
+    return p
+
+
 def _log_height(num: int, den: int) -> float:
     """log max(|num|, den, 1): the height of num/den in lowest terms."""
     return math.log(max(abs(num), den, 1))
@@ -107,10 +113,8 @@ def _log_height(num: int, den: int) -> float:
 
 def naive_height(p: Point) -> float:
     """log max(|num|, |den|) of the x-coordinate in lowest terms."""
-    if p is None:
-        return 0.0
-    x = to_fraction(p[0])
-    return _log_height(x.numerator, x.denominator)
+    p = _point(p)
+    return 0.0 if p is None else _log_height(p[0].numerator, p[0].denominator)
 
 
 def _x_double(p: int, q: int, coeffs: tuple):
@@ -210,10 +214,10 @@ class Pencil:
     sections: tuple  # of (x_coeffs, y_coeffs)
 
     def __post_init__(self):
-        a, b = (tuple(map(to_fraction, c)) for c in (self.a, self.b))
-        secs = tuple((tuple(to_fraction(c) for c in x),
-                      tuple(to_fraction(c) for c in y))
-                     for x, y in self.sections)
+        a, b = vector(self.a), vector(self.b)
+        secs = tuple(map(vectors, _items(self.sections, "list of sections")))
+        if any(len(sec) != 2 for sec in secs):
+            raise InputError("a section is a pair (x, y) of coefficient lists")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sections", secs)

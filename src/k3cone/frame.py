@@ -12,12 +12,12 @@ on which the form is negative definite.
 The exact work runs on integers the frame computes once (`fixed`): the
 numerators of E, O, P and the ample class over one denominator, their
 integer Gram images g C, and E.E, P.P, E.P.  A product x.C with one of
-these classes is then one `numerators` of x and one integer dot, and each
-public call takes the numerators of its argument once.  `Fraction`s are built only for what a
-call returns.  `decompose` splits a class exactly as aP*P + aE*E + perp,
-perp in V, by Cramer's rule on those products.  `cusp` gives the float
-cusp coordinates (w, v, y) of an exact class, y its chart coordinates;
-`from_cusp` maps them to a float vector.
+these classes is then one `form.numerators` of x (the form's one door for
+exact vectors) and one integer dot, taken once per argument of a public
+call; `Fraction`s are built only for what a call returns.  `decompose`
+splits a class exactly as aP*P + aE*E + perp, perp in V, by Cramer's rule
+on those products.  `cusp` gives the float cusp coordinates (w, v, y) of
+an exact class, y its chart coordinates; `from_cusp` maps them back.
 `section_map` gives the section translates D_m = T_w([O]) on integer
 numerators, and the section classes D_i = T_{v_i}([O]) are its images of
 the unit vectors (`sections`), derived on first read and cached; they are
@@ -152,13 +152,6 @@ class FibrationFrame:
                             self.form.gram_numerators[1] * q,
                             ee, pp, ep, ep * ep - ee * pp)
 
-    def numerators(self, x) -> tuple:
-        """(integer numerators, denominator) of an exact vector (entries
-        ints or Fractions) of the frame's dimension."""
-        if len(x) != self.form.dim:
-            raise InputError("vector dimension does not match the form")
-        return linalg.numerators(x)
-
     @cached_property
     def sections(self) -> tuple:
         """The section translates D_i = T_{v_i}([O]), one per translation:
@@ -266,7 +259,7 @@ class FibrationFrame:
 
     def cusp(self, x) -> tuple:
         """`cusp_of` one `numerators` of an exact vector x."""
-        return self.cusp_of(*self.numerators(vector(x)))
+        return self.cusp_of(*self.form.numerators(x))
 
     def cusp_of(self, a, da) -> tuple:
         """Cusp coordinates (w, v, y) of x = a / da = wP + vE + sum y_k b_k in
@@ -289,7 +282,7 @@ class FibrationFrame:
     def decompose(self, x: Vector) -> Decomposition:
         """Split x = aP*P + aE*E + perp with perp.E = perp.P = 0, exactly:
         `split_numerators` of x = a / da, divided once by da det (and q)."""
-        a, da = self.numerators(vector(x))
+        a, da = self.form.numerators(x)
         w, v, perp = self.split_numerators(a)
         c = self.fixed
         den = da * c.det
@@ -298,7 +291,7 @@ class FibrationFrame:
 
     def boundary_rep(self, v: Vector) -> Vector:
         """The V-component of v (requires v.E = 0); drops the E-direction."""
-        return self._boundary_rep(*self.numerators(vector(v)))
+        return self._boundary_rep(*self.form.numerators(v))
 
     def _boundary_rep(self, a, da) -> Vector:
         """The V-component of a / da: the perp of `split_numerators`, over

@@ -49,7 +49,7 @@ from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, mul
 
 from .errors import FrameError, InputError
-from .linalg import dot, to_integer, vector
+from .linalg import dot, to_integer
 from .models import cusp_inner
 
 _BLOCK = 1024  # steps of the error recurrence run per block
@@ -111,6 +111,8 @@ class SyntheticFibration:
         self.fiber_heights = tuple(float(h) for h in fiber_heights)
         if not 0.0 <= self.noise_bound < math.inf:
             raise InputError("noise bound must be finite and nonnegative")
+        if not self.fiber_heights:
+            raise InputError("at least one fiber height is needed")
         if not all(0.0 < h < math.inf for h in self.fiber_heights):
             raise InputError("fiber heights must be finite and positive")
         c = frame.fixed
@@ -263,7 +265,7 @@ def _reference(fib: SyntheticFibration, d, n_max: int):
     `numerators` of D (positive denominators)."""
     to_integer(n_max, "n_max", least=1)
     frame, c = fib.frame, fib.frame.fixed
-    x, dx = frame.numerators(vector(d))
+    x, dx = frame.form.numerators(d)
     if dot(x, frame.form.images([x])[0]) <= 0 or dot(x, c.gA) <= 0:
         raise InputError("height reference divisor must be ample")
     if dot(x, c.gE) <= 0:
@@ -339,7 +341,8 @@ def limit_experiment(fib: SyntheticFibration, i: int, j: int, d,
     rounded once.  Both indices must lie in range(rank).
     """
     frame = fib.frame
-    if i not in range(frame.rank) or j not in range(frame.rank):
+    if any(to_integer(k, "translation index", least=0) >= frame.rank
+           for k in (i, j)):
         raise InputError(
             f"translation indices must lie in range({frame.rank})")
     dc = _reference(fib, d, n_max)
@@ -368,7 +371,7 @@ def cauchy_schwarz_check(frame, u, v) -> bool:
     `split_numerators`, and three integer dots.
     """
     c = frame.fixed
-    (a, da), (b, db) = (frame.numerators(vector(t)) for t in (u, v))
+    (a, da), (b, db) = map(frame.form.numerators, (u, v))
     if dot(a, c.gE) or dot(b, c.gE):
         raise InputError("vector is not orthogonal to the fiber class")
     x, y = frame.split_numerators(a)[2], frame.split_numerators(b)[2]

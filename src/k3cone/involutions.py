@@ -14,10 +14,8 @@ numerators by cross-multiplying.  The negation pullback does not depend
 on i, so a frame builds it once (`FibrationFrame.sigma0`).
 """
 
-from operator import mul
-
 from . import linalg, translations
-from .errors import DegenerateFormError, FrameError, InputError, K3ConeError
+from .errors import DegenerateFormError, FrameError, K3ConeError
 from .lattice import IntersectionForm
 from .linalg import Vector, vector
 from .translations import Isometry
@@ -39,25 +37,19 @@ def reflection_through(form: IntersectionForm, span, description) -> Isometry:
     `description` names the reflection in their errors.
     """
     n = form.dim
-    span = linalg.vectors(span)
-    if any(len(s) != n for s in span):
-        raise InputError("vector dimension does not match the form")
-    gram, _ = form.gram_numerators
-    cols = [linalg.numerators(s)[0] for s in span]
-    gs = [[sum(map(mul, row, c)) for row in gram] for c in cols]  # rows (G s)^T
+    cols = [form.numerators(s)[0] for s in linalg._items(span, "list of vectors")]
+    gs = form.images(cols)  # rows (G s)^T
     try:
-        inv, d = linalg.int_inverse(
-            [[sum(map(mul, c, g)) for g in gs] for c in cols])
+        inv, d = linalg.int_inverse([[linalg.dot(c, g) for g in gs] for c in cols])
     except DegenerateFormError:
         raise FrameError("degenerate eigenspace: form restricted to span is singular")
-    right = [[sum(map(mul, row, col)) for col in zip(*gs)] for row in inv]
-    rows = [[2 * sum(map(mul, si, rj)) - (d if i == j else 0)
-             for j, rj in enumerate(zip(*right))]
-            for i, si in enumerate(zip(*cols))]
+    span_rows = list(zip(*cols))  # S
+    rows = [[2 * x - (d if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(linalg.int_mat_mul(
+                span_rows, linalg.int_mat_mul(inv, gs)))]
     if linalg.int_mat_mul(rows, rows) != [[d * d if i == j else 0
                                            for j in range(n)] for i in range(n)]:
         raise FrameError(f"{description}: reflection is not an involution")
-    span_rows = list(zip(*cols))
     if linalg.int_mat_mul(rows, span_rows) != [[d * x for x in row]
                                                for row in span_rows]:
         raise FrameError(f"{description}: reflection moves its fixed span")
@@ -79,7 +71,7 @@ def sigma_i_pullback(frame, di: Vector) -> Isometry:
     D_i is checked first, by `FibrationFrame.check_section`.
     """
     di = vector(di)
-    frame.check_section(*frame.numerators(di))
+    frame.check_section(*frame.form.numerators(di))
     return _reflection_through_section(frame, di)
 
 

@@ -5,8 +5,9 @@ the work is on integers: an exact vector x is held as its integer
 numerators over one common denominator, (a, da) with x = a / da, the same
 (integers, denominator) shape as an `Isometry`'s matrix, and the form as
 its integer Gram matrix g over dg (`gram_numerators`), cached once per
-form.  `IntersectionForm.inner` is the public product: the numerators of
-both arguments, one integer sum, one canonical `Fraction`.  Callers that
+form.  Exact vector arguments enter by one door, `numerators` (one
+`linalg.vector`, one length check), and `inner` is the product: both
+arguments' numerators, one integer sum, one `Fraction`.  Callers that
 pair many vectors with a few fixed classes C, such as `FibrationFrame`,
 cache the integer Gram images g c of those classes once (`images`): then
 x.C = (a . g c) / (da dc dg) is one integer dot of length dim.
@@ -82,16 +83,22 @@ class IntersectionForm:
         gram, _ = self.gram_numerators
         return [[linalg.dot(row, c) for row in gram] for c in rows]
 
+    def numerators(self, x) -> tuple:
+        """(integer numerators, common denominator) of x, the one door for
+        exact vectors: coerced once by `linalg.vector`, checked against dim."""
+        x = linalg.vector(x)
+        if len(x) != self.dim:
+            raise InputError("vector dimension does not match the form")
+        return linalg.numerators(x)
+
     def inner(self, u: Vector, v: Vector) -> Fraction:
         """The Lorentz (intersection) product u . v, exact.
 
-        Entries may be ints or Fractions; the result is a Fraction.
+        Entries go through `numerators`; the result is a Fraction.
         """
         gram, den = self.gram_numerators
-        if len(u) != len(gram) or len(v) != len(gram):
-            raise InputError("vector dimension does not match the form")
-        a, da = linalg.numerators(u)
-        b, db = linalg.numerators(v)
+        a, da = self.numerators(u)
+        b, db = self.numerators(v)
         total = sum(x * sum(map(mul, row, b)) for x, row in zip(a, gram) if x)
         return Fraction(total, da * db * den)
 

@@ -14,8 +14,8 @@ pieces directly: `dot`, `int_mat_mul`, `int_mat_pow`, `int_inverse` and
 
 Kernel operands may mix ints and Fractions (anything with `.numerator`
 and `.denominator`).  Outside input is coerced once, by `vector`,
-`vectors` and `matrix` in constructors and the config loader (malformed:
-`InputError`).  Dimensions here are the Picard number, i.e. tiny.
+`vectors` and `matrix` in constructors and by `IntersectionForm.numerators`
+(malformed: `InputError`).  Dimensions are the Picard number, i.e. tiny.
 """
 
 from collections.abc import Mapping

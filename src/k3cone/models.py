@@ -107,7 +107,7 @@ def _boundary_numerators(frame, a: Vector):
     checked boundary class: see `check_boundary_class`.  Every product is
     taken on the integers of x and of the frame's `fixed` classes."""
     a = vector(a)
-    x, dx = frame.numerators(a)
+    x, dx = frame.form.numerators(a)
     c = frame.fixed
     gx = frame.form.images([x])[0]
     if linalg.dot(x, gx):
@@ -159,7 +159,7 @@ def phi(frame, a: Vector) -> Vector:
     and perp = p / (dx det) from `FibrationFrame.split_numerators`, it is
     p den / (det (x . gE)).
     """
-    x, _ = frame.numerators(vector(a))
+    x, _ = frame.form.numerators(a)
     c = frame.fixed
     ae = linalg.dot(x, c.gE)
     if ae == 0:
@@ -268,7 +268,7 @@ class BallModel(_Axes):
         s, diag = form.diagonalization
         order = sorted(range(form.dim), key=lambda k: diag[k] < 0)
         basis = [[row[k] for row in s] for k in order]
-        a, b = linalg.numerators(self.ample)[0], linalg.numerators(basis[0])[0]
+        a, b = form.numerators(self.ample)[0], linalg.numerators(basis[0])[0]
         if linalg.dot(a, form.images([b])[0]) < 0:
             basis[0] = [-t for t in basis[0]]
         super().__init__(form, basis, [diag[k] for k in order])
@@ -349,4 +349,4 @@ class BoundaryChart(_Axes):
     def euclid(self, u):
         """Euclidean coordinates; ||euclid(u)||_2 = sqrt(-u.u) for u in V.
         Linear: a coordinate past the double range raises `OverflowError`."""
-        return self.coords(*_exact_numerators(vector(u), self.form.dim))
+        return self.coords(*self.form.numerators(u))

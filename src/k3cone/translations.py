@@ -18,12 +18,11 @@ run on the frame's cached integer classes (`FibrationFrame.fixed`).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from . import linalg
 from .errors import InputError
 from .lattice import IntersectionForm
-from .linalg import Matrix, Vector, vector
+from .linalg import Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -56,11 +55,8 @@ class Isometry:
 
     def __call__(self, v: Vector) -> Vector:
         rows, den = self.numerators
-        b, db = linalg.numerators(vector(v))
-        if len(b) != self.form.dim:
-            raise InputError("vector dimension does not match the form")
-        den *= db
-        return tuple(Fraction(sum(map(mul, row, b)), den) for row in rows)
+        b, db = self.form.numerators(v)
+        return tuple(Fraction(linalg.dot(row, b), den * db) for row in rows)
 
     def preserves_form(self) -> bool:
         """M^T G M == G, checked on integers as N^T g N == d^2 g for
@@ -81,7 +77,7 @@ def translation(frame, v: Vector) -> Isometry:
     every entry is an integer over D = 2 dg^2 dv^2 q^2.
     """
     c = frame.fixed
-    b, dv = frame.numerators(vector(v))
+    b, dv = frame.form.numerators(v)
     if linalg.dot(b, c.gE):
         raise InputError("translation vector must be orthogonal to the fiber class")
     gv = frame.form.images([b])[0]
@@ -105,7 +101,7 @@ def section_translate(frame, v: Vector) -> Vector:
     D.D = -2 and D.E = 1 on those integers; `FrameError` otherwise.
     """
     c = frame.fixed
-    b, db = frame.numerators(vector(v))
+    b, db = frame.form.numerators(v)
     gb = frame.form.images([b])[0]
     k = linalg.dot(c.O, c.gE)  # O.E = k / (dg q^2)
     # T D = s o + 2 k db dg q b - (2 db dg q (b.gO) + k (b.gb)) e

@@ -86,7 +86,7 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     meet.
     """
     d = vector(d)
-    x, dx = frame.numerators(d)
+    x, dx = frame.form.numerators(d)
     dg = frame.form.gram_numerators[1]
     if linalg.dot(x, frame.form.images([x])[0]) != -2 * dg * dx * dx:
         raise InputError("wall class must have self-intersection -2")
@@ -114,9 +114,7 @@ def wall_circle_ball(form, d: Vector, ball: BallModel) -> WallCircle:
     coordinates are taken on one `numerators` of D.
     """
     d = vector(d)
-    x, dx = linalg.numerators(d)
-    if len(x) != form.dim:
-        raise InputError("vector dimension does not match the form")
+    x, dx = form.numerators(d)
     if linalg.dot(x, form.images([x])[0]) >= 0:
         raise InputError("wall class must have negative self-intersection")
     d0, *dvec = ball.coords(x, dx)

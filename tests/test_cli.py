@@ -123,6 +123,13 @@ def test_synthetic_pair_rejects_non_finite(runner, args):
     assert "ERROR\tInputError\t" in result.output
 
 
+def test_synthetic_pair_rejects_an_empty_fiber_list(runner):
+    """An empty fibre list is an error, not a header-only table."""
+    result = runner.invoke(main, ["synthetic-pair", FRAME, "--fibers", ",,"])
+    assert result.exit_code == 1
+    assert "ERROR\tInputError\t" in result.output
+
+
 def test_synthetic_pair_seed_reproducible(runner):
     args = ["synthetic-pair", FRAME, "--noise", "1", "--seed", "7",
             "--fibers", "10", "--n-max", "50"]

@@ -27,6 +27,22 @@ def test_point_membership():
         CURVE.add(P, (Fraction(1), Fraction(1)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Pencil(a=5, b=(0,), sections=()),
+    lambda: Pencil(a=(0,), b=(1,), sections=(((0,), 5),)),
+    lambda: Pencil(a=(0,), b=(1,), sections=(((1,),),)),
+    lambda: CurveQ(0, 1).add((1,), None),
+    lambda: naive_height(5),
+], ids=["pencil-a", "section-y", "section-not-a-pair", "short-point",
+        "point-not-a-pair"])
+def test_malformed_points_and_pencils_are_input_errors(make):
+    """The constructors and the point check are the boundary for curve
+    input: a malformed shape is an `InputError`, not a bare `TypeError`,
+    `ValueError` or `IndexError`."""
+    with pytest.raises(InputError):
+        make()
+
+
 def test_group_law_basics():
     assert CURVE.add(P, None) == P
     assert CURVE.add(None, P) == P

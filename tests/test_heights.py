@@ -124,6 +124,8 @@ def test_input_validation():
         SyntheticFibration(f4_frame(), [10.0], noise_bound=-1.0)
     with pytest.raises(InputError):
         SyntheticFibration(f4_frame(), [0.0])
+    with pytest.raises(InputError):
+        SyntheticFibration(f4_frame(), [])
     fib = _fib()
     with pytest.raises(InputError):
         fib.base_height(5)
@@ -291,7 +293,8 @@ def test_limit_experiment_deviation_shrinks():
         assert abs(row.deviation) <= 6.0 / h
 
 
-@pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 2)])
+@pytest.mark.parametrize("i, j", [(-1, -1), (-1, 0), (0, -1), (2, 0), (0, 2),
+                                  (True, 0), (0, 1.0), (Fraction(1), 0)])
 def test_limit_experiment_rejects_out_of_range_indices(i, j):
     fib = _fib()
     with pytest.raises(InputError):
