@@ -121,6 +121,8 @@ def render(frame_path, model, n, out):
 def synthetic_pair(frame_path, seed, noise, fibers, n_max, out):
     """Normalized pairing table of the synthetic fibration oracle."""
     frame = configio.load_frame(frame_path)
+    if not frame.rank:
+        raise InputError("a rank-0 frame has no pairing to tabulate")
     fiber_heights = [_parse(float, h, "--fibers")
                      for h in fibers.split(",") if h]
     fib = SyntheticFibration(frame, fiber_heights, noise, seed)

@@ -134,8 +134,7 @@ class FibrationFrame:
         """
         frame = cls(form, classE, classO, ample, translations)
         object.__setattr__(frame, "translations", tuple(
-            frame._boundary_rep(*linalg.numerators(v))
-            for v in frame.translations))
+            map(frame.boundary_rep, frame.translations)))
         frame.sections
         return frame
 
@@ -214,8 +213,8 @@ class FibrationFrame:
 
     def check_section(self, x, dx):
         """`FrameError` unless D = x / dx has D.D = -2 and D.E = 1."""
-        (gram, dg), c = self.form.gram_numerators, self.fixed
-        if (dot(x, [dot(row, x) for row in gram]) != -2 * dg * dx * dx
+        dg, c = self.form.gram_numerators[1], self.fixed
+        if (dot(x, self.form.images([x])[0]) != -2 * dg * dx * dx
                 or dot(x, c.gE) != dx * c.den):
             raise FrameError("not a section class (need D.D = -2, D.E = 1)")
 
@@ -290,12 +289,9 @@ class FibrationFrame:
                              tuple(Fraction(z, den) for z in perp))
 
     def boundary_rep(self, v: Vector) -> Vector:
-        """The V-component of v (requires v.E = 0); drops the E-direction."""
-        return self._boundary_rep(*self.form.numerators(v))
-
-    def _boundary_rep(self, a, da) -> Vector:
-        """The V-component of a / da: the perp of `split_numerators`, over
-        da det; `InputError` unless a / da is orthogonal to E."""
+        """The V-component of v = a / da, dropping the E-direction: the perp
+        of `split_numerators`, over da det; `InputError` unless v.E = 0."""
+        a, da = self.form.numerators(v)
         if dot(a, self.fixed.gE):
             raise InputError("vector is not orthogonal to the fiber class")
         den = da * self.fixed.det

@@ -45,11 +45,12 @@ Euclidean Gram matrix [-v_i.v_j].
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, mul
 
 from .errors import FrameError, InputError
-from .linalg import dot, to_integer
+from .linalg import _items, dot, to_integer
 from .models import cusp_inner
 
 _BLOCK = 1024  # steps of the error recurrence run per block
@@ -57,12 +58,13 @@ _BLOCK = 1024  # steps of the error recurrence run per block
 
 def _group_entry(m) -> int:
     """A group-vector entry as an int; InputError unless its value is an
-    integer (2, 2.0 and Fraction(4, 2) pass; 2.5 is not truncated)."""
+    integer (2, 2.0 and Fraction(4, 2) pass; 2.5 is not truncated, and a
+    `bool` is not a number here)."""
     try:
         k = int(m)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"group vector entry {m!r} is not an integer") from None
-    if k != m:
+    if k != m or isinstance(m, bool):
         raise InputError(f"group vector entry {m!r} is not an integer")
     return k
 
@@ -77,8 +79,8 @@ class FiberPoint:
     def __post_init__(self):
         object.__setattr__(self, "fiber",
                            to_integer(self.fiber, "fiber index"))
-        object.__setattr__(self, "group_vector",
-                           tuple(_group_entry(m) for m in self.group_vector))
+        object.__setattr__(self, "group_vector", tuple(map(
+            _group_entry, _items(self.group_vector, "group vector"))))
 
     def __add__(self, other: "FiberPoint") -> "FiberPoint":
         if self.fiber != other.fiber:
@@ -107,8 +109,12 @@ class SyntheticFibration:
     """
 
     def __init__(self, frame, fiber_heights, noise_bound=0.0, seed=0):
+        heights = tuple(_items(fiber_heights, "list of fiber heights"))
+        if any(isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
+               for x in (noise_bound, *heights)):
+            raise InputError("fiber heights and noise bound must be numbers")
         self.noise_bound = float(noise_bound)
-        self.fiber_heights = tuple(float(h) for h in fiber_heights)
+        self.fiber_heights = tuple(map(float, heights))
         if not 0.0 <= self.noise_bound < math.inf:
             raise InputError("noise bound must be finite and nonnegative")
         if not self.fiber_heights:
@@ -218,15 +224,12 @@ class SyntheticFibration:
         sum(map(mul, y, u))), and e one `accumulate` over the interleaved
         <y_t, u>, s_t, so e_{t+1} = (e_t + <y_t, u>) + s_t.  The floats are
         those of stepping one at a time, and a block holds O(r _BLOCK) of
-        them.  Without noise the error stays zero and nothing is drawn.
+        them.  Without noise each draw maps to 0.0, so every error is 0.0.
         """
         r = len(u)
         yield ([0.0],) * (r + 1)
         sizes = (repeat(_BLOCK) if n is None
                  else (min(_BLOCK, n - t) for t in range(0, n, _BLOCK)))
-        if self.noise_bound == 0.0:
-            yield from (([0.0] * k,) * (r + 1) for k in sizes)
-            return
         m, cap = self.noise_bound, self._perp_cap
         lo, width = -cap, cap - -cap
         lo_s, width_s = -m, m - -m

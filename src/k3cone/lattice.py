@@ -15,19 +15,17 @@ x.C = (a . g c) / (da dc dg) is one integer dot of length dim.
 basis as integer columns B_c with one nonzero integer scale s_c each
 (basis column c is B_c / s_c) and the reduced form as the integer matrix
 B^T g B, and builds the `Fraction` basis and diagonal once, at the end.
-The one float value here is `IntersectionForm.gram_f`, a double-precision
-copy of the Gram matrix that is computed once per form and read only by
-`models.inner_f`; real-valued geometry lives in `models`.  The same
-diagonalization gives the orthogonal axes of both float charts there:
-`models.BallModel` takes the form's own, `models.BoundaryChart` that of
-its Gram on the boundary subspace.
+The form is held once, as these integers: there is no float copy, and
+real-valued geometry lives in `models`, whose `inner_f` reads the same
+integer Gram rows.  The same diagonalization gives the orthogonal axes of
+both float charts there: `models.BallModel` takes the form's own,
+`models.BoundaryChart` that of its Gram on the boundary subspace.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
 
 from . import linalg
 from .errors import DegenerateFormError, InputError
@@ -57,11 +55,6 @@ class IntersectionForm:
     @property
     def dim(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def gram_f(self) -> tuple:
-        """The Gram matrix in double precision, converted once per form."""
-        return tuple(tuple(float(x) for x in row) for row in self.gram)
 
     @cached_property
     def gram_numerators(self) -> tuple:
@@ -94,13 +87,12 @@ class IntersectionForm:
     def inner(self, u: Vector, v: Vector) -> Fraction:
         """The Lorentz (intersection) product u . v, exact.
 
-        Entries go through `numerators`; the result is a Fraction.
+        One integer dot of u's `numerators` with the `images` of v's.
         """
-        gram, den = self.gram_numerators
         a, da = self.numerators(u)
         b, db = self.numerators(v)
-        total = sum(x * sum(map(mul, row, b)) for x, row in zip(a, gram) if x)
-        return Fraction(total, da * db * den)
+        return Fraction(linalg.dot(a, self.images([b])[0]),
+                        da * db * self.gram_numerators[1])
 
     def norm2(self, v: Vector) -> Fraction:
         return self.inner(v, v)

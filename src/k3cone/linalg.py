@@ -207,7 +207,8 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    a, _ = matrix_numerators(m)  # the pivots of the integer Gauss-Jordan
+    return len(_gauss_jordan(a, len(a[0]) if a else 0)[0])
 
 
 def nullspace(m: Matrix):

@@ -29,17 +29,14 @@ from .linalg import Vector, vector
 def inner_f(form: IntersectionForm, u, v) -> float:
     """Lorentz product in double precision; accepts float or rational entries.
 
-    Sums u_i g_ij v_j in row-major (i, j) order over the form's cached
-    float Gram, converting each vector entry once.
+    Sums u_i (g v)_i over the form's integer Gram rows g / dg
+    (`gram_numerators`), each vector entry converted once; one division.
     """
-    g = form.gram_f
-    n = len(g)
-    if len(u) != n or len(v) != n:
+    g, dg = form.gram_numerators
+    if len(u) != len(g) or len(v) != len(g):
         raise InputError("vector dimension does not match the form")
     vf = [float(x) for x in v]
-    return sum(ui * gij * vj
-               for ui, row in zip(map(float, u), g)
-               for gij, vj in zip(row, vf))
+    return sum(map(mul, map(float, u), [sum(map(mul, row, vf)) for row in g])) / dg
 
 
 def cusp_inner(x, y) -> float:

@@ -100,9 +100,10 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
         return WallCircle("uhs", center, math.sqrt(2.0) / abs(xe / (dx * den)), d)
     normal = chart.euclid_of(x, dx)
     norm = math.sqrt(sum(t * t for t in normal)) or 1.0
-    # wall equation <a, dperp>_euc = aE-coefficient of D
+    # wall equation <a, dperp>_euc = aE-coefficient of D, v q / (dx det)
+    v, c = frame.split_numerators(x)[1], frame.fixed
     return WallCircle("uhs", (), 0.0, d, degenerate=Hyperplane(
-        tuple(t / norm for t in normal), float(frame.decompose(d).aE) / norm))
+        tuple(t / norm for t in normal), v * c.q / (dx * c.det) / norm))
 
 
 def wall_circle_ball(form, d: Vector, ball: BallModel) -> WallCircle:
@@ -209,11 +210,15 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
 
 def max_residual(form, circle: WallCircle, samples) -> float:
     """Worst |A.A| and |A.D| over a nonempty sequence of reconstructed
-    sample points; D is converted to floats once per circle."""
+    sample points; D is converted to floats once per circle.  `InputError`
+    on a residual that is not finite, which `max` would pass over."""
     if not samples:
         raise InputError("no samples to check the wall circle against")
     d = [float(x) for x in circle.source_class]
     worst = 0.0
     for a in samples:
-        worst = max(worst, abs(inner_f(form, a, a)), abs(inner_f(form, a, d)))
+        aa, ad = abs(inner_f(form, a, a)), abs(inner_f(form, a, d))
+        if not (aa < math.inf and ad < math.inf):
+            raise InputError("a wall circle sample is not a finite point")
+        worst = max(worst, aa, ad)
     return worst

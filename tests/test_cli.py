@@ -267,12 +267,14 @@ def test_non_finite_tolerance_is_an_input_error(runner, args, tol):
     assert "ERROR\tInputError\t" in result.output
 
 
+RANK0 = {"gram": [[0, 1], [1, 0]], "E": [1, 0], "O": [-1, 1],
+         "ample": [2, 1], "translations": []}
+
+
 def test_render_ball_rejects_a_rank_zero_frame(runner, tmp_path):
     """A rank-0 frame's ball is 1-dimensional: its walls have no trace."""
     config = tmp_path / "rank0.json"
-    config.write_text(json.dumps({"gram": [[0, 1], [1, 0]], "E": [1, 0],
-                                  "O": [-1, 1], "ample": [2, 1],
-                                  "translations": []}))
+    config.write_text(json.dumps(RANK0))
     out = tmp_path / "rank0.svg"
     result = runner.invoke(main, ["render", str(config), "--model", "ball",
                                   "--out", str(out)])
@@ -285,9 +287,7 @@ def test_render_ball_rejects_a_rank_zero_frame(runner, tmp_path):
 def test_render_uhs_rejects_a_rank_zero_frame(runner, tmp_path):
     """A rank-0 frame's UHS boundary is a point that no wall meets."""
     config = tmp_path / "rank0.json"
-    config.write_text(json.dumps({"gram": [[0, 1], [1, 0]], "E": [1, 0],
-                                  "O": [-1, 1], "ample": [2, 1],
-                                  "translations": []}))
+    config.write_text(json.dumps(RANK0))
     out = tmp_path / "rank0.svg"
     result = runner.invoke(main, ["render", str(config), "--out", str(out)])
     assert result.exit_code == 1
@@ -296,11 +296,23 @@ def test_render_uhs_rejects_a_rank_zero_frame(runner, tmp_path):
     assert not out.exists()
 
 
+def test_synthetic_pair_rejects_a_rank_zero_frame(runner, tmp_path):
+    """A rank-0 frame has no pairing: its table would be the header alone."""
+    config = tmp_path / "rank0.json"
+    config.write_text(json.dumps(RANK0))
+    result = runner.invoke(main, ["synthetic-pair", str(config)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+
+
 # Generated by the CLI before the (E, P) splitting was rewritten; any
 # refactor must leave these outputs byte-identical.
 GOLDEN_RUNS = [
     (["validate", FRAME], "cli_validate_f4.txt"),
     (["orbit", FRAME, "--N", "3"], "cli_orbit_f4_N3.tsv"),
+    # the noiseless default: every error is 0.0, and no value prints as -0
+    (["synthetic-pair", FRAME], "cli_synthetic_pair_noise0.tsv"),
     (["synthetic-pair", FRAME, "--noise", "1", "--seed", "7"],
      "cli_synthetic_pair_noise1_seed7.tsv"),
     # 2 x 700 steps cross a block boundary of the heights recurrence; the

@@ -61,10 +61,11 @@ def test_fiber_point_addition_rejects_length_mismatch():
 
 @pytest.mark.parametrize("fiber, group", [
     (0, (1.5, 0)), (0, (Fraction(5, 2), 0)), (0, (float("nan"), 0)),
-    (0, (math.inf, 0)), (0, ("1", 0)), (0, (None, 0)),
-    (1.0, (1, 0)), ("0", (1, 0)), (None, (1, 0))],
+    (0, (math.inf, 0)), (0, ("1", 0)), (0, (None, 0)), (0, (True, 0)),
+    (0, 5), (1.0, (1, 0)), ("0", (1, 0)), (None, (1, 0))],
     ids=["entry-1.5", "entry-5/2", "entry-nan", "entry-inf", "entry-str",
-         "entry-None", "fiber-1.0", "fiber-str", "fiber-None"])
+         "entry-None", "entry-bool", "group-int", "fiber-1.0", "fiber-str",
+         "fiber-None"])
 def test_fiber_point_rejects_non_integers(fiber, group):
     # a fractional entry is not truncated, a float fiber is not an index
     with pytest.raises(InputError):
@@ -135,7 +136,8 @@ def test_input_validation():
 
 @pytest.mark.parametrize("heights, noise", [
     ((float("nan"),), 0.0), ((math.inf,), 0.0), ((10.0, -math.inf), 0.0),
-    ((10.0,), float("nan")), ((10.0,), math.inf)])
+    ((10.0,), float("nan")), ((10.0,), math.inf), (10.0, 0.0),
+    ("123", 0.0), ((True, 10.0), 0.0), ((10.0,), "1"), ((10.0,), True)])
 def test_non_finite_inputs_rejected(heights, noise):
     with pytest.raises(InputError):
         SyntheticFibration(f4_frame(), heights, noise)

@@ -16,8 +16,9 @@ from k3cone.lattice import IntersectionForm
 from k3cone.models import BallModel, BoundaryChart, inner_f
 from k3cone.svg import RenderOptions, render_svg
 from k3cone.translations import section_translate, translation
-from k3cone.walls import (max_residual, orbit_walls, sample_wall_circle,
-                          wall_circle_ball, wall_circle_uhs)
+from k3cone.walls import (WallCircle, max_residual, orbit_walls,
+                          sample_wall_circle, wall_circle_ball,
+                          wall_circle_uhs)
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_uhs.svg"
@@ -351,6 +352,18 @@ def test_residual_gate_needs_samples(f4, k):
             sample_wall_circle(target, circle, k, **kw)
         with pytest.raises(InputError, match="no samples"):
             max_residual(f4.form, circle, [])
+
+
+@pytest.mark.parametrize("center", [(math.nan, 0.0), (1e200, 0.0)],
+                         ids=["nan", "overflow"])
+def test_residual_gate_rejects_non_finite_samples(f4, center):
+    """A sample that is not a point (NaN, or inf from an overflowing
+    centre) fails the gate; `max` alone would keep 0.0 past its NaN."""
+    circle = WallCircle("uhs", center, math.sqrt(2.0), f4.sections[0])
+    samples = sample_wall_circle(f4, circle)
+    assert not all(map(math.isfinite, samples[0]))
+    with pytest.raises(InputError, match="not a finite point"):
+        max_residual(f4.form, circle, samples)
 
 
 def ref_ball_circle_points(circle, k):
