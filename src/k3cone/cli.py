@@ -38,9 +38,13 @@ def _point(text):
 
 
 def _emit(out, text):
+    """text to the file out (`InputError` if it cannot be written) or stdout."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out} ({exc})") from exc
     else:
         click.echo(text, nl=False)
 

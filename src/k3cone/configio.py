@@ -42,11 +42,14 @@ def frame_from_dict(doc: dict) -> FibrationFrame:
 
 
 def _load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """The JSON object at path; unreadable, non-UTF-8 or not one: `InputError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read ({exc})") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: the top level is not a JSON object")
     return doc

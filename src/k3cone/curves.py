@@ -141,10 +141,12 @@ def canonical_height(curve: CurveQ, p: Point,
     Stops once successive estimates differ by less than tolerance / 2, at
     the doubling cap, or cleanly at 0.0 when a doubling hits infinity
     (torsion).  Raises ResourceError with the partial estimate if the
-    x-coordinate outgrows `DIGIT_BUDGET` digits.
+    x-coordinate outgrows `DIGIT_BUDGET` digits.  The tolerance is an int,
+    float or `Fraction`, positive and finite: a `bool` is not one.
     """
-    if not 0 < tolerance < math.inf:
-        raise InputError("tolerance must be positive and finite")
+    if (not isinstance(tolerance, (float, int, Fraction)) or tolerance is True
+            or not 0 < tolerance < math.inf):  # False fails 0 < tolerance
+        raise InputError("tolerance must be a positive and finite number")
     p = curve._require(p)
     if p is None:
         return 0.0

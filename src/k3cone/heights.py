@@ -21,10 +21,10 @@ coordinates, n_max): `canonical_height`, `nt_pairing` and
 This is safe because every other input of a height (frame, seed, noise
 bound, fiber heights) is fixed when the fibration is built.
 
-Noise comes in streams: a height's step noise is one generator keyed
-(seed, fiber, group vector), drawn in order, so iterated heights are
+Noise comes in one stream per point: a generator keyed (seed, fiber,
+group vector), drawn in order by the steps, so iterated heights are
 prefix-consistent (the first n steps do not depend on how many are run).
-`vector_height` draws from its own generator of the same point.
+The vector height h(Q_{v,E}) is the one-step `iterated_height(Q, 1)`.
 
 Cost model: a height at n_max runs 2 n_max steps of the error recurrence,
 each r + 1 draws from the height's one generator plus O(r) float work,
@@ -113,8 +113,11 @@ class SyntheticFibration:
         if any(isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
                for x in (noise_bound, *heights)):
             raise InputError("fiber heights and noise bound must be numbers")
-        self.noise_bound = float(noise_bound)
-        self.fiber_heights = tuple(map(float, heights))
+        try:
+            self.noise_bound = float(noise_bound)
+            self.fiber_heights = tuple(map(float, heights))
+        except OverflowError:  # 10**400 or Fraction(10**400)
+            raise InputError("fiber height or noise bound too large") from None
         if not 0.0 <= self.noise_bound < math.inf:
             raise InputError("noise bound must be finite and nonnegative")
         if not self.fiber_heights:
@@ -135,19 +138,16 @@ class SyntheticFibration:
             raise InputError(f"no fiber with index {fiber}")
         return (self.fiber_heights[fiber],) + (0.0,) * (self.frame.form.dim - 1)
 
-    def _group_numerators(self, point: FiberPoint):
-        """(numerators of w = sum m_i v_i, their denominator qv): sum m_i
-        times the rows of the frame's `translation_numerators`."""
+    def _chart_translation(self, point: FiberPoint):
+        """The chart coordinates u of w = sum m_i v_i (T_w depends on u),
+        from sum m_i times the rows of `translation_numerators` over qv."""
         ms = point.group_vector
         if len(ms) != self.frame.rank:
             raise InputError("group vector length does not match the frame rank")
         vs, _, qv = self.frame.translation_numerators
-        return [sum(m * v[j] for m, v in zip(ms, vs))
-                for j in range(self.frame.form.dim)], qv
-
-    def _chart_translation(self, point: FiberPoint):
-        """The chart coordinates u of w = sum m_i v_i: T_w depends on u."""
-        return self.frame.chart.euclid_of(*self._group_numerators(point))
+        return self.frame.chart.euclid_of(
+            [sum(m * v[j] for m, v in zip(ms, vs))
+             for j in range(self.frame.form.dim)], qv)
 
     def _translated_base(self, fiber: int, u):
         """T_v h(O_E) for v with chart coordinates u.  In cusp coordinates
@@ -156,25 +156,11 @@ class SyntheticFibration:
         h = self.base_height(fiber)[0]
         return (h, h * (sum(map(mul, u, u)) / 2), *(h * t for t in u))
 
-    def _stream(self, point: FiberPoint, name: str):
-        """The point's noise generator `name`:
-        random.Random(f"{seed}|{fiber}|{group vector}|{name}")."""
+    def _stream(self, point: FiberPoint):
+        """The point's one noise generator, drawn in order by its steps:
+        random.Random(f"{seed}|{fiber}|{group vector}|steps")."""
         return random.Random(
-            f"{self.seed}|{point.fiber}|{point.group_vector}|{name}")
-
-    def vector_height(self, point: FiberPoint):
-        """h(Q_{v,E}) = T_v h(O_E) + noise (noise keyed to the point).
-
-        The noise (0, scalar, perp) is the first draws of the point's
-        "point" generator: r of uniform(-M/sqrt(r), M/sqrt(r)) for perp,
-        so |perp| <= M, then uniform(-M, M) for the scalar.
-        """
-        h = self._translated_base(point.fiber, self._chart_translation(point))
-        m, cap = self.noise_bound, self._perp_cap
-        rng = self._stream(point, "point")
-        perp = tuple(rng.uniform(-cap, cap) for _ in h[2:])
-        noise = (0.0, rng.uniform(-m, m)) + perp
-        return tuple(a + b for a, b in zip(h, noise))
+            f"{self.seed}|{point.fiber}|{point.group_vector}|steps")
 
     def iterated_height(self, point: FiberPoint, n: int):
         """h(tau_v^n O_E): exact translate plus per-step accumulated noise."""
@@ -213,9 +199,9 @@ class SyntheticFibration:
         y += c.  Yields the errors (0, e, y) as columns (es, y_1s, ...,
         y_rs): first the zero error of step 0, then one block after another.
 
-        The noise is one stream per height, the point's "steps" generator
-        drawn in order: at each step r draws of uniform(-M/sqrt(r),
-        M/sqrt(r)) for c, so |c| <= M, then uniform(-M, M) for s, each
+        The noise is the point's one generator (`_stream`), drawn in
+        order: at each step r draws of uniform(-M/sqrt(r), M/sqrt(r)) for
+        c, so |c| <= M, then uniform(-M, M) for s, each
         spelled as the stdlib's own a + (b - a) random().  So the first n
         steps are the same whatever n is asked for.  A block takes its
         (r + 1) k draws at once and runs on C-level maps: c and s as
@@ -233,7 +219,7 @@ class SyntheticFibration:
         m, cap = self.noise_bound, self._perp_cap
         lo, width = -cap, cap - -cap
         lo_s, width_s = -m, m - -m
-        draw = self._stream(point, "steps").random
+        draw = self._stream(point).random
         e, y = 0.0, (0.0,) * r
         for k in sizes:
             draws = list(starmap(draw, repeat((), (r + 1) * k)))

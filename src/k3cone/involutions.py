@@ -15,7 +15,7 @@ on i, so a frame builds it once (`FibrationFrame.sigma0`).
 """
 
 from . import linalg, translations
-from .errors import DegenerateFormError, FrameError, K3ConeError
+from .errors import DegenerateFormError, FrameError, InputError, K3ConeError
 from .lattice import IntersectionForm
 from .linalg import Vector, vector
 from .translations import Isometry
@@ -90,8 +90,11 @@ def tau_pushforward(frame, i: int) -> Isometry:
     mismatch on a valid frame would indicate an internal inconsistency and
     is surfaced loudly.  The two are then equal, and T is returned.
     sigma_0* is the frame's cached `FibrationFrame.sigma0`, and sigma_i* is
-    built from `frame.sections[i]`, which the frame proved section classes.
+    built from `frame.sections[i]`, which the frame proved section classes;
+    i must be an int in range(rank).
     """
+    if linalg.to_integer(i, "translation index", least=0) >= frame.rank:
+        raise InputError(f"translation indices must lie in range({frame.rank})")
     sigma_i = _reflection_through_section(frame, frame.sections[i])
     a, da = sigma_i.numerators
     b, db = frame.sigma0.numerators

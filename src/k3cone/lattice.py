@@ -97,14 +97,10 @@ class IntersectionForm:
     def norm2(self, v: Vector) -> Fraction:
         return self.inner(v, v)
 
-    def is_lorentzian(self) -> bool:
-        pos, neg, zero = signature(self)
-        return pos == 1 and zero == 0 and neg == self.dim - 1
-
     def require_lorentzian(self):
-        if not self.is_lorentzian():
+        if (sig := signature(self)) != (1, self.dim - 1, 0):
             raise InputError(
-                f"form has signature {signature(self)}, expected (1, {self.dim - 1}, 0)")
+                f"form has signature {sig}, expected (1, {self.dim - 1}, 0)")
         return self
 
 

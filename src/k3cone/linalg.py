@@ -2,9 +2,9 @@
 
 Matrices are tuples of tuples of `fractions.Fraction`; vectors are tuples.
 Exact values stay `Fraction` at the API, but the kernels (`mat_mul`,
-`inverse`, `rref`) compute on integer numerators over one common
-denominator per operand and build one canonical `Fraction` per output
-entry.  Inversion and row reduction are fraction-free Gauss-Jordan
+`inverse`, `rank`, `nullspace`) compute on integer numerators over one
+common denominator per operand and build one canonical `Fraction` per
+output entry.  Inversion and row reduction are fraction-free Gauss-Jordan
 elimination in Bareiss form (Bareiss, Math. Comp. 22, 1968): every
 intermediate entry is a minor of the input, so each division is exact.
 Callers that keep a matrix as (integer rows, denominator) themselves, such
@@ -199,29 +199,24 @@ def inverse(m: Matrix) -> Matrix:
     return tuple(tuple(Fraction(den * x, det) for x in row) for row in b)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    a, _ = matrix_numerators(m)
-    pivots, p = _gauss_jordan(a, len(a[0]) if a else 0)
-    return tuple(tuple(Fraction(x, p) for x in row) for row in a), tuple(pivots)
-
-
 def rank(m: Matrix) -> int:
     a, _ = matrix_numerators(m)  # the pivots of the integer Gauss-Jordan
     return len(_gauss_jordan(a, len(a[0]) if a else 0)[0])
 
 
 def nullspace(m: Matrix):
-    """Basis of the right null space, deterministic (free columns in order)."""
-    rows, pivots = rref(m)
+    """Basis of the right null space, deterministic (free columns in order):
+    row r of the reduced row echelon form is `_gauss_jordan`'s row r over p."""
+    a, _ = matrix_numerators(m)
     n_cols = len(m[0])
+    pivots, p = _gauss_jordan(a, n_cols)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = Fraction(-a[r][fc], p)
         basis.append(tuple(v))
     return tuple(basis)
 

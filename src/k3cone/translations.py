@@ -123,5 +123,6 @@ def compose(s: Isometry, t: Isometry) -> Isometry:
 
 
 def power(t: Isometry, m: int) -> Isometry:
-    """t^m on integer numerators; m < 0 inverts t first."""
+    """t^m on integer numerators; m < 0 inverts t first.  m must be an int."""
+    m = linalg.to_integer(m, "exponent")
     return Isometry(t.form, linalg.int_mat_pow(*t.numerators, m))

@@ -255,6 +255,22 @@ def test_malformed_config_document_is_an_input_error(runner, tmp_path,
     assert "ERROR\tInputError\t" in result.output
 
 
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "unwritable-out"])
+def test_file_errors_are_input_errors(runner, tmp_path, case):
+    """A config that is a directory or not UTF-8, and an --out that cannot
+    be written, are an `InputError` with exit 1, not a traceback."""
+    config = tmp_path / "bad.json"
+    config.write_bytes(b"\xff\xfe")
+    args = {"directory": ["validate", str(ROOT / "configs")],
+            "not-utf8": ["validate", str(config)],
+            "unwritable-out": ["render", FRAME, "--out",
+                               str(tmp_path / "missing" / "x.svg")]}[case]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "ERROR\tInputError\t" in result.output
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 @pytest.mark.parametrize("args", [
     ["curve-heights", "--a", "0", "--b", "-2", "--point", "3,5"],

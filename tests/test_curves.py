@@ -131,10 +131,11 @@ def test_resource_error_carries_partial(monkeypatch):
     assert exc.value.partial > 0
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf, "1e-3", True])
 def test_tolerance_must_be_positive_and_finite(tol):
     """A NaN tolerance never stops the loop and an infinite one stops it
-    after one doubling; both, like tol <= 0, are an `InputError`."""
+    after one doubling; both, like tol <= 0, are an `InputError`, and so
+    is a tolerance that is not a number ("1e-3", or a `bool`)."""
     with pytest.raises(InputError, match="tolerance"):
         canonical_height(CURVE, P, tol)
     with pytest.raises(InputError, match="tolerance"):

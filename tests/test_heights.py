@@ -30,15 +30,15 @@ def _translate_cusp(fib, u, x):
     return parabolic_translation(cusp_inner, classE, u)(x)
 
 
-def _replayed_noise(fib, point, name="steps"):
-    """Reference: the noise (0, scalar, perp) of one stream of a point, in
+def _replayed_noise(fib, point):
+    """Reference: the noise (0, scalar, perp) of a point's stream, in
     order, from an independent random.Random keyed
-    "seed|fiber|group vector|name": per draw r boundary values of
+    "seed|fiber|group vector|steps": per draw r boundary values of
     uniform(-M/sqrt(r), M/sqrt(r)), then the scalar uniform(-M, M)."""
     m, r = fib.noise_bound, fib.frame.form.dim - 2
     cap = m / math.sqrt(max(r, 1))
     rng = random.Random(
-        f"{fib.seed}|{point.fiber}|{point.group_vector}|{name}")
+        f"{fib.seed}|{point.fiber}|{point.group_vector}|steps")
     while True:
         perp = tuple(rng.uniform(-cap, cap) for _ in range(r))
         yield (0.0, rng.uniform(-m, m)) + perp
@@ -82,9 +82,6 @@ def test_fiber_point_normalizes_integral_entries():
     u = fib.frame.cusp(group_translation(fib.frame, point))
     _, (e, y) = itertools.islice(fib._errors(point, u[2:]), 2)
     assert (0.0, e) + y == next(_replayed_noise(fib, plain))
-    h = _translate_cusp(fib, u, fib.base_height(0))
-    assert fib.vector_height(point) == tuple(
-        a + b for a, b in zip(h, next(_replayed_noise(fib, plain, "point"))))
     assert (canonical_height(fib, point, fib.frame.ample, 5)
             == canonical_height(_fib(noise=1.0, seed=3), plain,
                                 fib.frame.ample, 5))
@@ -131,13 +128,16 @@ def test_input_validation():
     with pytest.raises(InputError):
         fib.base_height(5)
     with pytest.raises(InputError):
-        fib.vector_height(FiberPoint(0, (1,)))
+        fib.iterated_height(FiberPoint(0, (1,)), 1)
 
 
 @pytest.mark.parametrize("heights, noise", [
     ((float("nan"),), 0.0), ((math.inf,), 0.0), ((10.0, -math.inf), 0.0),
     ((10.0,), float("nan")), ((10.0,), math.inf), (10.0, 0.0),
-    ("123", 0.0), ((True, 10.0), 0.0), ((10.0,), "1"), ((10.0,), True)])
+    ("123", 0.0), ((True, 10.0), 0.0), ((10.0,), "1"), ((10.0,), True),
+    pytest.param((10 ** 400,), 0.0, id="height-overflow"),
+    pytest.param((10.0,), 10 ** 400, id="noise-overflow"),
+    pytest.param((10.0,), Fraction(10 ** 400), id="noise-Fraction-overflow")])
 def test_non_finite_inputs_rejected(heights, noise):
     with pytest.raises(InputError):
         SyntheticFibration(f4_frame(), heights, noise)
@@ -187,7 +187,7 @@ def test_vector_height_noiseless_is_exact_translate():
     fib = _fib()
     frame = fib.frame
     point = FiberPoint(0, (1, 0))
-    h = fib.vector_height(point)
+    h = fib.iterated_height(point, 1)
     v = group_translation(fib.frame, point)
     u = frame.cusp(v)
     assert h == _translate_cusp(fib, u, fib.base_height(0))
@@ -203,11 +203,11 @@ def test_vector_height_noise_is_reproducible_and_bounded():
     fib2 = _fib(noise=1.0, seed=42)
     fib3 = _fib(noise=1.0, seed=43)
     point = FiberPoint(0, (1, 1))
-    assert fib1.vector_height(point) == fib2.vector_height(point)
-    assert fib1.vector_height(point) != fib3.vector_height(point)
-    noise = next(_replayed_noise(fib1, point, "point"))
-    assert fib1.vector_height(point) == tuple(
-        a + b for a, b in zip(_fib().vector_height(point), noise))
+    assert fib1.iterated_height(point, 1) == fib2.iterated_height(point, 1)
+    assert fib1.iterated_height(point, 1) != fib3.iterated_height(point, 1)
+    noise = next(_replayed_noise(fib1, point))
+    assert fib1.iterated_height(point, 1) == tuple(
+        a + b for a, b in zip(_fib().iterated_height(point, 1), noise))
     assert noise[0] == 0.0
     assert abs(noise[1]) <= 1.0
     assert math.hypot(*noise[2:]) <= 1.0 + 1e-12
@@ -361,8 +361,7 @@ def test_noise_is_one_fresh_generator_per_key(dim):
     """The noise contract: the steps of a point draw in order from one
     fresh random.Random keyed "seed|fiber|group vector|steps", r boundary
     draws of uniform(-M/sqrt(r), M/sqrt(r)) and then the scalar
-    uniform(-M, M) per step; `vector_height` draws the same way from its
-    own "seed|fiber|group vector|point"."""
+    uniform(-M, M) per step."""
     frame = _rank_zero_frame() if dim == 2 else random_valid_frame(dim, dim)
     m, r = 0.37, dim - 2
     cap = m / math.sqrt(max(r, 1))
@@ -383,12 +382,6 @@ def test_noise_is_one_fresh_generator_per_key(dim):
             assert errors[step + 1] == (
                 e + sum(map(mul, y, u[2:])) + s, tuple(map(add, y, c)))
         assert errors[1] == draws[0]
-        want = random.Random(f"11|{fiber}|{point.group_vector}|point")
-        perp = tuple(want.uniform(-cap, cap) for _ in range(r))
-        noise = (0.0, want.uniform(-m, m)) + perp
-        h = _translate_cusp(fib, u, fib.base_height(fiber))
-        assert fib.vector_height(point) == tuple(
-            a + b for a, b in zip(h, noise))
 
 
 def _replayed_errors(fib, point, n):

@@ -33,7 +33,7 @@ def test_inner_is_exact_and_symmetric():
 def test_signature_f4():
     form = IntersectionForm(linalg.matrix(F4_GRAM))
     assert signature(form) == (1, 3, 0)
-    assert form.is_lorentzian()
+    assert form.require_lorentzian() is form
 
 
 def test_signature_degenerate_and_euclidean():

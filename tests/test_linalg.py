@@ -71,12 +71,14 @@ def test_vector_ops_are_linear(u, v, c):
 
 
 def _count_calls():
-    """Every count argument of the library, each given a value that is not
-    an admissible count: `linalg.to_integer` rejects all of them."""
-    from k3cone import f4_frame, walls
+    """Every count and index argument of the library, each given a value
+    that is not an admissible count: `linalg.to_integer` rejects all of
+    them, and an index past the rank is out of range."""
+    from k3cone import f4_frame, power, tau_pushforward, translation, walls
     from k3cone.curves import CurveQ, naive_limit_height
     from k3cone.heights import SyntheticFibration
     f4 = f4_frame()
+    t = translation(f4, f4.translations[0])
     circle = walls.wall_circle_uhs(f4, f4.sections[0])
     curve, p = CurveQ(0, -2), (Fraction(3), Fraction(5))
     return {
@@ -93,6 +95,13 @@ def _count_calls():
         "naive-limit-zero": lambda: naive_limit_height(curve, p, 0),
         "naive-limit-bool": lambda: naive_limit_height(curve, p, True),
         "seed-bool": lambda: SyntheticFibration(f4, [10.0], 1.0, True),
+        "power-float": lambda: power(t, 1.5),
+        "power-str": lambda: power(t, "2"),
+        "power-bool": lambda: power(t, True),
+        "tau-negative": lambda: tau_pushforward(f4, -1),
+        "tau-past-rank": lambda: tau_pushforward(f4, 5),
+        "tau-bool": lambda: tau_pushforward(f4, True),
+        "tau-float": lambda: tau_pushforward(f4, 1.0),
     }
 
 
