@@ -119,7 +119,11 @@ def naive_height(p: Point) -> float:
 
 def _x_double(p: int, q: int, coeffs: tuple):
     """One step of the x-only duplication map on x = p/q (lowest terms),
-    on `CurveQ._doubling`; None when the doubled point is at infinity."""
+    on `CurveQ._doubling`; None when the doubled point is at infinity.
+
+    den4 = 4 ad^2 bd q^4 (x^3 + a x + b), so on the curve it is
+    4 ad^2 bd q^4 y^2 > 0 past the 2-torsion exit; the sign fix acts only
+    on x off the curve, where the result is still the reduced quotient."""
     f4, f2, f1, f0, g3, g1, g0 = coeffs
     p2, q2 = p * p, q * q
     num4 = f4 * p2 * p2 + f2 * p2 * q2 + f1 * p * q * q2 + f0 * q2 * q2
@@ -284,13 +288,15 @@ def specialization_scan(pencil: Pencil, t_values,
 
     Singular fibers, and fibers of parameter height 0 (t = 0, 1 or -1),
     which leave nothing to normalize by, are skipped with a recorded
-    reason.  Diagnostics: successive max-entry differences of the
-    normalized matrices, and a per-entry least-squares slope of pairing
-    against parameter height.
+    reason; a pencil without sections is an `InputError`.  Diagnostics:
+    successive max-entry differences of the normalized matrices, and a
+    per-entry least-squares slope of pairing against parameter height.
     """
+    if not pencil.sections:
+        raise InputError("a pencil without sections has no pairing to scan")
     rows = []
     skipped = []
-    for t0 in map(to_fraction, t_values):
+    for t0 in map(to_fraction, _items(t_values, "list of t values")):
         try:
             curve, points = pencil.specialize(t0)
         except SingularFiberError as exc:

@@ -183,15 +183,9 @@ class SyntheticFibration:
         return [tuple(a + b for a, b in zip(h, err))
                 for h, err in zip(exact, kept)]
 
-    def _errors(self, point: FiberPoint, u):
-        """(e, y) of the accumulated iterated error (0, e, y) after steps
-        0, 1, 2, ..., one step at a time from `_error_blocks`."""
-        rows = chain.from_iterable(starmap(zip, self._error_blocks(point, u)))
-        return ((row[0], row[1:]) for row in rows)
-
-    def _error_blocks(self, point: FiberPoint, u, n=None):
+    def _error_blocks(self, point: FiberPoint, u, n: int):
         """The error recurrence of one height, a block of at most _BLOCK
-        steps at a time, up to step n (without end if n is None).
+        steps at a time, up to step n.
 
         err_0 = 0 and err_{k+1} = T_u err_k + noise_k, noise_k = (0, s, c),
         u the chart translation.  Every error has w = 0, and T_u (0, e, y)
@@ -205,23 +199,22 @@ class SyntheticFibration:
         spelled as the stdlib's own a + (b - a) random().  So the first n
         steps are the same whatever n is asked for.  A block takes its
         (r + 1) k draws at once and runs on C-level maps: c and s as
-        lo + width x, each y_j one `accumulate`, <y_t, u> as
-        0 + y_1 u_1 + ... + y_r u_r in r passes (the order of
-        sum(map(mul, y, u))), and e one `accumulate` over the interleaved
-        <y_t, u>, s_t, so e_{t+1} = (e_t + <y_t, u>) + s_t.  The floats are
-        those of stepping one at a time, and a block holds O(r _BLOCK) of
-        them.  Without noise each draw maps to 0.0, so every error is 0.0.
+        lo + width x, each y_j one `accumulate`, <y_t, u> as the left fold
+        0 + y_1 u_1 + ... + y_r u_r in r passes (not `sum`, which is
+        compensated from Python 3.12 on), and e one `accumulate` over the
+        interleaved <y_t, u>, s_t, so e_{t+1} = (e_t + <y_t, u>) + s_t.  The
+        floats are those of stepping one at a time, and a block holds
+        O(r _BLOCK) of them.  Without noise each draw maps to 0.0, so every
+        error is 0.0.
         """
         r = len(u)
         yield ([0.0],) * (r + 1)
-        sizes = (repeat(_BLOCK) if n is None
-                 else (min(_BLOCK, n - t) for t in range(0, n, _BLOCK)))
         m, cap = self.noise_bound, self._perp_cap
         lo, width = -cap, cap - -cap
         lo_s, width_s = -m, m - -m
         draw = self._stream(point).random
         e, y = 0.0, (0.0,) * r
-        for k in sizes:
+        for k in (min(_BLOCK, n - t) for t in range(0, n, _BLOCK)):
             draws = list(starmap(draw, repeat((), (r + 1) * k)))
             # y_j at the block's k + 1 states, its first the last block's
             ys = [list(accumulate(map(add, repeat(lo), map(
@@ -243,9 +236,10 @@ class SyntheticFibration:
         boundary norm and E-component, for the growth-contract checks."""
         n_steps = to_integer(n_steps, "n_steps", least=0)
         u = self._chart_translation(point)
-        errors = islice(self._errors(point, u), 1, n_steps + 1)
+        rows = chain.from_iterable(
+            starmap(zip, self._error_blocks(point, u, n_steps)))
         return [(n, math.hypot(*y), abs(e))
-                for n, (e, y) in enumerate(errors, start=1)]
+                for n, (e, *y) in enumerate(islice(rows, 1, None), start=1)]
 
 
 def _reference(fib: SyntheticFibration, d, n_max: int):

@@ -51,7 +51,7 @@ def _exact_numerators(u, dim) -> tuple:
     """(integer numerators, denominator) of u, each entry taken exactly by
     `as_integer_ratio`; `InputError` unless u is dim finite numbers."""
     try:
-        ratios = [t.as_integer_ratio() for t in u]
+        ratios = [t.as_integer_ratio() for t in linalg._items(u, "point")]
     except (AttributeError, ValueError, OverflowError):
         raise InputError("point coordinates must be finite numbers") from None
     if len(ratios) != dim:
@@ -175,7 +175,11 @@ class UpperHalfSpacePoint:
     z: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.x, self.z))):
+        try:
+            finite = all(map(math.isfinite, (*self.x, self.z)))
+        except TypeError:  # x is not a sequence, or holds a non-number
+            finite = False
+        if not finite:
             raise InputError("upper-half-space coordinates must be finite")
         if self.z <= 0:
             raise DomainError("upper-half-space height must be positive")
@@ -304,7 +308,11 @@ class BallModel(_Axes):
 
 def ball_distance(b1, b2) -> float:
     """Distance in the open unit ball; `InputError`, `DomainError` off it."""
-    if len(b1) != len(b2) or not all(map(math.isfinite, (*b1, *b2))):
+    try:
+        valid = len(b1) == len(b2) and all(map(math.isfinite, (*b1, *b2)))
+    except TypeError:  # not sequences of numbers
+        valid = False
+    if not valid:
         raise InputError("ball points must be finite and of one dimension")
     n1, n2 = (sum(t * t for t in p) for p in (b1, b2))
     if n1 >= 1.0 or n2 >= 1.0:

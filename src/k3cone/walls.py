@@ -5,10 +5,16 @@ the zero section under the Mordell-Weil group.  On a valid frame
 
     D_m = O + w - (O.w + w.w/2) E,    D_m.O = -2 - w.w/2,
 
-so Shioda's height <m, m> = 4 + 2 D_m.O (Comment. Math. Univ. St. Paul.
-39, 1990) is -w.w, the Neron-Tate form the synthetic pairing targets.
-`orbit_walls` evaluates this closed form on integers through
-`FibrationFrame.section_map`, which proved every translate a section class.
+and 4 + 2 D_m.O = -w.w, the Neron-Tate form the synthetic pairing
+targets.  That is Shioda's height of the section (Comment. Math. Univ. St.
+Paul. 39, 1990) only when every v_i lies in the narrow Mordell-Weil
+lattice, i.e. is orthogonal to the roots of V_L, the integral vectors of
+V; otherwise Shioda's height is -pi(w).pi(w), pi the orthogonal
+projection away from the root lattice.  On U + A_2(-1) + <-4> with
+v = e_3 + e_5 the target -v.v is 6 and Shioda's height is 4.
+`orbit_walls` evaluates the closed form on integers through
+`FibrationFrame.section_map`, which proved every translate a section
+class.
 
 Every -2 class D cuts the hyperbolic cross-section along a hyperplane.
 Seen from the cusp [E] in the upper-half-space model, a wall with D.E != 0
@@ -183,8 +189,11 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     each should satisfy A.A ~ 0 and A.D ~ 0.  A uhs sample a (chart
     coordinates) is the null class with cusp coordinates (1, |a|^2/2, a),
     mapped back by `FibrationFrame.from_cusp`.  A 1-dimensional trace is
-    two points, sampled min(k, 2) times.  `InputError` unless k >= 1, and
-    on a 0-dimensional boundary, which walls do not meet.
+    two points, sampled min(k, 2) times.  A degenerate (D.E = 0) uhs trace
+    {a : <a, n> = offset} is sampled at offset n + cos t e1 + sin t e2,
+    e1 and e2 from `_plane_frame(n)`: one point on a rank-1 chart, min(k, 2)
+    on rank 2.  `InputError` unless k >= 1, and on a 0-dimensional
+    boundary, which walls do not meet.
     """
     if linalg.to_integer(k, "sample count") < 1:
         raise InputError("a wall circle needs at least one sample")
@@ -194,10 +203,18 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
         r = frame.chart.dim
         if r == 0:
             raise InputError("walls have no trace on a 0-dimensional boundary")
-        for ct, st in unit_circle(min(k, 2) if r == 1 else k):
-            e = ([ct, st] + [0.0] * r)[:r]
-            a = [c + circle.radius * x for c, x in zip(circle.center, e)]
-            pts.append(frame.from_cusp((1.0, sum(t * t for t in a) / 2.0, *a)))
+        if circle.degenerate is None:
+            chart_pts = ([c + circle.radius * x for c, x in
+                          zip(circle.center, ([ct, st] + [0.0] * r)[:r])]
+                         for ct, st in unit_circle(min(k, 2) if r == 1 else k))
+        else:
+            n, offset = circle.degenerate.normal, circle.degenerate.offset
+            e1, e2 = (_plane_frame(list(n)) + [[0.0] * r] * 2)[:2]
+            axes = list(zip([offset * t for t in n], e1, e2))
+            chart_pts = ([c + ct * x + st * y for c, x, y in axes]
+                         for ct, st in unit_circle(min(k, r) if r < 3 else k))
+        pts = [frame.from_cusp((1.0, sum(t * t for t in a) / 2.0, *a))
+               for a in chart_pts]
     elif circle.model == "ball":
         if ball is None:
             raise InputError("ball model required to sample ball circles")

@@ -1,12 +1,20 @@
+import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
+import traceback
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3cone import errors
 from k3cone.cli import main
 from k3cone.errors import FrameError
 from k3cone.frame import FibrationFrame
@@ -381,3 +389,173 @@ def test_synthetic_pair_noise_is_the_same_in_every_process():
         done = subprocess.run(args, env=env, capture_output=True,
                               timeout=120, check=True)
         assert done.stdout == golden
+
+
+# -- generated runs: every command ends in one of three known ways ----------
+
+ERROR_NAMES = {c.__name__ for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.K3ConeError)}
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                 st.sampled_from(["x", "1/2", "1/0", "", [], {}, [[1]]]))
+SMALL = st.integers(-3, 3)
+
+
+def _pick(draw, valid, good, bad):
+    """One of good, or of good and bad unless the run is a valid one."""
+    return draw(st.sampled_from(good if valid else good + bad))
+
+
+@st.composite
+def _vector(draw, dim):
+    """dim small integers; now and then one more or one fewer, or an
+    entry that is junk."""
+    v = draw(st.lists(SMALL, min_size=dim, max_size=dim))
+    how = draw(st.sampled_from(["keep"] * 6 + ["short", "long", "entry"]))
+    if how == "short":
+        return v[:-1]
+    if how == "long":
+        return v + [0]
+    if how == "entry" and v:
+        v[draw(st.integers(0, dim - 1))] = draw(JUNK)
+    return v
+
+
+def _mutate(draw, doc, fields):
+    """doc with one field replaced by junk or dropped, or junk in its
+    place."""
+    how = draw(st.sampled_from(["junk", "drop", "top"]))
+    if how == "junk":
+        doc[draw(st.sampled_from(fields))] = draw(JUNK)
+    elif how == "drop":
+        doc.pop(draw(st.sampled_from(fields)), None)
+    else:
+        doc = draw(JUNK)
+    return doc
+
+
+@st.composite
+def _frame_docs(draw, valid):
+    """Frame configs of dims 1-6 (3-6 in a valid run): U + a negative
+    definite block with the standard E, O, ample class and some
+    translations (at least one in a valid run), or any symmetric
+    Gram (mostly degenerate or indefinite) with any vectors; unless the
+    run is a valid one, some field may then be junk or missing."""
+    dim = draw(st.integers(3 if valid else 1, 6))
+    r = max(dim - 2, 0)
+    if valid or dim >= 2 and draw(st.booleans()):
+        gram = [[int(i + j == 1) if max(i, j) < 2 else 0 for j in range(dim)]
+                for i in range(dim)]
+        for i in range(r):
+            gram[2 + i][2 + i] = -draw(st.sampled_from([1, 2, 4, 6]))
+        if r >= 2 and draw(st.booleans()):
+            gram[2][3] = gram[3][2] = draw(st.sampled_from([-1, 1]))
+        unit = [[int(k == i) for k in range(dim)] for i in range(dim)]
+        doc = {"gram": gram, "E": unit[0], "O": [-1, 1] + [0] * r,
+               "ample": [draw(st.integers(1, 4)), 1]
+               + draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r)),
+               "translations": unit[2:2 + draw(st.integers(valid, r))]}
+    else:
+        rows = draw(st.lists(st.lists(SMALL, min_size=dim, max_size=dim),
+                             min_size=dim, max_size=dim))
+        gram = [[rows[min(i, j)][max(i, j)] for j in range(dim)]
+                for i in range(dim)]
+        doc = {"gram": gram, **{k: draw(_vector(dim))
+                                for k in ("E", "O", "ample")},
+               "translations": draw(st.lists(_vector(dim), max_size=r))}
+    if valid or draw(st.booleans()):
+        return doc
+    return _mutate(draw, doc, ["gram", "E", "O", "ample", "translations",
+                               "labels", "sections"])
+
+
+@st.composite
+def _pencil_docs(draw, valid):
+    """The default pencil with some of its sections, or random small
+    polynomials (sections that rarely satisfy the equation), or junk."""
+    poly = st.lists(SMALL, max_size=3)
+    if valid or draw(st.booleans()):
+        sections = draw(st.lists(st.sampled_from(
+            [{"x": [0], "y": [0, 1]}, {"x": [0, 1], "y": [0, 1]}]),
+            min_size=valid, max_size=2))
+        doc = {"a": [0, 0, -1], "b": [0, 0, 1], "sections": sections}
+    else:
+        doc = {"a": draw(poly), "b": draw(poly),
+               "sections": draw(st.lists(st.fixed_dictionaries(
+                   {"x": poly, "y": poly}), max_size=2))}
+    if valid or draw(st.booleans()):
+        return doc
+    return _mutate(draw, doc, ["a", "b", "sections"])
+
+
+RATIONALS = st.builds(lambda p, q: Fraction(p, q), st.integers(-5, 5),
+                      st.sampled_from([1, 2, 4]))
+TOLERANCES = (["1e-2", "0.1", "1"], ["0", "-1", "nan", "inf"])
+
+
+@st.composite
+def _runs(draw):
+    """(arguments, config document): "{config}" and "{out}" in the
+    arguments stand for the document's file and an SVG to write.  Half
+    the runs draw only valid arguments and configs, the rest any."""
+    valid = draw(st.booleans())
+    command = draw(st.sampled_from(["validate", "orbit", "render",
+                                    "synthetic-pair", "curve-heights",
+                                    "specialize-scan"]))
+    if command == "curve-heights":
+        # a point on the curve (b solved for), or b and the point at random
+        a, x, y = draw(RATIONALS), draw(RATIONALS), draw(RATIONALS)
+        b = y * y - x ** 3 - a * x if valid or draw(st.booleans()) else a
+        points = [f"{x},{y}", _pick(draw, valid, [f"{x},{-y}"],
+                                    ["0,1", "3,5", "1", "x,1"])]
+        points = points[:draw(st.integers(1, 2))]
+        return [command, "--a", str(a),
+                "--b", _pick(draw, valid, [str(b)], ["x", "1/0"]),
+                *itertools.chain.from_iterable(("--point", p) for p in points),
+                "--tolerance", _pick(draw, valid, *TOLERANCES)], None
+    if command == "specialize-scan":
+        return [command, "{config}",
+                "--t-min", _pick(draw, valid, ["1", "3/2", "2", "8"], ["0"]),
+                "--t-max", draw(st.sampled_from(["2", "4", "8", "16"])),
+                "--geometric-step", _pick(draw, valid, ["2", "3/2", "3"],
+                                          ["1", "1/2"]),
+                "--tolerance", _pick(draw, valid, *TOLERANCES)
+                ], draw(_pencil_docs(valid))
+    args = [command, "{config}"]
+    if command in ("orbit", "render"):
+        args += ["--N", _pick(draw, valid, ["0", "1"], ["-1"])]
+    if command == "render":
+        args += ["--model", draw(st.sampled_from(["uhs", "ball"])),
+                 "--out", "{out}"]
+    if command == "synthetic-pair":
+        args += ["--seed", str(draw(st.integers(-5, 100))),
+                 "--noise", _pick(draw, valid, ["0", "0.5", "1"],
+                                  ["-1", "nan", "inf"]),
+                 "--fibers", _pick(draw, valid, ["10,100", "1e3"],
+                                   ["", ",,", "10,abc", "0", "-5", "inf"]),
+                 "--n-max", _pick(draw, valid, ["1", "4", "10"], ["0", "-1"])]
+    return args, draw(_frame_docs(valid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_runs())
+def test_generated_runs_end_in_a_known_way(run):
+    """Each run exits 0; or exits 1 with `ERROR\\t<K3ConeError subclass>\\t`;
+    or, for validate only, exits 1 with a report that ends in `fail`.
+    Never a traceback or a usage error."""
+    args, doc = run
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = pathlib.Path(tmp, "config.json"), pathlib.Path(tmp, "o")
+        config.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, [
+            a.replace("{config}", str(config)).replace("{out}", str(out))
+            for a in args])
+    if result.exit_code == 0:
+        return
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), (
+        "".join(traceback.format_exception(*result.exc_info)) + result.output)
+    error = re.match(r"ERROR\t(\w+)\t", result.output)
+    if error:
+        assert error.group(1) in ERROR_NAMES
+    else:
+        assert args[0] == "validate", result.output
+        assert result.output.splitlines()[-1] == "fail"

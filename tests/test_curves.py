@@ -33,8 +33,10 @@ def test_point_membership():
     lambda: Pencil(a=(0,), b=(1,), sections=(((1,),),)),
     lambda: CurveQ(0, 1).add((1,), None),
     lambda: naive_height(5),
+    lambda: specialization_scan(default_pencil(), 5),
+    lambda: specialization_scan(Pencil(a=(0,), b=(1,), sections=()), [2, 4]),
 ], ids=["pencil-a", "section-y", "section-not-a-pair", "short-point",
-        "point-not-a-pair"])
+        "point-not-a-pair", "scan-t-values", "scan-no-sections"])
 def test_malformed_points_and_pencils_are_input_errors(make):
     """The constructors and the point check are the boundary for curve
     input: a malformed shape is an `InputError`, not a bare `TypeError`,

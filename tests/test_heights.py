@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul
 
 import pytest
@@ -44,6 +45,14 @@ def _replayed_noise(fib, point):
         yield (0.0, rng.uniform(-m, m)) + perp
 
 
+def _served_errors(fib, point, u, n):
+    """(e, y) of the error (0, e, y) after steps 0..n, read off the rows of
+    the recurrence's blocks as `error_trace` reads them."""
+    rows = itertools.chain.from_iterable(
+        itertools.starmap(zip, fib._error_blocks(point, u, n)))
+    return [(e, tuple(y)) for e, *y in rows]
+
+
 def test_fiber_point_addition():
     p = FiberPoint(0, (1, 0)) + FiberPoint(0, (0, 2))
     assert p.group_vector == (1, 2)
@@ -80,7 +89,7 @@ def test_fiber_point_normalizes_integral_entries():
     plain = FiberPoint(0, (2, -2))
     # both points key their noise streams as "3|0|(2, -2)|..."
     u = fib.frame.cusp(group_translation(fib.frame, point))
-    _, (e, y) = itertools.islice(fib._errors(point, u[2:]), 2)
+    _, (e, y) = _served_errors(fib, point, u[2:], 1)
     assert (0.0, e) + y == next(_replayed_noise(fib, plain))
     assert (canonical_height(fib, point, fib.frame.ample, 5)
             == canonical_height(_fib(noise=1.0, seed=3), plain,
@@ -324,7 +333,7 @@ def _count_errors(monkeypatch):
     fibers = []
     blocks = SyntheticFibration._error_blocks
 
-    def counted(self, point, u, n=None):
+    def counted(self, point, u, n):
         fibers.append(point.fiber)
         return blocks(self, point, u, n)
 
@@ -370,7 +379,7 @@ def test_noise_is_one_fresh_generator_per_key(dim):
     for fiber in (0, 1):
         point = FiberPoint(fiber, [rng.randint(-2, 2) for _ in range(r)])
         u = frame.cusp(group_translation(fib.frame, point))
-        errors = list(itertools.islice(fib._errors(point, u[2:]), 401))
+        errors = _served_errors(fib, point, u[2:], 400)
         want = random.Random(f"11|{fiber}|{point.group_vector}|steps")
         draws = []
         for _ in range(400):
@@ -380,7 +389,8 @@ def test_noise_is_one_fresh_generator_per_key(dim):
             # err_{k+1} = (e_k + <y_k, u> + s_k, y_k + c_k), noise_k = (s, c)
             (e, y), (s, c) = errors[step], draws[step]
             assert errors[step + 1] == (
-                e + sum(map(mul, y, u[2:])) + s, tuple(map(add, y, c)))
+                e + reduce(add, map(mul, y, u[2:]), 0) + s,
+                tuple(map(add, y, c)))
         assert errors[1] == draws[0]
 
 
@@ -476,7 +486,7 @@ def test_block_boundaries_match_replays(dim, noise):
     steps = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
     errors = _replayed_errors(fib, point, steps[-1])
     u = fib._chart_translation(point)
-    served = list(itertools.islice(fib._errors(point, u), steps[-1] + 1))
+    served = _served_errors(fib, point, u, steps[-1])
     trace = fib.error_trace(point, steps[-1])
     for k in steps:
         assert served[k] == (errors[k][1], errors[k][2:])

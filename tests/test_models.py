@@ -252,6 +252,26 @@ def test_null_lift_is_null(f4):
     assert abs(inner_f(f4.form, lifted, lifted)) < 1e-9
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: hyperbolic_distance(f.form, 5, f.ample),
+    lambda f: hyperbolic_distance(f.form, None, f.ample),
+    lambda f: to_upper_half_space(f, 5),
+    lambda f: BallModel(f.form, f.ample).ball_point(5),
+    lambda f: BallModel(f.form, f.ample).signature_coords(None),
+    lambda f: ball_distance(5, (0, 0, 0)),
+    lambda f: ball_distance("ab", (0, 0)),
+    lambda f: UpperHalfSpacePoint(5, 1.0),
+    lambda f: UpperHalfSpacePoint(("a",), 1.0),
+], ids=["distance-int", "distance-None", "uhs-int", "ball-point-int",
+        "signature-None", "ball-distance-int", "ball-distance-str",
+        "uhs-point-int", "uhs-point-str"])
+def test_float_entry_points_reject_non_sequences(f4, call):
+    """A non-sequence or a non-number is an `InputError`, not a bare
+    `TypeError`."""
+    with pytest.raises(InputError):
+        call(f4)
+
+
 def test_ball_model_rejects_wrong_length(f4):
     ball = BallModel(f4.form, f4.ample)
     with pytest.raises(InputError):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+import random
 from fractions import Fraction
 from xml.etree import ElementTree
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import change_basis, random_valid_frame, zero_vector
+from conftest import (change_basis, mat_vec, random_unimodular,
+                      random_valid_frame, zero_vector)
 from k3cone import f4_frame, linalg, svg, walls
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
@@ -229,6 +231,50 @@ def test_degenerate_wall_is_hyperplane():
     n = circle.degenerate.normal
     assert abs(math.sqrt(sum(x * x for x in n)) - 1.0) < 1e-12
     assert circle.degenerate.offset == 0.0
+
+
+@pytest.mark.parametrize("dim", range(3, 7))
+def test_degenerate_walls_pass_the_residual_gate(dim):
+    """D = a E + g_i (D.E = 0) on U + (-2)^r, plain and moved by a
+    unimodular change of basis: the samples of its hyperplane lie on the
+    wall, one on a rank-1 chart and two on rank 2."""
+    r = dim - 2
+    gram = [[int(i + j == 1) if max(i, j) < 2 else -2 * (i == j)
+             for j in range(dim)] for i in range(dim)]
+    unit = [tuple(int(k == i) for k in range(dim)) for i in range(dim)]
+    frame = FibrationFrame.create(
+        IntersectionForm(linalg.matrix(gram)), unit[0],
+        (-1, 1) + (0,) * r, (3, 1) + (0,) * r, unit[2:])
+    rng = random.Random(dim)
+    u = random_unimodular(rng, dim)
+    u_inv = linalg.inverse(linalg.matrix(u))
+    for i in range(r):
+        d = [rng.randint(-3, 3)] + [0] * (dim - 1)
+        d[2 + i] = 1
+        for target, dd in ((frame, d),
+                           (change_basis(frame, u), mat_vec(u_inv, d))):
+            circle = wall_circle_uhs(target, dd)
+            assert circle.degenerate is not None
+            for k in (1, 2, 16):
+                samples = sample_wall_circle(target, circle, k)
+                assert len(samples) == (1 if r == 1 else min(k, 2) if r == 2
+                                        else k)
+                assert max_residual(target.form, circle, samples) < 1e-9
+
+
+def test_degenerate_wall_renders_as_a_line():
+    """D = E + g1 on the frame of `test_degenerate_wall_is_hyperplane`
+    traces the line x = 1/sqrt(2) of the chart, drawn across the view."""
+    form = IntersectionForm(linalg.matrix(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]))
+    frame = FibrationFrame.create(form, (1, 0, 0, 0), (-1, 1, 0, 0),
+                                  (2, 1, 0, 0),
+                                  [(0, 0, 1, 0), (0, 0, 0, 1)])
+    circle = wall_circle_uhs(frame, (1, 0, 1, 0))
+    assert max_residual(form, circle, sample_wall_circle(frame, circle)) < 1e-9
+    assert render_svg([circle]).splitlines()[1] == (
+        '<line x1="362.426407" y1="-320.000000" x2="362.426407"'
+        ' y2="960.000000" stroke="#1a1a1a" stroke-width="1.000000"/>')
 
 
 def test_sampled_residuals_uhs(f4):
