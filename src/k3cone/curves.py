@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import InputError, ResourceError, SingularFiberError
-from .linalg import _items, to_fraction, to_integer, vector, vectors
+from .linalg import _items, left_sum, to_fraction, to_integer, vector, vectors
 
 Point = Optional[Tuple[Fraction, Fraction]]  # None encodes the point at infinity
 
@@ -329,14 +329,14 @@ def specialization_scan(pencil: Pencil, t_values,
     r = len(rows[0].pairings)
     slopes = []
     hs = [row.height for row in rows]
-    h_mean = sum(hs) / len(hs)
-    denom = sum((h - h_mean) ** 2 for h in hs)
+    h_mean = left_sum(hs) / len(hs)
+    denom = left_sum((h - h_mean) ** 2 for h in hs)
     for i in range(r):
         srow = []
         for j in range(r):
             ys = [row.pairings[i][j] for row in rows]
-            y_mean = sum(ys) / len(ys)
-            num = sum((h - h_mean) * (y - y_mean) for h, y in zip(hs, ys))
+            y_mean = left_sum(ys) / len(ys)
+            num = left_sum((h - h_mean) * (y - y_mean) for h, y in zip(hs, ys))
             srow.append(num / denom if denom else 0.0)
         slopes.append(tuple(srow))
     return ScanResult(tuple(rows), tuple(skipped), tuple(diffs), tuple(slopes))

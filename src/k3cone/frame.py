@@ -332,9 +332,8 @@ class FibrationFrame:
         pos, neg, zero = signature(self.form)
         check("lorentzian signature", (pos, neg, zero) == (1, self.form.dim - 1, 0),
               f"signature {(pos, neg, zero)}")
-        ee, ea = product(c.E, c.gE), product(c.E, c.gA)
-        oo, oe = product(c.O, c.gO), product(c.O, c.gE)
-        pp, pe = product(c.P, c.gP), product(c.P, c.gE)
+        ee, pp, pe = (Fraction(x, c.den * c.q) for x in (c.ee, c.pp, c.ep))
+        ea, oo, oe = product(c.E, c.gA), product(c.O, c.gO), product(c.O, c.gE)
         aa, ao = product(c.ample, c.gA), product(c.ample, c.gO)
         check("fiber class null", ee == 0, f"E.E = {ee}")
         check("fiber meets ample", ea > 0, f"E.ample = {ea}")

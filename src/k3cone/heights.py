@@ -50,7 +50,7 @@ from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, mul
 
 from .errors import FrameError, InputError
-from .linalg import _items, dot, to_integer
+from .linalg import _items, dot, left_sum, to_integer
 from .models import cusp_inner
 
 _BLOCK = 1024  # steps of the error recurrence run per block
@@ -154,7 +154,7 @@ class SyntheticFibration:
         T_v (w, e, y) = (w, e + <y, u> + w |u|^2 / 2, y + w u), so at
         h(O_E) = (h, 0, 0) it is (h, h (|u|^2 / 2), h u)."""
         h = self.base_height(fiber)[0]
-        return (h, h * (sum(map(mul, u, u)) / 2), *(h * t for t in u))
+        return (h, h * (left_sum(map(mul, u, u)) / 2), *(h * t for t in u))
 
     def _stream(self, point: FiberPoint):
         """The point's one noise generator, drawn in order by its steps:
@@ -200,12 +200,11 @@ class SyntheticFibration:
         steps are the same whatever n is asked for.  A block takes its
         (r + 1) k draws at once and runs on C-level maps: c and s as
         lo + width x, each y_j one `accumulate`, <y_t, u> as the left fold
-        0 + y_1 u_1 + ... + y_r u_r in r passes (not `sum`, which is
-        compensated from Python 3.12 on), and e one `accumulate` over the
-        interleaved <y_t, u>, s_t, so e_{t+1} = (e_t + <y_t, u>) + s_t.  The
-        floats are those of stepping one at a time, and a block holds
-        O(r _BLOCK) of them.  Without noise each draw maps to 0.0, so every
-        error is 0.0.
+        0 + y_1 u_1 + ... + y_r u_r of `linalg.left_sum` in r passes, and
+        e one `accumulate` over the interleaved <y_t, u>, s_t, so
+        e_{t+1} = (e_t + <y_t, u>) + s_t.  The floats are those of stepping
+        one at a time, and a block holds O(r _BLOCK) of them.  Without noise
+        each draw maps to 0.0, so every error is 0.0.
         """
         r = len(u)
         yield ([0.0],) * (r + 1)

@@ -37,9 +37,10 @@ class IntersectionForm:
     """A symmetric rational bilinear form (the intersection pairing).
 
     Symmetry is enforced at construction.  Lorentzian signature (1, dim-1)
-    is a property of geometric inputs and is enforced by the config loader
-    and by `FibrationFrame`, not by this constructor: utility code (dual
-    bases, inertia counts) is useful on arbitrary symmetric forms.
+    is a property of geometric inputs: the config loader (`form_from_dict`)
+    and `models.BallModel` require it, and `FibrationFrame.validate`
+    reports it, but this constructor does not: utility code (dual bases,
+    inertia counts) is useful on arbitrary symmetric forms.
     """
 
     gram: Matrix
@@ -212,6 +213,8 @@ def form_from_dict(doc: dict) -> IntersectionForm:
     Rejects non-Lorentzian forms: every accepted lattice has signature
     (1, dim-1).
     """
+    if not isinstance(doc, dict):
+        raise InputError("lattice config is not a JSON object")
     if "gram" not in doc:
         raise InputError("lattice config is missing 'gram'")
     form = IntersectionForm(doc["gram"])

@@ -20,8 +20,9 @@ and `.denominator`).  Outside input is coerced once, by `vector`,
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import index, mul
+from operator import add, index, mul
 
 from .errors import DegenerateFormError, InputError
 
@@ -88,6 +89,14 @@ def transpose(m: Matrix) -> Matrix:
 def dot(u, v):
     """sum u_i v_i, for the integer vectors of the kernels."""
     return sum(map(mul, u, v))
+
+
+def left_sum(xs):
+    """0 + x_1 + ... + x_n, added left to right: the one summation order of
+    the float pairing experiments, so their digits do not depend on the
+    interpreter.  `sum()` of floats is this fold up to Python 3.11 and
+    compensated from 3.12 on."""
+    return reduce(add, xs, 0)
 
 
 def numerators(v):

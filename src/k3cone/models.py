@@ -41,10 +41,11 @@ def inner_f(form: IntersectionForm, u, v) -> float:
 
 def cusp_inner(x, y) -> float:
     """wv' + vw' - <y, y'>: the product of cusp coordinates (w, v, y) from
-    `FibrationFrame.cusp`, on a frame with E.E = P.P = 0 and E.P = 1."""
+    `FibrationFrame.cusp`, on a frame with E.E = P.P = 0 and E.P = 1;
+    <y, y'> is a `linalg.left_sum`."""
     if len(x) != len(y):
         raise InputError("cusp coordinate vectors differ in length")
-    return x[0] * y[1] + x[1] * y[0] - sum(map(mul, x[2:], y[2:]))
+    return x[0] * y[1] + x[1] * y[0] - linalg.left_sum(map(mul, x[2:], y[2:]))
 
 
 def _exact_numerators(u, dim) -> tuple:

@@ -20,9 +20,11 @@ Every -2 class D cuts the hyperbolic cross-section along a hyperplane.
 Seen from the cusp [E] in the upper-half-space model, a wall with D.E != 0
 traces a circle about the chart of D / D.E on the Euclidean boundary;
 with D.E = 0 it degenerates to a vertical hyperplane.  In the Poincare
-ball, a wall traces a circle on the unit sphere.  The emitted closed forms
-are always gated behind a sampled residual check (|A.D| and |A.A| below
-1e-9 for reconstructed boundary classes).
+ball, a wall traces a circle on the unit sphere.  `k3cone render` emits
+the closed forms without sampling them; the tests, acceptance criterion
+11 and the benchmark gate them behind a sampled residual check
+(`sample_wall_circle`, `max_residual`: |A.D| and |A.A| below 1e-9 for
+reconstructed boundary classes).
 
 Per-scene work is done once: `orbit_walls` shares one `Fraction` per
 distinct numerator among its walls, a ball circle's points read
@@ -118,8 +120,11 @@ def wall_circle_ball(form, d: Vector, ball: BallModel) -> WallCircle:
     In signature coordinates D = (d0, dvec), the null rays orthogonal to D
     hit the sphere along {u : <u, dvec> = d0}, a circle of radius
     sqrt(1 - d0^2/|dvec|^2) centered at (d0/|dvec|^2) dvec.  D.D and the
-    coordinates are taken on one `numerators` of D.
+    coordinates are taken on one `numerators` of D; `InputError` unless
+    form is the ball's form.
     """
+    if form is not ball.form and form != ball.form:
+        raise InputError("wall class and ball model are on different forms")
     d = vector(d)
     x, dx = form.numerators(d)
     if linalg.dot(x, form.images([x])[0]) >= 0:

@@ -19,6 +19,7 @@ k3cone orbit configs/f4_frame.json --N 3 | diff - $data/cli_orbit_f4_N3.tsv
 k3cone synthetic-pair configs/f4_frame.json | diff - $data/cli_synthetic_pair_noise0.tsv
 k3cone synthetic-pair configs/f4_frame.json --seed 7 --noise 1 | diff - $data/cli_synthetic_pair_noise1_seed7.tsv
 k3cone synthetic-pair configs/f4_frame.json --seed 7 --noise 1 --n-max 700 | diff - $data/cli_synthetic_pair_noise1_seed7_n700.tsv
+k3cone synthetic-pair $data/frame_dim8.json --seed 7 --noise 1 --fibers 10,1000 --n-max 50 | diff - $data/cli_synthetic_pair_dim8.tsv
 k3cone specialize-scan configs/default_pencil.json --t-min 8 --t-max 32 --tolerance 1e-3 | diff - $data/cli_specialize_scan_8_32.tsv
 k3cone curve-heights --a 0 --b -2 --point 3,5 --tolerance 1e-3 | diff - $data/cli_curve_heights_3_5.tsv
 k3cone curve-heights --a -1/16 --b 1/64 --point 1/4,1/8 --point 0,1/8 --tolerance 1e-3 | diff - $data/cli_curve_heights_nonintegral.tsv

@@ -14,10 +14,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3cone import errors
+from k3cone import configio, errors
 from k3cone.cli import main
-from k3cone.errors import FrameError
+from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
+from k3cone.lattice import form_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FRAME = str(ROOT / "configs" / "f4_frame.json")
@@ -239,6 +240,11 @@ def test_malformed_config_is_an_input_error(runner, tmp_path, field, value):
     assert "ERROR\tInputError\t" in result.output
 
 
+# the loaders of each command's config, called directly below
+LOADERS = {"validate": (form_from_dict, configio.frame_from_dict),
+           "specialize-scan": (configio.pencil_from_dict,)}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("validate", 3),
     ("validate", "gram"),
@@ -248,11 +254,17 @@ def test_malformed_config_is_an_input_error(runner, tmp_path, field, value):
     ("specialize-scan", {"a": [0, 0, -1], "b": [0, 0, 1], "sections": [5]}),
     ("specialize-scan", {"a": [False, 0, -1], "b": [0, 0, 1],
                          "sections": []}),
+    ("validate", ["gram"]),
+    ("validate", 5),
 ])
 def test_malformed_config_document_is_an_input_error(runner, tmp_path,
                                                       command, doc):
     """A top level that is not an object, and pencil fields of the wrong
-    shape, are an `InputError` at load, not a traceback or a silent read."""
+    shape, are an `InputError` at load, not a traceback or a silent read:
+    from the command line and from each loader of the parsed document."""
+    for load in LOADERS[command]:
+        with pytest.raises(InputError):
+            load(doc)
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(doc))
     scan = (["--t-min", "8", "--t-max", "8"] if command == "specialize-scan"
@@ -343,6 +355,11 @@ GOLDEN_RUNS = [
     # golden was generated by stepping the recurrence one step at a time
     (["synthetic-pair", FRAME, "--seed", "7", "--noise", "1", "--n-max",
       "700"], "cli_synthetic_pair_noise1_seed7_n700.tsv"),
+    # the frame of conftest.random_valid_frame(7, 8, scrambled=False): under
+    # a compensated sum() two pairings print one digit apart (lines 35, 55)
+    (["synthetic-pair", str(DATA / "frame_dim8.json"), "--seed", "7",
+      "--noise", "1", "--fibers", "10,1000", "--n-max", "50"],
+     "cli_synthetic_pair_dim8.tsv"),
     (["specialize-scan", PENCIL, "--t-min", "8", "--t-max", "32",
       "--tolerance", "1e-3"], "cli_specialize_scan_8_32.tsv"),
     (["curve-heights", "--a", "0", "--b", "-2", "--point", "3,5",

@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
 from operator import add, mul
 
 import pytest
@@ -389,7 +388,7 @@ def test_noise_is_one_fresh_generator_per_key(dim):
             # err_{k+1} = (e_k + <y_k, u> + s_k, y_k + c_k), noise_k = (s, c)
             (e, y), (s, c) = errors[step], draws[step]
             assert errors[step + 1] == (
-                e + reduce(add, map(mul, y, u[2:]), 0) + s,
+                e + linalg.left_sum(map(mul, y, u[2:])) + s,
                 tuple(map(add, y, c)))
         assert errors[1] == draws[0]
 

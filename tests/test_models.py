@@ -17,7 +17,7 @@ from k3cone.lattice import IntersectionForm
 from k3cone.models import (BallModel, BoundaryChart, UpperHalfSpacePoint,
                            ball_distance, boundary_distance,
                            boundary_distance_sq, check_boundary_class,
-                           from_upper_half_space,
+                           cusp_inner, from_upper_half_space,
                            hyperbolic_distance, inner_f, phi,
                            to_upper_half_space, uhs_distance)
 from k3cone.translations import translation
@@ -72,6 +72,15 @@ def test_inner_f_matches_exact_inner(f4):
         u = [rng.randint(-3, 3) for _ in range(f4.form.dim)]
         v = [Fraction(rng.randint(-3, 3)) for _ in range(f4.form.dim)]
         assert inner_f(f4.form, u, v) == float(f4.form.inner(u, v))
+
+
+def test_cusp_inner_adds_left_to_right():
+    """<y, y'> is 0 + 1e16 + 1.0 - 1e16 added in order, which is 0.0; a
+    compensated sum (`sum()` from Python 3.12 on) gives 1.0 there, and
+    cusp_inner would be -1.0."""
+    x, y = (0.0, 0.0, 1e16, 1.0, -1e16), (0.0, 0.0, 1.0, 1.0, 1.0)
+    assert linalg.left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert cusp_inner(x, y) == 0.0
 
 
 def test_phi_example_and_invariance(f4):

@@ -217,6 +217,19 @@ def test_non_wall_class_rejected_even_if_negative(f4):
         wall_circle_uhs(f4, (0, 0, 1, -1))  # square -8, not a wall
 
 
+def test_ball_circle_rejects_a_second_form(f4):
+    """D's products and its ball coordinates come from one form: a wall of
+    another form on f4's ball would be a circle off that wall."""
+    ball = BallModel(f4.form, f4.ample)
+    other = IntersectionForm(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, 0),
+                              (0, 0, 0, -6)))
+    with pytest.raises(InputError, match="different forms"):
+        wall_circle_ball(other, (0, 0, 1, 0), ball)
+    same = IntersectionForm(f4.form.gram)  # equal, not identical
+    assert (wall_circle_ball(same, f4.sections[0], ball)
+            == wall_circle_ball(f4.form, f4.sections[0], ball))
+
+
 def test_degenerate_wall_is_hyperplane():
     # lattice with a -2 vector orthogonal to E: D = g1 traces a hyperplane
     from k3cone.frame import FibrationFrame
