@@ -12,13 +12,15 @@ sections by evaluation, and doubling stops past `DIGIT_BUDGET` digits.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import InputError, ResourceError, SingularFiberError
-from .linalg import _items, left_sum, to_fraction, to_integer, vector, vectors
+from .linalg import (_items, left_sum, to_fraction, to_integer, to_real,
+                     vector, vectors)
 
 Point = Optional[Tuple[Fraction, Fraction]]  # None encodes the point at infinity
 
@@ -145,12 +147,11 @@ def canonical_height(curve: CurveQ, p: Point,
     Stops once successive estimates differ by less than tolerance / 2, at
     the doubling cap, or cleanly at 0.0 when a doubling hits infinity
     (torsion).  Raises ResourceError with the partial estimate if the
-    x-coordinate outgrows `DIGIT_BUDGET` digits.  The tolerance is an int,
-    float or `Fraction`, positive and finite: a `bool` is not one.
+    x-coordinate outgrows `DIGIT_BUDGET` digits.  The tolerance is a
+    `linalg.to_real`, positive and at most the largest double.
     """
-    if (not isinstance(tolerance, (float, int, Fraction)) or tolerance is True
-            or not 0 < tolerance < math.inf):  # False fails 0 < tolerance
-        raise InputError("tolerance must be a positive and finite number")
+    if not 0 < to_real(tolerance, "tolerance") <= sys.float_info.max:
+        raise InputError("tolerance must be positive and within a double")
     p = curve._require(p)
     if p is None:
         return 0.0

@@ -270,10 +270,17 @@ class FibrationFrame:
 
     def from_cusp(self, cusp) -> tuple:
         """The float lattice vector wP + vE + `chart.lattice(y)` of cusp
-        coordinates (w, v, y): the inverse of `cusp`, in doubles."""
-        w, v, *y = cusp
-        if len(y) != self.chart.dim:
+        coordinates (w, v, y), each a `linalg.to_real`: the inverse of
+        `cusp`, in doubles."""
+        cusp = [linalg.to_real(t, "cusp coordinate")
+                for t in linalg._items(cusp, "cusp coordinates")]
+        if len(cusp) != self.chart.dim + 2:
             raise InputError("cusp coordinates do not match the chart dimension")
+        return self._from_cusp(cusp[0], cusp[1], cusp[2:])
+
+    def _from_cusp(self, w, v, y) -> tuple:
+        """`from_cusp` without the entry checks, for points the package
+        builds itself (the wall samples), y of length `chart.dim`."""
         c = self.fixed
         return tuple((w * p + v * e) / c.q + t
                      for p, e, t in zip(c.P, c.E, self.chart.lattice(y)))

@@ -45,12 +45,11 @@ Euclidean Gram matrix [-v_i.v_j].
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, mul
 
 from .errors import FrameError, InputError
-from .linalg import _items, dot, left_sum, to_integer
+from .linalg import _items, dot, left_sum, to_integer, to_real
 from .models import cusp_inner
 
 _BLOCK = 1024  # steps of the error recurrence run per block
@@ -109,21 +108,19 @@ class SyntheticFibration:
     """
 
     def __init__(self, frame, fiber_heights, noise_bound=0.0, seed=0):
-        heights = tuple(_items(fiber_heights, "list of fiber heights"))
-        if any(isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
-               for x in (noise_bound, *heights)):
-            raise InputError("fiber heights and noise bound must be numbers")
         try:
-            self.noise_bound = float(noise_bound)
-            self.fiber_heights = tuple(map(float, heights))
+            self.noise_bound = float(to_real(noise_bound, "noise bound"))
+            self.fiber_heights = tuple(
+                float(to_real(h, "fiber height"))
+                for h in _items(fiber_heights, "list of fiber heights"))
         except OverflowError:  # 10**400 or Fraction(10**400)
             raise InputError("fiber height or noise bound too large") from None
-        if not 0.0 <= self.noise_bound < math.inf:
-            raise InputError("noise bound must be finite and nonnegative")
+        if self.noise_bound < 0.0:
+            raise InputError("noise bound must be nonnegative")
         if not self.fiber_heights:
             raise InputError("at least one fiber height is needed")
-        if not all(0.0 < h < math.inf for h in self.fiber_heights):
-            raise InputError("fiber heights must be finite and positive")
+        if not all(h > 0.0 for h in self.fiber_heights):
+            raise InputError("fiber heights must be positive")
         c = frame.fixed
         if (c.ee, c.pp, c.ep) != (0, 0, c.den * c.q):
             raise FrameError("synthetic oracle needs E.E = P.P = 0, E.P = 1")

@@ -15,13 +15,14 @@ pieces directly: `dot`, `int_mat_mul`, `int_mat_pow`, `int_inverse` and
 Kernel operands may mix ints and Fractions (anything with `.numerator`
 and `.denominator`).  Outside input is coerced once, by `vector`,
 `vectors` and `matrix` in constructors and by `IntersectionForm.numerators`
-(malformed: `InputError`).  Dimensions are the Picard number, i.e. tiny.
+(malformed: `InputError`); a real-valued argument of the float layer is
+checked once, by `to_real`.  Dimensions are the Picard number, i.e. tiny.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import add, index, mul
 
 from .errors import DegenerateFormError, InputError
@@ -41,6 +42,18 @@ def to_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise InputError(f"not an exact rational: {x!r}")
+
+
+def to_real(x, what: str):
+    """x itself if it is a finite int, float or `Fraction`, so exact input
+    stays exact; `InputError` otherwise (a `bool` is not a number here).
+    Range checks (positive, in a double's range) are the caller's."""
+    if isinstance(x, float):
+        if isfinite(x):
+            return x
+    elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise InputError(f"{what} must be a finite number, not {x!r}")
 
 
 def to_integer(n, name: str, least=None) -> int:

@@ -13,6 +13,13 @@ and `BallModel` share one map (`_Axes`) on the integer numerators of an
 orthogonal basis from an exact `congruent_diagonalization`.
 Stated tolerances: 1e-12 for identities that are exact underneath, 1e-9
 for cross-model agreement.
+
+Input policy: every real-valued coordinate a public entry point reads is
+checked once, on entry, by `linalg.to_real` (a finite int, float or
+`Fraction`, not a `bool`; otherwise `InputError`), and exact entries stay
+exact.  `inner_f` (the residual gate's oracle) and `cusp_inner` (the
+synthetic heights') are hot and unchecked: plain arithmetic on what they
+are handed, with a length check only.
 """
 
 import math
@@ -49,12 +56,11 @@ def cusp_inner(x, y) -> float:
 
 
 def _exact_numerators(u, dim) -> tuple:
-    """(integer numerators, denominator) of u, each entry taken exactly by
-    `as_integer_ratio`; `InputError` unless u is dim finite numbers."""
-    try:
-        ratios = [t.as_integer_ratio() for t in linalg._items(u, "point")]
-    except (AttributeError, ValueError, OverflowError):
-        raise InputError("point coordinates must be finite numbers") from None
+    """(integer numerators, denominator) of u, each entry a `linalg.to_real`
+    taken exactly by `as_integer_ratio`; `InputError` unless u is dim
+    finite numbers."""
+    ratios = [linalg.to_real(t, "point coordinate").as_integer_ratio()
+              for t in linalg._items(u, "point")]
     if len(ratios) != dim:
         raise InputError("vector dimension does not match the form")
     den = math.lcm(*[d for _, d in ratios])
@@ -176,12 +182,8 @@ class UpperHalfSpacePoint:
     z: float
 
     def __post_init__(self):
-        try:
-            finite = all(map(math.isfinite, (*self.x, self.z)))
-        except TypeError:  # x is not a sequence, or holds a non-number
-            finite = False
-        if not finite:
-            raise InputError("upper-half-space coordinates must be finite")
+        for t in (*linalg._items(self.x, "chart point"), self.z):
+            linalg.to_real(t, "upper-half-space coordinate")
         if self.z <= 0:
             raise DomainError("upper-half-space height must be positive")
 
@@ -282,7 +284,10 @@ class BallModel(_Axes):
         return self.coords(*_exact_numerators(x, self.form.dim))
 
     def from_signature_coords(self, w):
-        """Inverse of `signature_coords` (float lattice vector)."""
+        """Inverse of `signature_coords` (float lattice vector); each w_k is a
+        `linalg.to_real`."""
+        w = [linalg.to_real(t, "signature coordinate")
+             for t in linalg._items(w, "signature coordinates")]
         if len(w) != self.form.dim:
             raise InputError("vector dimension does not match the form")
         return self.vector(w)
@@ -304,17 +309,15 @@ class BallModel(_Axes):
 
     def null_lift(self, u):
         """Lift a unit-sphere point to a null lattice vector (float coords)."""
-        return self.from_signature_coords([1.0] + list(u))
+        return self.from_signature_coords((1.0, *linalg._items(u, "point")))
 
 
 def ball_distance(b1, b2) -> float:
     """Distance in the open unit ball; `InputError`, `DomainError` off it."""
-    try:
-        valid = len(b1) == len(b2) and all(map(math.isfinite, (*b1, *b2)))
-    except TypeError:  # not sequences of numbers
-        valid = False
-    if not valid:
-        raise InputError("ball points must be finite and of one dimension")
+    b1, b2 = ([linalg.to_real(t, "ball point coordinate")
+               for t in linalg._items(p, "ball point")] for p in (b1, b2))
+    if len(b1) != len(b2):
+        raise InputError("ball points must have one dimension")
     n1, n2 = (sum(t * t for t in p) for p in (b1, b2))
     if n1 >= 1.0 or n2 >= 1.0:
         raise DomainError("ball points must lie strictly inside the unit ball")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError
+from .linalg import to_real
 from .walls import WallCircle, ball_circle_axes, unit_circle
 
 WIDTH = 640
@@ -27,6 +28,10 @@ class RenderOptions:
     scale: float = 60.0  # pixels per model unit
     labels: Optional[Sequence[str]] = None  # parallel to the scene
     mark_infinity: bool = False  # annotate the cusp for uhs scenes
+
+    def __post_init__(self):
+        if not to_real(self.scale, "scale") > 0:
+            raise InputError("scale must be positive")
 
 
 def _fmt(v: float) -> str:

@@ -42,6 +42,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import InputError
+from .frame import FibrationFrame
 from .linalg import Vector, vector
 from .models import BallModel, BoundaryChart, inner_f
 
@@ -90,8 +91,8 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     chart coordinates and radius sqrt(2)/|delta|; every section translate
     (delta = 1) shares radius sqrt(2).  delta = 0 walls degenerate to
     hyperplanes.  D.D and delta are integer dots on one `numerators` of D.
-    `InputError` on a 0-dimensional boundary (rank 0), which walls do not
-    meet.
+    `InputError` unless chart has the frame's form and boundary basis, and
+    on a 0-dimensional boundary (rank 0), which walls do not meet.
     """
     d = vector(d)
     x, dx = frame.form.numerators(d)
@@ -99,6 +100,9 @@ def wall_circle_uhs(frame, d: Vector, chart: Optional[BoundaryChart] = None
     if linalg.dot(x, frame.form.images([x])[0]) != -2 * dg * dx * dx:
         raise InputError("wall class must have self-intersection -2")
     chart = chart or frame.chart
+    if chart.basis != frame.boundary_basis or (
+            chart.form is not frame.form and chart.form != frame.form):
+        raise InputError("chart is not a chart of this frame's boundary")
     if not chart.dim:
         raise InputError("walls have no trace on a 0-dimensional boundary")
     den = frame.fixed.den
@@ -193,19 +197,26 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     The returned float lattice vectors are the oracle for the closed forms:
     each should satisfy A.A ~ 0 and A.D ~ 0.  A uhs sample a (chart
     coordinates) is the null class with cusp coordinates (1, |a|^2/2, a),
-    mapped back by `FibrationFrame.from_cusp`.  A 1-dimensional trace is
+    mapped back by `FibrationFrame.from_cusp`; a ball sample u is the null
+    class with signature coordinates (1, u).  The model is checked once per
+    circle, so both lifts skip the per-point checks.  A 1-dimensional trace is
     two points, sampled min(k, 2) times.  A degenerate (D.E = 0) uhs trace
     {a : <a, n> = offset} is sampled at offset n + cos t e1 + sin t e2,
     e1 and e2 from `_plane_frame(n)`: one point on a rank-1 chart, min(k, 2)
-    on rank 2.  `InputError` unless k >= 1, and on a 0-dimensional
-    boundary, which walls do not meet.
+    on rank 2.  `InputError` unless k >= 1 and the model fits the circle
+    (a frame of its chart dimension for uhs, a ball on frame_or_form and of
+    its dimension for ball), and on a 0-dimensional boundary, which walls
+    do not meet.
     """
     if linalg.to_integer(k, "sample count") < 1:
         raise InputError("a wall circle needs at least one sample")
-    pts = []
     if circle.model == "uhs":
         frame = frame_or_form
-        r = frame.chart.dim
+        r = len(circle.center if circle.degenerate is None
+                 else circle.degenerate.normal)
+        if not isinstance(frame, FibrationFrame) or frame.chart.dim != r:
+            raise InputError("a uhs wall circle is sampled on a frame of its "
+                             "chart dimension")
         if r == 0:
             raise InputError("walls have no trace on a 0-dimensional boundary")
         if circle.degenerate is None:
@@ -218,16 +229,17 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
             axes = list(zip([offset * t for t in n], e1, e2))
             chart_pts = ([c + ct * x + st * y for c, x, y in axes]
                          for ct, st in unit_circle(min(k, r) if r < 3 else k))
-        pts = [frame.from_cusp((1.0, sum(t * t for t in a) / 2.0, *a))
-               for a in chart_pts]
-    elif circle.model == "ball":
+        return [frame._from_cusp(1.0, sum(t * t for t in a) / 2.0, a)
+                for a in chart_pts]
+    if circle.model == "ball":
         if ball is None:
             raise InputError("ball model required to sample ball circles")
+        if (frame_or_form is not ball.form and frame_or_form != ball.form
+                or len(circle.center) != ball.form.dim - 1):
+            raise InputError("wall circle and ball model are on different forms")
         k = min(k, 2) if len(circle.center) == 2 else k
-        pts = [ball.null_lift(u) for u in ball_circle_points(circle, k)]
-    else:
-        raise InputError(f"unknown circle model {circle.model!r}")
-    return pts
+        return [ball.vector((1.0, *u)) for u in ball_circle_points(circle, k)]
+    raise InputError(f"unknown circle model {circle.model!r}")
 
 
 def max_residual(form, circle: WallCircle, samples) -> float:

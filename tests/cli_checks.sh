@@ -14,16 +14,12 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 data=tests/data
 
-k3cone validate configs/f4_frame.json | diff - $data/cli_validate_f4.txt
-k3cone orbit configs/f4_frame.json --N 3 | diff - $data/cli_orbit_f4_N3.tsv
-k3cone synthetic-pair configs/f4_frame.json | diff - $data/cli_synthetic_pair_noise0.tsv
-k3cone synthetic-pair configs/f4_frame.json --seed 7 --noise 1 | diff - $data/cli_synthetic_pair_noise1_seed7.tsv
-k3cone synthetic-pair configs/f4_frame.json --seed 7 --noise 1 --n-max 700 | diff - $data/cli_synthetic_pair_noise1_seed7_n700.tsv
-k3cone synthetic-pair $data/frame_dim8.json --seed 7 --noise 1 --fibers 10,1000 --n-max 50 | diff - $data/cli_synthetic_pair_dim8.tsv
-k3cone specialize-scan configs/default_pencil.json --t-min 8 --t-max 32 --tolerance 1e-3 | diff - $data/cli_specialize_scan_8_32.tsv
-k3cone curve-heights --a 0 --b -2 --point 3,5 --tolerance 1e-3 | diff - $data/cli_curve_heights_3_5.tsv
-k3cone curve-heights --a -1/16 --b 1/64 --point 1/4,1/8 --point 0,1/8 --tolerance 1e-3 | diff - $data/cli_curve_heights_nonintegral.tsv
-k3cone specialize-scan configs/default_pencil.json --t-min 3/2 --t-max 4 --geometric-step 3/2 --tolerance 1e-2 | diff - $data/cli_specialize_scan_fractional_t.tsv
+# the text goldens: one run per line of the table that tests/test_cli.py
+# reads too, the golden file first
+while read -r -a run; do
+    [[ ${#run[@]} -eq 0 || ${run[0]} == '#'* ]] && continue
+    k3cone "${run[@]:1}" < /dev/null | diff - "$data/${run[0]}"
+done < $data/cli_golden_runs.txt
 k3cone specialize-scan configs/default_pencil.json --t-min 1 --t-max 4 --tolerance 1e-2 | grep -q '^# skipped t=1:'
 k3cone render configs/f4_frame.json --N 2 --out "$tmp/uhs.svg" > /dev/null
 diff "$tmp/uhs.svg" $data/golden_uhs.svg

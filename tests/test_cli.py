@@ -344,40 +344,22 @@ def test_synthetic_pair_rejects_a_rank_zero_frame(runner, tmp_path):
 
 # Generated by the CLI before the (E, P) splitting was rewritten; any
 # refactor must leave these outputs byte-identical.
-GOLDEN_RUNS = [
-    (["validate", FRAME], "cli_validate_f4.txt"),
-    (["orbit", FRAME, "--N", "3"], "cli_orbit_f4_N3.tsv"),
-    # the noiseless default: every error is 0.0, and no value prints as -0
-    (["synthetic-pair", FRAME], "cli_synthetic_pair_noise0.tsv"),
-    (["synthetic-pair", FRAME, "--noise", "1", "--seed", "7"],
-     "cli_synthetic_pair_noise1_seed7.tsv"),
-    # 2 x 700 steps cross a block boundary of the heights recurrence; the
-    # golden was generated by stepping the recurrence one step at a time
-    (["synthetic-pair", FRAME, "--seed", "7", "--noise", "1", "--n-max",
-      "700"], "cli_synthetic_pair_noise1_seed7_n700.tsv"),
-    # the frame of conftest.random_valid_frame(7, 8, scrambled=False): under
-    # a compensated sum() two pairings print one digit apart (lines 35, 55)
-    (["synthetic-pair", str(DATA / "frame_dim8.json"), "--seed", "7",
-      "--noise", "1", "--fibers", "10,1000", "--n-max", "50"],
-     "cli_synthetic_pair_dim8.tsv"),
-    (["specialize-scan", PENCIL, "--t-min", "8", "--t-max", "32",
-      "--tolerance", "1e-3"], "cli_specialize_scan_8_32.tsv"),
-    (["curve-heights", "--a", "0", "--b", "-2", "--point", "3,5",
-      "--tolerance", "1e-3"], "cli_curve_heights_3_5.tsv"),
-    # a and b with denominators: y^2 = x^3 - x + 1 rescaled by u = 2
-    (["curve-heights", "--a", "-1/16", "--b", "1/64", "--point", "1/4,1/8",
-      "--point", "0,1/8", "--tolerance", "1e-3"],
-     "cli_curve_heights_nonintegral.tsv"),
-    # t = 3/2, 9/4, 27/8: fibers whose a(t) and b(t) have denominators
-    (["specialize-scan", PENCIL, "--t-min", "3/2", "--t-max", "4",
-      "--geometric-step", "3/2", "--tolerance", "1e-2"],
-     "cli_specialize_scan_fractional_t.tsv"),
-]
+def _golden_runs():
+    """(arguments, golden file) of each run in the table that
+    tests/cli_checks.sh reads too; its paths are relative to ROOT."""
+    lines = (DATA / "cli_golden_runs.txt").read_text().splitlines()
+    runs = [line.split() for line in lines
+            if line.strip() and not line.startswith("#")]
+    return [(args, golden) for golden, *args in runs]
+
+
+GOLDEN_RUNS = _golden_runs()
 
 
 @pytest.mark.parametrize("args, golden", GOLDEN_RUNS,
                          ids=[g.split(".")[0] for _, g in GOLDEN_RUNS])
-def test_cli_output_matches_golden(runner, args, golden):
+def test_cli_output_matches_golden(runner, monkeypatch, args, golden):
+    monkeypatch.chdir(ROOT)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (DATA / golden).read_bytes()

@@ -20,6 +20,7 @@ from k3cone.models import (BallModel, BoundaryChart, UpperHalfSpacePoint,
                            cusp_inner, from_upper_half_space,
                            hyperbolic_distance, inner_f, phi,
                            to_upper_half_space, uhs_distance)
+from k3cone.svg import RenderOptions
 from k3cone.translations import translation
 
 
@@ -261,6 +262,38 @@ def test_null_lift_is_null(f4):
     assert abs(inner_f(f4.form, lifted, lifted)) < 1e-9
 
 
+def _ball(f):
+    return BallModel(f.form, f.ample)
+
+
+# entries that `linalg.to_real` rejects, each in place of one coordinate
+NOT_REAL = {"bool": True, "decimal": Decimal(2), "str": "a", "nan": math.nan}
+# name: (call on a point (t, 0, 0, 0), the NOT_REAL entries t it takes).
+# Where a string or a NaN was an `InputError` before `to_real` too, only
+# the bool and the Decimal are new here.
+REAL_ENTRY_POINTS = {
+    "distance": (lambda f, p: hyperbolic_distance(f.form, p, f.ample),
+                 ("bool", "decimal")),
+    "uhs": (to_upper_half_space, ("bool", "decimal")),
+    "ball-point": (lambda f, p: _ball(f).ball_point(p), ("bool", "decimal")),
+    "signature": (lambda f, p: _ball(f).signature_coords(p),
+                  ("bool", "decimal")),
+    "from-signature": (lambda f, p: _ball(f).from_signature_coords(p),
+                       NOT_REAL),
+    "null-lift": (lambda f, p: _ball(f).null_lift(p[:3]), NOT_REAL),
+    "from-cusp": (lambda f, p: f.from_cusp(p), NOT_REAL),
+    "uhs-point-x": (lambda f, p: UpperHalfSpacePoint(p[:2], 1.0),
+                    ("bool", "decimal")),
+    "uhs-point-z": (lambda f, p: UpperHalfSpacePoint((0.0, 0.0), p[0]),
+                    ("bool", "decimal")),
+    "ball-distance": (lambda f, p: ball_distance(p[:2], (0.0, 0.0)),
+                      ("bool", "decimal")),
+}
+NOT_REAL_CALLS = {
+    f"{name}-{bad}": lambda f, call=call, t=NOT_REAL[bad]: call(f, (t, 0, 0, 0))
+    for name, (call, bads) in REAL_ENTRY_POINTS.items() for bad in bads}
+
+
 @pytest.mark.parametrize("call", [
     lambda f: hyperbolic_distance(f.form, 5, f.ample),
     lambda f: hyperbolic_distance(f.form, None, f.ample),
@@ -271,12 +304,19 @@ def test_null_lift_is_null(f4):
     lambda f: ball_distance("ab", (0, 0)),
     lambda f: UpperHalfSpacePoint(5, 1.0),
     lambda f: UpperHalfSpacePoint(("a",), 1.0),
+    lambda f: _ball(f).null_lift(5),
+    *NOT_REAL_CALLS.values(),
+    *(lambda f, s=s: RenderOptions(scale=s)
+      for s in (-1.0, 0.0, math.nan, True)),
 ], ids=["distance-int", "distance-None", "uhs-int", "ball-point-int",
         "signature-None", "ball-distance-int", "ball-distance-str",
-        "uhs-point-int", "uhs-point-str"])
+        "uhs-point-int", "uhs-point-str", "null-lift-int", *NOT_REAL_CALLS,
+        "scale-negative", "scale-zero", "scale-nan", "scale-bool"])
 def test_float_entry_points_reject_non_sequences(f4, call):
     """A non-sequence or a non-number is an `InputError`, not a bare
-    `TypeError`."""
+    `TypeError`, and so is every real-valued entry that `linalg.to_real`
+    rejects (a `bool`, a `Decimal`, a string, a NaN), and a render scale
+    that is not positive."""
     with pytest.raises(InputError):
         call(f4)
 

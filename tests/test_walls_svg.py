@@ -161,6 +161,10 @@ def test_uhs_circle_radius_and_center(f4):
     assert abs(circle.radius - math.sqrt(2.0)) < 1e-12
     # center at phi(D_1)/1 = f1 in chart coordinates: Euclidean norm 2
     assert abs(math.sqrt(sum(c * c for c in circle.center)) - 2.0) < 1e-9
+    # a chart of another frame would put the circle off the wall
+    with pytest.raises(InputError, match="chart"):
+        wall_circle_uhs(f4, f4.sections[0],
+                        BoundaryChart(random_valid_frame(3, 4)))
 
 
 def test_wall_circle_uhs_makes_no_exact_product(monkeypatch):
@@ -219,12 +223,23 @@ def test_non_wall_class_rejected_even_if_negative(f4):
 
 def test_ball_circle_rejects_a_second_form(f4):
     """D's products and its ball coordinates come from one form: a wall of
-    another form on f4's ball would be a circle off that wall."""
+    another form on f4's ball would be a circle off that wall.  The sampler
+    checks its model once per circle in the same way: a ball circle on the
+    ball's form, a uhs circle on a frame of its chart dimension."""
     ball = BallModel(f4.form, f4.ample)
     other = IntersectionForm(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, 0),
                               (0, 0, 0, -6)))
     with pytest.raises(InputError, match="different forms"):
         wall_circle_ball(other, (0, 0, 1, 0), ball)
+    disc = wall_circle_ball(f4.form, f4.sections[0], ball)
+    with pytest.raises(InputError, match="different forms"):
+        sample_wall_circle(other, disc, 16, ball)
+    uhs = wall_circle_uhs(f4, f4.sections[0])
+    with pytest.raises(InputError, match="on a frame"):
+        sample_wall_circle(f4.form, uhs, 16)
+    wide = random_valid_frame(3, 5)
+    with pytest.raises(InputError, match="chart dimension"):
+        sample_wall_circle(f4, wall_circle_uhs(wide, wide.sections[0]), 16)
     same = IntersectionForm(f4.form.gram)  # equal, not identical
     assert (wall_circle_ball(same, f4.sections[0], ball)
             == wall_circle_ball(f4.form, f4.sections[0], ball))
