@@ -17,12 +17,15 @@ for cross-model agreement.
 Input policy: every real-valued coordinate a public entry point reads is
 checked once, on entry, by `linalg.to_real` (a finite int, float or
 `Fraction`, not a `bool`; otherwise `InputError`), and exact entries stay
-exact.  `inner_f` (the residual gate's oracle) and `cusp_inner` (the
-synthetic heights') are hot and unchecked: plain arithmetic on what they
-are handed, with a length check only.
+exact.  `inner_f` and `cusp_inner` (the synthetic heights' product) are
+hot and unchecked: plain arithmetic on what they are handed, with a
+length check only.  The Gram row sums of `inner_f` are one kernel,
+`_image_f`, which `walls.max_residual` shares: it maps a wall's class D
+through it once per circle, so its residuals are `inner_f`'s to the bit.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -31,6 +34,12 @@ from . import linalg
 from .errors import CuspError, DomainError, InputError
 from .lattice import IntersectionForm, congruent_diagonalization
 from .linalg import Vector, vector
+
+
+def _image_f(g, vf) -> list:
+    """g vf on floats vf, g a form's integer Gram rows: one `sum()` per row,
+    the kernel of `inner_f` and of `walls.max_residual`."""
+    return [sum(map(mul, row, vf)) for row in g]
 
 
 def inner_f(form: IntersectionForm, u, v) -> float:
@@ -42,8 +51,7 @@ def inner_f(form: IntersectionForm, u, v) -> float:
     g, dg = form.gram_numerators
     if len(u) != len(g) or len(v) != len(g):
         raise InputError("vector dimension does not match the form")
-    vf = [float(x) for x in v]
-    return sum(map(mul, map(float, u), [sum(map(mul, row, vf)) for row in g])) / dg
+    return sum(map(mul, map(float, u), _image_f(g, [float(x) for x in v]))) / dg
 
 
 def cusp_inner(x, y) -> float:
@@ -176,16 +184,31 @@ def phi(frame, a: Vector) -> Vector:
 
 @dataclass(frozen=True)
 class UpperHalfSpacePoint:
-    """(x, z): x in chart coordinates, like wall circle centres; z > 0."""
+    """(x, z): x in chart coordinates, like wall circle centres; z > 0.
+    Each entry is a `linalg.to_real` within a double's range, and z is
+    positive as a double too: the maps and distances divide by it."""
 
     x: tuple
     z: float
 
     def __post_init__(self):
         for t in (*linalg._items(self.x, "chart point"), self.z):
-            linalg.to_real(t, "upper-half-space coordinate")
+            if not abs(linalg.to_real(t, "upper-half-space coordinate")
+                       ) <= sys.float_info.max:
+                raise InputError("upper-half-space coordinate is outside "
+                                 "a double's range")
         if self.z <= 0:
             raise DomainError("upper-half-space height must be positive")
+        if not float(self.z) > 0:
+            raise InputError("upper-half-space height is below a double's "
+                             "range")
+
+
+def _uhs_point(point) -> UpperHalfSpacePoint:
+    """point itself if it is an `UpperHalfSpacePoint`; `InputError` otherwise."""
+    if not isinstance(point, UpperHalfSpacePoint):
+        raise InputError(f"not an upper-half-space point: {point!r}")
+    return point
 
 
 def to_upper_half_space(frame, u) -> UpperHalfSpacePoint:
@@ -209,13 +232,14 @@ def to_upper_half_space(frame, u) -> UpperHalfSpacePoint:
 def from_upper_half_space(frame, point: UpperHalfSpacePoint):
     """Inverse of `to_upper_half_space`, landing back on the hyperboloid:
     w = 1/z, y = w x and v = (1 + |y|^2) / (2w), so U.U = 2wv - |y|^2 = 1."""
-    w = 1.0 / point.z
+    w = 1.0 / _uhs_point(point).z
     y = [t * w for t in point.x]
     return frame.from_cusp((w, (1.0 + sum(t * t for t in y)) / (2.0 * w), *y))
 
 
 def uhs_distance(frame, p1: UpperHalfSpacePoint, p2: UpperHalfSpacePoint) -> float:
     """Distance from the Euclidean chord |x1 - x2|^2 + (z1 - z2)^2."""
+    p1, p2 = _uhs_point(p1), _uhs_point(p2)
     r = frame.chart.dim
     if len(p1.x) != r or len(p2.x) != r:
         raise InputError("point does not match the chart dimension")

@@ -8,6 +8,7 @@ coordinates of its points are evaluated, with the expression of
 is formatted once.
 """
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,8 +31,8 @@ class RenderOptions:
     mark_infinity: bool = False  # annotate the cusp for uhs scenes
 
     def __post_init__(self):
-        if not to_real(self.scale, "scale") > 0:
-            raise InputError("scale must be positive")
+        if not 0 < to_real(self.scale, "scale") <= sys.float_info.max:
+            raise InputError("scale must be positive and within a double")
 
 
 def _fmt(v: float) -> str:

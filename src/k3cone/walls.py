@@ -29,8 +29,9 @@ reconstructed boundary classes).
 Per-scene work is done once: `orbit_walls` shares one `Fraction` per
 distinct numerator among its walls, a ball circle's points read
 (cos t, sin t) from one table per sample count and take its axes
-(centre, e1, e2) once, and `svg` projects onto the two coordinates it
-draws without building the others.
+(centre, e1, e2) once, `max_residual` maps D through the Gram rows of
+`inner_f`'s kernel (`models._image_f`) once per circle, and `svg`
+projects onto the two coordinates it draws without building the others.
 """
 
 import itertools
@@ -38,13 +39,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional
 
 from . import linalg
 from .errors import InputError
 from .frame import FibrationFrame
 from .linalg import Vector, vector
-from .models import BallModel, BoundaryChart, inner_f
+from .models import BallModel, BoundaryChart, _image_f
 
 
 @dataclass(frozen=True)
@@ -244,14 +246,26 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
 
 def max_residual(form, circle: WallCircle, samples) -> float:
     """Worst |A.A| and |A.D| over a nonempty sequence of reconstructed
-    sample points; D is converted to floats once per circle.  `InputError`
-    on a residual that is not finite, which `max` would pass over."""
+    sample points, each the `inner_f` value to the bit.  D is converted to
+    floats and mapped through the Gram rows (`models._image_f`, the kernel
+    of `inner_f`) once per circle; a sample A is converted once and costs
+    one image, for A.A, and two dots.  `InputError` on a vector of the
+    wrong dimension, and on a residual that is not finite, which `max`
+    would pass over."""
     if not samples:
         raise InputError("no samples to check the wall circle against")
+    g, dg = form.gram_numerators
     d = [float(x) for x in circle.source_class]
+    if len(d) != len(g):
+        raise InputError("vector dimension does not match the form")
+    gd = _image_f(g, d)
     worst = 0.0
     for a in samples:
-        aa, ad = abs(inner_f(form, a, a)), abs(inner_f(form, a, d))
+        if len(a) != len(g):
+            raise InputError("vector dimension does not match the form")
+        a = list(map(float, a))
+        aa = abs(sum(map(mul, a, _image_f(g, a))) / dg)
+        ad = abs(sum(map(mul, a, gd)) / dg)
         if not (aa < math.inf and ad < math.inf):
             raise InputError("a wall circle sample is not a finite point")
         worst = max(worst, aa, ad)

@@ -131,11 +131,14 @@ def test_uhs_rejects_non_finite_input(f4, bad):
 
 
 def test_uhs_maps_check_the_chart_dimension(f4):
-    """UHS points have `chart.dim` coordinates; no map truncates others."""
+    """UHS points have `chart.dim` coordinates; no map truncates others.
+    What is not an `UpperHalfSpacePoint` is an `InputError`, not a bare
+    `AttributeError`."""
     p = to_upper_half_space(f4, f4.ample)
     assert len(p.x) == f4.chart.dim == 2
     for bad in (UpperHalfSpacePoint(p.x[:1], p.z),
-                UpperHalfSpacePoint(p.x + (0.0,), p.z)):
+                UpperHalfSpacePoint(p.x + (0.0,), p.z),
+                (0, 0), (p.x, p.z), None):
         with pytest.raises(InputError):
             uhs_distance(f4, p, bad)
         with pytest.raises(InputError):
@@ -307,16 +310,25 @@ NOT_REAL_CALLS = {
     lambda f: _ball(f).null_lift(5),
     *NOT_REAL_CALLS.values(),
     *(lambda f, s=s: RenderOptions(scale=s)
-      for s in (-1.0, 0.0, math.nan, True)),
+      for s in (-1.0, 0.0, math.nan, True, 10**400)),
+    lambda f: UpperHalfSpacePoint((10**400, 0), 1.0),
+    lambda f: UpperHalfSpacePoint((0, Fraction(-10**400, 3)), 1.0),
+    lambda f: UpperHalfSpacePoint((0, 0), 10**400),
+    lambda f: UpperHalfSpacePoint((0, 0), Fraction(1, 10**400)),
 ], ids=["distance-int", "distance-None", "uhs-int", "ball-point-int",
         "signature-None", "ball-distance-int", "ball-distance-str",
         "uhs-point-int", "uhs-point-str", "null-lift-int", *NOT_REAL_CALLS,
-        "scale-negative", "scale-zero", "scale-nan", "scale-bool"])
+        "scale-negative", "scale-zero", "scale-nan", "scale-bool",
+        "scale-huge", "uhs-point-x-huge", "uhs-point-x-huge-fraction",
+        "uhs-point-z-huge", "uhs-point-z-tiny"])
 def test_float_entry_points_reject_non_sequences(f4, call):
     """A non-sequence or a non-number is an `InputError`, not a bare
     `TypeError`, and so is every real-valued entry that `linalg.to_real`
     rejects (a `bool`, a `Decimal`, a string, a NaN), and a render scale
-    that is not positive."""
+    that is not positive.  So are a render scale or a UHS coordinate past
+    a double's range, and a UHS height that is 0 as a double, which the
+    distances and maps would meet as a bare `OverflowError` or
+    `ZeroDivisionError`."""
     with pytest.raises(InputError):
         call(f4)
 

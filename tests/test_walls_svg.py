@@ -306,11 +306,21 @@ def test_degenerate_wall_renders_as_a_line():
 
 
 def test_sampled_residuals_uhs(f4):
+    """Every wall of the N = 2 box passes the gate.  On exact input, a class
+    and samples of ints or `Fraction`s (thirds, which no double holds),
+    the residual equals `ref_max_residual`'s to the bit."""
     chart = BoundaryChart(f4)
     for d in orbit_walls(f4, 2):
         circle = wall_circle_uhs(f4, d, chart)
         samples = sample_wall_circle(f4, circle, 16)
         assert max_residual(f4.form, circle, samples) < 1e-9
+        for cls in (d, tuple(map(round, d))):
+            exact = WallCircle("uhs", circle.center, circle.radius, cls)
+            for pts in ([tuple(map(round, a)) for a in samples],
+                        [tuple(Fraction(round(3 * t), 3) for t in a)
+                         for a in samples]):
+                assert (max_residual(f4.form, exact, pts)
+                        == ref_max_residual(f4.form, exact, pts))
 
 
 def test_sampled_residuals_ball(f4):
@@ -416,7 +426,8 @@ def test_default_chart_is_built_once_per_frame(monkeypatch):
 @pytest.mark.parametrize("k", [0, -2])
 def test_residual_gate_needs_samples(f4, k):
     """No sample count below 1, and no residual of an empty sample: the
-    < 1e-9 gate would pass on 0.0 with nothing checked."""
+    < 1e-9 gate would pass on 0.0 with nothing checked.  A sample or a
+    class of another dimension than the form's is an `InputError` too."""
     ball = BallModel(f4.form, f4.ample)
     d = f4.sections[0]
     for circle, target, kw in (
@@ -426,6 +437,13 @@ def test_residual_gate_needs_samples(f4, k):
             sample_wall_circle(target, circle, k, **kw)
         with pytest.raises(InputError, match="no samples"):
             max_residual(f4.form, circle, [])
+        samples = sample_wall_circle(target, circle, 4, **kw)
+        for bad in (samples[0][:-1], (*samples[0], 0.0)):
+            with pytest.raises(InputError, match="dimension"):
+                max_residual(f4.form, circle, [*samples, bad])
+        short = WallCircle(circle.model, circle.center, circle.radius, d[:-1])
+        with pytest.raises(InputError, match="dimension"):
+            max_residual(f4.form, short, samples)
 
 
 @pytest.mark.parametrize("center", [(math.nan, 0.0), (1e200, 0.0)],
