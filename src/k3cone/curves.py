@@ -9,6 +9,9 @@ every normalized diagnostic this package reports.
 
 A `CurveQ` caches its duplication coefficients, a `Pencil` proves its
 sections by evaluation, and doubling stops past `DIGIT_BUDGET` digits.
+The group law and the on-curve check run on the integer numerators and
+denominators of the coordinates, with the cubic of `_doubling`; a sum
+builds one reduced `Fraction` per coordinate and no other.
 """
 
 import math
@@ -51,11 +54,19 @@ class CurveQ:
         s, m, k = ad * ad * bd, an * ad * bd, bn * ad * ad
         return s, -2 * m, -8 * k, an * an * bd, 4 * s, 4 * m, 4 * k
 
-    def contains(self, p: Point) -> bool:
+    def contains(self, p) -> bool:
+        """p checked by `_point`, then y^2 = x^3 + a x + b on integers: for
+        x = n/d and y = u/v, the equation times g3 d^3 v^2 is
+        g3 u^2 d^3 == v^2 (g3 n^3 + g1 n d^2 + g0 d^3), on the cubic of
+        `_doubling`."""
+        p = _point(p)
         if p is None:
             return True
-        x, y = p
-        return y * y == x ** 3 + self.a * x + self.b
+        (x, y), (*_, g3, g1, g0) = p, self._doubling
+        n, d, u, v = x.numerator, x.denominator, y.numerator, y.denominator
+        dd = d * d
+        return g3 * u * u * d * dd == v * v * (g3 * n * n * n + g1 * n * dd
+                                               + g0 * d * dd)
 
     def _require(self, p: Point) -> Point:
         p = _point(p)
@@ -71,21 +82,34 @@ class CurveQ:
         return self._add(self._require(p), self._require(q))
 
     def _add(self, p: Point, q: Point) -> Point:
+        """The chord or tangent sum of two points on the curve, on
+        integers: the slope as a pair num / den, then x3 and y3 as one
+        reduced `Fraction` each."""
         if p is None:
             return q
         if q is None:
             return p
-        x1, y1 = p
-        x2, y2 = q
-        if x1 == x2:
-            if y1 == -y2:
+        (x1, y1), (x2, y2) = p, q
+        n1, d1 = x1.numerator, x1.denominator
+        n2, d2 = x2.numerator, x2.denominator
+        u1, v1 = y1.numerator, y1.denominator
+        u2, v2 = y2.numerator, y2.denominator
+        if n1 == n2 and d1 == d2:
+            if u1 == -u2 and v1 == v2:
                 return None
-            lam = (3 * x1 * x1 + self.a) / (2 * y1)
+            # 3 x1^2 + a = (3 g3 n1^2 + g1 d1^2) / (g3 d1^2), from the cubic
+            *_, g3, g1, _ = self._doubling
+            dd = d1 * d1
+            num, den = (3 * g3 * n1 * n1 + g1 * dd) * v1, 2 * g3 * u1 * dd
         else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        return (x3, y3)
+            num = (u2 * v1 - u1 * v2) * d1 * d2
+            den = v1 * v2 * (n2 * d1 - n1 * d2)
+        x3 = Fraction(num * num * d1 * d2 - den * den * (n1 * d2 + n2 * d1),
+                      den * den * d1 * d2)
+        n3, d3 = x3.numerator, x3.denominator
+        y3 = Fraction(num * (n1 * d3 - n3 * d1) * v1 - u1 * den * d1 * d3,
+                      den * d1 * d3 * v1)
+        return x3, y3
 
     def multiply(self, n: int, p: Point) -> Point:
         n, p = to_integer(n, "multiplier"), self._require(p)

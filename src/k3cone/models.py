@@ -238,14 +238,16 @@ def from_upper_half_space(frame, point: UpperHalfSpacePoint):
 
 
 def uhs_distance(frame, p1: UpperHalfSpacePoint, p2: UpperHalfSpacePoint) -> float:
-    """Distance from the Euclidean chord |x1 - x2|^2 + (z1 - z2)^2."""
+    """Distance from the Euclidean chord |(x1, z1) - (x2, z2)|, taken by
+    `math.dist` and divided by 2 sqrt(z1) sqrt(z2): no square or product
+    of coordinates leaves a double's range."""
     p1, p2 = _uhs_point(p1), _uhs_point(p2)
     r = frame.chart.dim
     if len(p1.x) != r or len(p2.x) != r:
         raise InputError("point does not match the chart dimension")
-    chord2 = sum((a - b) ** 2 for a, b in zip(p1.x, p2.x)) + (p1.z - p2.z) ** 2
-    # cosh d = 1 + chord2 / (2 z1 z2), so sinh(d/2) = sqrt(chord2 / (4 z1 z2))
-    return 2.0 * math.asinh(math.sqrt(chord2 / (4.0 * p1.z * p2.z)))
+    chord = math.dist((*p1.x, p1.z), (*p2.x, p2.z))
+    # cosh d = 1 + chord^2 / (2 z1 z2), so sinh(d/2) = chord / (2 sqrt(z1 z2))
+    return 2.0 * math.asinh(chord / (2.0 * math.sqrt(p1.z) * math.sqrt(p2.z)))
 
 
 # -- orthogonal axes and the Poincare ball ----------------------------------

@@ -35,12 +35,19 @@ def test_point_membership():
     lambda: naive_height(5),
     lambda: specialization_scan(default_pencil(), 5),
     lambda: specialization_scan(Pencil(a=(0,), b=(1,), sections=()), [2, 4]),
+    lambda: CURVE.contains((3.0, 5.0)),
+    lambda: CURVE.contains((True, 1)),
+    lambda: CURVE.contains((1,)),
+    lambda: CURVE.contains("ab"),
 ], ids=["pencil-a", "section-y", "section-not-a-pair", "short-point",
-        "point-not-a-pair", "scan-t-values", "scan-no-sections"])
+        "point-not-a-pair", "scan-t-values", "scan-no-sections",
+        "contains-float", "contains-bool", "contains-short",
+        "contains-string"])
 def test_malformed_points_and_pencils_are_input_errors(make):
     """The constructors and the point check are the boundary for curve
     input: a malformed shape is an `InputError`, not a bare `TypeError`,
-    `ValueError` or `IndexError`."""
+    `ValueError` or `IndexError`, and `contains` takes no float or
+    `bool` entry."""
     with pytest.raises(InputError):
         make()
 
@@ -270,6 +277,80 @@ def test_x_double_matches_the_reference():
         assert curves._x_double(x.numerator, x.denominator,
                                 curve._doubling) == want
     assert torsion >= 500
+
+
+def _ref_contains(curve, p):
+    """y^2 == x^3 + a x + b in `Fraction` arithmetic, as `contains` was
+    written before it ran on integers."""
+    if p is None:
+        return True
+    x, y = p
+    return y * y == x ** 3 + curve.a * x + curve.b
+
+
+def _ref_add(curve, p, q):
+    """The chord-and-tangent sum in `Fraction` arithmetic, as `_add` was
+    written before it ran on integers."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    x1, y1 = p
+    x2, y2 = q
+    if x1 == x2:
+        if y1 == -y2:
+            return None
+        lam = (3 * x1 * x1 + curve.a) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - x1 - x2
+    y3 = lam * (x1 - x3) - y1
+    return (x3, y3)
+
+
+def test_group_law_matches_the_reference():
+    """Sums and on-curve verdicts agree with the `Fraction` reference on
+    random a with denominators and b := y0^2 - x0^3 - a x0, which puts
+    P = (x0, y0) on the curve.  The sums of None, P, -P, 2P and 3P cover
+    chords, tangents, P + (-P), the tangent at a point with y = 0
+    (2-torsion) and None operands; `contains` also sees each point with y
+    bumped off the curve."""
+    rng = random.Random(30)
+    kinds = {"none": 0, "chord": 0, "tangent": 0, "inverse": 0, "torsion": 0}
+    verdicts = []
+    for k in range(2000):
+        a = _random_rational(rng, 40)
+        x0 = _random_rational(rng, 12)
+        y0 = Fraction(0) if k % 5 == 0 else _random_rational(rng, 12)
+        b = y0 * y0 - x0 ** 3 - a * x0
+        if 4 * a ** 3 + 27 * b ** 2 == 0:
+            continue
+        curve = CurveQ(a, b)
+        p = (x0, y0)
+        p2 = _ref_add(curve, p, p)
+        points = [None, p, (x0, -y0), p2, _ref_add(curve, p, p2)]
+        for s in points:
+            for t in points:
+                if s is None or t is None:
+                    kind = "none"
+                elif s[0] != t[0]:
+                    kind = "chord"
+                elif s[1] != -t[1]:
+                    kind = "tangent"
+                else:
+                    kind = "torsion" if s[1] == 0 else "inverse"
+                kinds[kind] += 1
+                assert curve.add(s, t) == _ref_add(curve, s, t)
+        for s in points[1:]:
+            if s is None:
+                continue
+            bump = _random_rational(rng, 3) or Fraction(1, 7)
+            for cand in (s, (s[0], s[1] + bump), (s[0] + bump, s[1])):
+                want = _ref_contains(curve, cand)
+                assert curve.contains(cand) == want
+                verdicts.append(want)
+    assert min(kinds.values()) >= 1000
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def _poly_mul(p, q):

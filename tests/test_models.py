@@ -563,6 +563,19 @@ def test_uhs_distance_of_far_points_is_accurate():
         assert abs(d - exact) < 1e-13 * exact
 
 
+def test_uhs_distance_stays_within_a_double(f4):
+    """Points 1e300 apart at height 1, and two points 1 apart at height
+    1e-200, are 2 asinh(1e300 / 2) and 2 asinh(1e200 / 2) apart, which is
+    2 log 1e300 and 2 log 1e200 to rounding: neither chord^2 nor 4 z1 z2
+    is formed, so nothing overflows or underflows to 0."""
+    far = uhs_distance(f4, UpperHalfSpacePoint((1e300, 0), 1.0),
+                       UpperHalfSpacePoint((0, 0), 1.0))
+    assert abs(far - 2.0 * math.log(1e300)) < 1e-13 * far
+    low = uhs_distance(f4, UpperHalfSpacePoint((0, 0), 1e-200),
+                       UpperHalfSpacePoint((1, 0), 1e-200))
+    assert abs(low - 2.0 * math.log(1e200)) < 1e-13 * low
+
+
 def test_hyperbolic_distance_of_far_points_is_accurate():
     """On the same pairs the lattice-coordinate distance is within 1e-13
     relative of the 60-digit distance: sinh^2 d comes from exact integer
