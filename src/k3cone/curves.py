@@ -15,15 +15,14 @@ builds one reduced `Fraction` per coordinate and no other.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import InputError, ResourceError, SingularFiberError
-from .linalg import (_items, left_sum, to_fraction, to_integer, to_real,
-                     vector, vectors)
+from .linalg import (_items, left_sum, to_fraction, to_integer,
+                     to_positive_real, vector, vectors)
 
 Point = Optional[Tuple[Fraction, Fraction]]  # None encodes the point at infinity
 
@@ -55,13 +54,15 @@ class CurveQ:
         return s, -2 * m, -8 * k, an * an * bd, 4 * s, 4 * m, 4 * k
 
     def contains(self, p) -> bool:
-        """p checked by `_point`, then y^2 = x^3 + a x + b on integers: for
+        """p checked by `_point`, then `_on_curve` unless it is infinity."""
+        p = _point(p)
+        return p is None or self._on_curve(p)
+
+    def _on_curve(self, p) -> bool:
+        """y^2 = x^3 + a x + b on integers for an exact pair p = (x, y): for
         x = n/d and y = u/v, the equation times g3 d^3 v^2 is
         g3 u^2 d^3 == v^2 (g3 n^3 + g1 n d^2 + g0 d^3), on the cubic of
         `_doubling`."""
-        p = _point(p)
-        if p is None:
-            return True
         (x, y), (*_, g3, g1, g0) = p, self._doubling
         n, d, u, v = x.numerator, x.denominator, y.numerator, y.denominator
         dd = d * d
@@ -69,8 +70,10 @@ class CurveQ:
                                                + g0 * d * dd)
 
     def _require(self, p: Point) -> Point:
+        """p checked by `_point` once, and `_on_curve`; `InputError` off the
+        curve."""
         p = _point(p)
-        if p is not None and not self.contains(p):
+        if p is not None and not self._on_curve(p):
             raise InputError(f"point {p} is not on the curve")
         return p
 
@@ -169,22 +172,26 @@ def canonical_height(curve: CurveQ, p: Point,
     """Doubling-limit canonical height: h([2^m]P) / 4^m until stable.
 
     Stops once successive estimates differ by less than tolerance / 2, at
-    the doubling cap, or cleanly at 0.0 when a doubling hits infinity
-    (torsion).  Raises ResourceError with the partial estimate if the
-    x-coordinate outgrows `DIGIT_BUDGET` digits.  The tolerance is a
-    `linalg.to_real`, positive and at most the largest double.
+    the doubling cap, or at exactly 0.0 when P is torsion: a doubling hits
+    infinity or repeats an earlier x, since x(2^a P) = x(2^b P) with a != b
+    gives (2^a -+ 2^b) P = O.  By Mazur's theorem rational torsion has
+    order 1-10 or 12, so one of the two happens within 3 doublings.
+    Raises ResourceError with the partial estimate if the x-coordinate
+    outgrows `DIGIT_BUDGET` digits.  The tolerance is a
+    `linalg.to_positive_real`.
     """
-    if not 0 < to_real(tolerance, "tolerance") <= sys.float_info.max:
-        raise InputError("tolerance must be positive and within a double")
+    to_positive_real(tolerance, "tolerance")
     p = curve._require(p)
     if p is None:
         return 0.0
     num, den = p[0].numerator, p[0].denominator
     est = _log_height(num, den)
+    orbit = [(num, den)]  # x of P, 2P, ..., 2^m P; a list hashes no bigint
     for m in range(1, MAX_DOUBLINGS + 1):
         step = _x_double(num, den, curve._doubling)
-        if step is None:
-            return 0.0  # reached infinity: P is torsion
+        if step is None or step in orbit:
+            return 0.0  # P is torsion
+        orbit.append(step)
         num, den = step
         digits = max(abs(num).bit_length(), den.bit_length()) * 0.30103
         if digits > DIGIT_BUDGET:

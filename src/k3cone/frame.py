@@ -22,7 +22,8 @@ an exact class, y its chart coordinates; `from_cusp` maps them back.
 numerators, and the section classes D_i = T_{v_i}([O]) are its images of
 the unit vectors (`sections`), derived on first read and cached; they are
 not a constructor argument.  `check_section` is the one section check,
-and `section_map` runs it once, on O, to prove every translate.
+and `section_map` runs it once, on O, to prove every translate;
+`fiber_orthogonal` is the one check of v.E = 0.
 """
 
 from dataclasses import dataclass
@@ -295,12 +296,18 @@ class FibrationFrame:
         return Decomposition(Fraction(w * c.q, den), Fraction(v * c.q, den),
                              tuple(Fraction(z, den) for z in perp))
 
-    def boundary_rep(self, v: Vector) -> Vector:
-        """The V-component of v = a / da, dropping the E-direction: the perp
-        of `split_numerators`, over da det; `InputError` unless v.E = 0."""
+    def fiber_orthogonal(self, v) -> tuple:
+        """`form.numerators` (a, da) of v, the one check of v.E = 0 that
+        translations need; `InputError` unless a . gE = 0."""
         a, da = self.form.numerators(v)
         if dot(a, self.fixed.gE):
             raise InputError("vector is not orthogonal to the fiber class")
+        return a, da
+
+    def boundary_rep(self, v: Vector) -> Vector:
+        """The V-component of v = a / da, dropping the E-direction: the perp
+        of `split_numerators` of `fiber_orthogonal(v)`, over da det."""
+        a, da = self.fiber_orthogonal(v)
         den = da * self.fixed.det
         return tuple(Fraction(t, den) for t in self.split_numerators(a)[2])
 

@@ -345,14 +345,12 @@ def cauchy_schwarz_check(frame, u, v) -> bool:
     Primes take the component in V = {x : x.E = x.P = 0}; on a frame with
     E.E = 0 the products u.v and u'.v' agree, and the form is negative
     definite on V, so this is the exact rational Cauchy-Schwarz verdict.
-    It is decided on integers: one `numerators` per argument (`InputError`
-    unless it is orthogonal to E), the perp numerators of
-    `split_numerators`, and three integer dots.
+    It is decided on integers: one `FibrationFrame.fiber_orthogonal` per
+    argument, the perp numerators of `split_numerators`, and three integer
+    dots.
     """
     c = frame.fixed
-    (a, da), (b, db) = map(frame.form.numerators, (u, v))
-    if dot(a, c.gE) or dot(b, c.gE):
-        raise InputError("vector is not orthogonal to the fiber class")
+    (a, da), (b, db) = map(frame.fiber_orthogonal, (u, v))
     x, y = frame.split_numerators(a)[2], frame.split_numerators(b)[2]
     gb, gx, gy = frame.form.images([b, x, y])
     # u.v = a.gb / (da db dg) and u'.u' = x.gx / ((da det)^2 dg): da, db cancel

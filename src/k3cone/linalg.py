@@ -16,9 +16,11 @@ Kernel operands may mix ints and Fractions (anything with `.numerator`
 and `.denominator`).  Outside input is coerced once, by `vector`,
 `vectors` and `matrix` in constructors and by `IntersectionForm.numerators`
 (malformed: `InputError`); a real-valued argument of the float layer is
-checked once, by `to_real`.  Dimensions are the Picard number, i.e. tiny.
+checked once, by `to_real` or `to_positive_real`.  Dimensions are the
+Picard number, i.e. tiny.
 """
 
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
@@ -47,13 +49,21 @@ def to_fraction(x) -> Fraction:
 def to_real(x, what: str):
     """x itself if it is a finite int, float or `Fraction`, so exact input
     stays exact; `InputError` otherwise (a `bool` is not a number here).
-    Range checks (positive, in a double's range) are the caller's."""
+    Range checks are the caller's, such as `to_positive_real`."""
     if isinstance(x, float):
         if isfinite(x):
             return x
     elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
     raise InputError(f"{what} must be a finite number, not {x!r}")
+
+
+def to_positive_real(x, what: str):
+    """x itself if it is a `to_real` with 0 < x <= the largest double;
+    `InputError` otherwise."""
+    if not 0 < to_real(x, what) <= sys.float_info.max:
+        raise InputError(f"{what} must be positive and within a double")
+    return x
 
 
 def to_integer(n, name: str, least=None) -> int:

@@ -8,12 +8,11 @@ coordinates of its points are evaluated, with the expression of
 is formatted once.
 """
 
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .linalg import to_real
+from .linalg import _items, to_positive_real
 from .walls import WallCircle, ball_circle_axes, unit_circle
 
 WIDTH = 640
@@ -31,8 +30,14 @@ class RenderOptions:
     mark_infinity: bool = False  # annotate the cusp for uhs scenes
 
     def __post_init__(self):
-        if not 0 < to_real(self.scale, "scale") <= sys.float_info.max:
-            raise InputError("scale must be positive and within a double")
+        """The scale is a `linalg.to_positive_real`; the labels are None or
+        a list-like of `str`, kept as a tuple."""
+        to_positive_real(self.scale, "scale")
+        if self.labels is not None:
+            labels = tuple(_items(self.labels, "list of labels"))
+            if not all(isinstance(t, str) for t in labels):
+                raise InputError("each label must be a str")
+            object.__setattr__(self, "labels", labels)
 
 
 def _fmt(v: float) -> str:

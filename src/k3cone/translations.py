@@ -77,9 +77,7 @@ def translation(frame, v: Vector) -> Isometry:
     every entry is an integer over D = 2 dg^2 dv^2 q^2.
     """
     c = frame.fixed
-    b, dv = frame.form.numerators(v)
-    if linalg.dot(b, c.gE):
-        raise InputError("translation vector must be orthogonal to the fiber class")
+    b, dv = frame.fiber_orthogonal(v)
     gv = frame.form.images([b])[0]
     vv = linalg.dot(b, gv)  # v.v = vv / (dg dv^2)
     t = 2 * dv * c.den  # c.den = dg q
@@ -94,14 +92,17 @@ def section_translate(frame, v: Vector) -> Vector:
     """The section translate T_v([O]); a -2 class meeting the fiber once.
 
     T_v([O]) = O + k v - (O.v + k v.v/2) E with k = O.E, on the integer
-    numerators b / db of v and the frame's cached `fixed` classes: one
-    integer Gram image of v, of the image, and two dots each.  With
-    Gram denominator dg and class denominator q, every term is an integer
-    over T = 2 dg^2 q^3 db^2, and `FibrationFrame.check_section` checks
-    D.D = -2 and D.E = 1 on those integers; `FrameError` otherwise.
+    numerators b / db of v (`FibrationFrame.fiber_orthogonal`: `InputError`
+    unless v.E = 0) and the frame's cached `fixed` classes: one integer
+    Gram image of v, and three dots.  With Gram denominator dg and class
+    denominator q, every term is an integer over T = 2 dg^2 q^3 db^2.
+    D is not checked again: T_v fixes E and preserves the form when
+    E.E = 0 and v.E = 0, so D is a section class because O is, which
+    `FibrationFrame.section_map` proves once per frame (`FrameError`).
     """
+    frame.section_map  # the proof for every translate; FrameError otherwise
     c = frame.fixed
-    b, db = frame.form.numerators(v)
+    b, db = frame.fiber_orthogonal(v)
     gb = frame.form.images([b])[0]
     k = linalg.dot(c.O, c.gE)  # O.E = k / (dg q^2)
     # T D = s o + 2 k db dg q b - (2 db dg q (b.gO) + k (b.gb)) e
@@ -110,7 +111,6 @@ def section_translate(frame, v: Vector) -> Vector:
     cs = t * linalg.dot(b, c.gO) + k * linalg.dot(b, gb)
     d = [s * x + t * k * y - cs * z for x, y, z in zip(c.O, b, c.E)]
     den = c.q * s
-    frame.check_section(d, den)
     return tuple(Fraction(x, den) for x in d)
 
 

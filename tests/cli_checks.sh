@@ -21,6 +21,10 @@ while read -r -a run; do
     k3cone "${run[@]:1}" < /dev/null | diff - "$data/${run[0]}"
 done < $data/cli_golden_runs.txt
 k3cone specialize-scan configs/default_pencil.json --t-min 1 --t-max 4 --tolerance 1e-2 | grep -q '^# skipped t=1:'
+# a 3-torsion point: its height and its pairing with itself are exactly 0
+k3cone curve-heights --a -9 --b 9 --point 3,3 --tolerance 1e-6 > "$tmp/torsion.tsv"
+grep -qx $'canonical\t0\t-\t0' "$tmp/torsion.tsv"
+grep -qx $'pairing\t0\t0\t0' "$tmp/torsion.tsv"
 k3cone render configs/f4_frame.json --N 2 --out "$tmp/uhs.svg" > /dev/null
 diff "$tmp/uhs.svg" $data/golden_uhs.svg
 k3cone render configs/f4_frame.json --model ball --N 2 --out "$tmp/ball.svg" > /dev/null

@@ -62,19 +62,19 @@ def test_group_law_basics():
 
 def test_group_law_checks_a_point_once(monkeypatch):
     """multiply and naive_limit_height check P on entry, then run the
-    group law unchecked: one `contains` call each."""
+    group law unchecked: one `_on_curve` call each."""
     want, acc = [], None
     for _ in range(13):
         acc = CURVE.add(acc, P)
         want.append(acc)
     calls = []
-    contains = CurveQ.contains
+    on_curve = CurveQ._on_curve
 
     def counting(self, p):
         calls.append(p)
-        return contains(self, p)
+        return on_curve(self, p)
 
-    monkeypatch.setattr(CurveQ, "contains", counting)
+    monkeypatch.setattr(CurveQ, "_on_curve", counting)
     assert CURVE.multiply(13, P) == want[-1]
     assert calls == [P]
     assert CURVE.multiply(-13, P) == (want[-1][0], -want[-1][1])
@@ -83,6 +83,23 @@ def test_group_law_checks_a_point_once(monkeypatch):
     assert values == [naive_height(q) / (n * n)
                       for n, q in enumerate(want, start=1)]
     assert calls == [P, P, P]
+
+
+def test_group_law_checks_each_point_once(monkeypatch):
+    """add(P, Q) runs `_point` once per operand, not again in an on-curve
+    check."""
+    calls = []
+    point = curves._point
+
+    def counting(p):
+        calls.append(p)
+        return point(p)
+
+    monkeypatch.setattr(curves, "_point", counting)
+    q, want = CURVE.multiply(2, P), CURVE.multiply(3, P)
+    calls.clear()
+    assert CURVE.add(P, q) == want
+    assert calls == [P, q]
 
 
 def test_doubling_example():
@@ -118,11 +135,112 @@ def test_torsion_height_is_zero():
     assert curve.multiply(6, pt) is None
     assert canonical_height(curve, pt, 1e-6) == 0.0
     assert canonical_height(curve, None, 1e-6) == 0.0
+    # 2T = -T: x never changes, and the loop must not run to its cap
+    curve, pt = CurveQ(-9, 9), (Fraction(3), Fraction(3))
+    assert curve.multiply(3, pt) is None
+    assert canonical_height(curve, pt, 1e-6) == 0.0
+    assert nt_pairing(curve, pt, pt, 1e-6) == 0.0
 
 
 def test_two_torsion_height_is_zero():
     curve = CurveQ(Fraction(-1), Fraction(0))  # (1, 0) is 2-torsion
     assert canonical_height(curve, (Fraction(1), Fraction(0)), 1e-6) == 0.0
+
+
+def _tate_normal_form(b, c):
+    """y^2 + (1 - c) x y - b y = x^3 - b x^2 and its point (0, 0), moved to
+    short form by x' = 36 x + 3 b2, y' = 108 (2 y + a1 x + a3)."""
+    a1, a2, a3 = 1 - c, -b, -b
+    b2, b4, b6 = a1 * a1 + 4 * a2, a1 * a3, a3 * a3
+    c4, c6 = b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    return CurveQ(-27 * c4, -54 * c6), (3 * b2, 108 * a3)
+
+
+def _kubert(n, t):
+    """(b, c) of the Tate normal form whose (0, 0) has order n (Kubert,
+    Proc. LMS 33, 1976), at the parameter t."""
+    if n == 4:
+        return t, Fraction(0)
+    if n == 5:
+        return t, t
+    if n == 6:
+        return t + t * t, t
+    if n == 7:
+        return t ** 3 - t ** 2, t ** 2 - t
+    if n == 8:
+        b = (2 * t - 1) * (t - 1)
+        return b, b / t
+    if n == 9:
+        c = t * t * (t - 1)
+        return c * (t * t - t + 1), c
+    if n == 10:
+        d = t * t / (t - (t - 1) ** 2)
+        c = t * d - t
+        return c * d, c
+    m = (3 * t - 3 * t * t - 1) / (t - 1)  # n == 12
+    f, d = m / (1 - t), m + t
+    c = f * (d - 1)
+    return c * d, c
+
+
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(3), Fraction(5, 2)],
+                         ids=["2", "3", "5/2"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_torsion_of_every_order_has_height_zero(n, t):
+    """Mazur's orders: the doubling orbit of a torsion point reaches
+    infinity or repeats an x, so its height is exactly 0.0, even at a
+    tolerance that forces doublings, and so is its pairing with itself.
+    Orders 2 and 3 are 3T and 2T of a point T of order 6."""
+    curve, p = _tate_normal_form(*_kubert(6 if n in (2, 3) else n, t))
+    if n in (2, 3):
+        p = curve.multiply(6 // n, p)
+    assert [k for k in range(1, 13) if curve.multiply(k, p) is None] == [
+        k for k in range(1, 13) if k % n == 0]
+    assert canonical_height(curve, p, 1e-8) == 0.0
+    assert nt_pairing(curve, p, p, 1e-8) == 0.0
+
+
+def _ref_canonical_height(curve, p, tolerance):
+    """`canonical_height` without the repeated-x exit."""
+    num, den = p[0].numerator, p[0].denominator
+    est = curves._log_height(num, den)
+    for m in range(1, curves.MAX_DOUBLINGS + 1):
+        step = curves._x_double(num, den, curve._doubling)
+        if step is None:
+            return 0.0
+        num, den = step
+        new_est = curves._log_height(num, den) / 4.0 ** m
+        done = abs(new_est - est) < tolerance / 2.0
+        est = new_est
+        if done:
+            break
+    return est
+
+
+def test_the_orbit_check_only_fires_on_torsion():
+    """On small integral points, a torsion point (some multiple up to 12
+    is infinity) has height exactly 0.0, and every other height is the
+    one of the loop without the repeated-x exit.  Every seventh point is
+    (x0, 0), of order 2, and the next is (3 r^2, y0) with
+    a = 6 r y0 - 27 r^4, a zero of the 3-division polynomial, of order 3."""
+    rng = random.Random(31)
+    kinds = {True: 0, False: 0}
+    for k in range(400):
+        a, x0, y0 = rng.randint(-20, 20), rng.randint(-6, 6), rng.randint(1, 9)
+        if k % 7 == 0:
+            y0 = 0
+        elif k % 7 == 1:
+            r = rng.randint(1, 2)
+            x0, a = 3 * r * r, 6 * r * y0 - 27 * r ** 4
+        b = y0 * y0 - x0 ** 3 - a * x0
+        if 4 * a ** 3 + 27 * b ** 2 == 0:
+            continue
+        curve, p = CurveQ(a, b), (Fraction(x0), Fraction(y0))
+        torsion = any(curve.multiply(n, p) is None for n in range(1, 13))
+        kinds[torsion] += 1
+        h = canonical_height(curve, p, 1e-3)
+        assert h == (0.0 if torsion else _ref_canonical_height(curve, p, 1e-3))
+    assert min(kinds.values()) >= 50
 
 
 def test_oracle_agreement():

@@ -23,8 +23,9 @@ import pytest
 
 from conftest import (change_basis, class_p, random_unimodular,
                       random_valid_frame)
-from k3cone import configio, involutions, lattice, linalg, models, translations
-from k3cone.errors import CuspError, DomainError, FrameError
+from k3cone import (configio, heights, involutions, lattice, linalg, models,
+                    translations)
+from k3cone.errors import CuspError, DomainError, FrameError, InputError
 from k3cone.frame import Decomposition, FibrationFrame
 from k3cone.heights import SyntheticFibration, limit_experiment
 
@@ -313,6 +314,44 @@ def test_every_section_check_rejects_a_corrupted_section(name):
         shifted.section_map[0]((1,) + (0,) * (frame.rank - 1))
     with pytest.raises(FrameError, match=SECTION_ERROR):
         translations.section_translate(shifted, frame.translations[0])
+
+
+@pytest.mark.parametrize("call", [
+    translations.translation,
+    translations.section_translate,
+    FibrationFrame.boundary_rep,
+    lambda frame, v: heights.cauchy_schwarz_check(
+        frame, frame.translations[0], v),
+], ids=["translation", "section_translate", "boundary_rep",
+        "cauchy_schwarz_check"])
+def test_fiber_orthogonality_has_one_check(call):
+    """`fiber_orthogonal` is the one check of v.E = 0: every caller
+    rejects v = O, which has O.E = 1, with its `InputError`."""
+    frame = frames()["f4"]
+    with pytest.raises(InputError) as exc:
+        call(frame, frame.classO)
+    assert str(exc.value) == "vector is not orthogonal to the fiber class"
+
+
+@pytest.mark.parametrize("name", ["f4", "seed3", "seed5-rational"])
+def test_section_translate_reads_the_frame_proof(monkeypatch, name):
+    """Once `section_map` is read, `section_translate` checks no section
+    class again, and still gives the reference translate."""
+    frame = frames()[name]
+    frame.section_map
+    calls = []
+    check = FibrationFrame.check_section
+
+    def counting(self, x, dx):
+        calls.append(dx)
+        return check(self, x, dx)
+
+    monkeypatch.setattr(FibrationFrame, "check_section", counting)
+    rng = random.Random(name)
+    for _ in range(4):
+        w = orthogonal_to_fiber(frame, rng)
+        assert translations.section_translate(frame, w) == ref_translate(frame, w)
+    assert calls == []
 
 
 def test_frame_caches_hold_no_reference_cycle():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import (change_basis, class_p, mat_vec,
                       random_orthogonal_to_fiber, random_unimodular,
                       random_valid_frame, reassemble, solve)
-from k3cone import configio, involutions, lattice, linalg, walls
+from k3cone import (configio, involutions, lattice, linalg, translations,
+                    walls)
 from k3cone.errors import FrameError, InputError
 from k3cone.frame import FibrationFrame
 from k3cone.lattice import IntersectionForm
@@ -292,6 +293,8 @@ def test_section_map_proves_section_classes(f4, change, message):
         frame.section_map
     with pytest.raises(FrameError, match=message):
         frame.sections
+    with pytest.raises(FrameError, match=message):  # it reads section_map
+        translations.section_translate(frame, (0, 0, 1, 0))
     assert not frame.validate().passed
 
 

@@ -381,11 +381,21 @@ def test_render_ball_scene(f4):
 
 
 def test_render_rejects_bad_input(f4):
+    """Labels are one `str` per circle: a string is not read as one label
+    per character, and a label that is not a `str` is an `InputError`,
+    not a bare `AttributeError` in the renderer."""
     with pytest.raises(InputError):
         render_svg([])
     circles, options = golden_scene(f4)
     with pytest.raises(InputError):
         render_svg(circles, RenderOptions(labels=["only-one"]))
+    n = len(circles)
+    for labels in ([1] * n, [b"O"] * n, [None] * n, "O" * n, 7):
+        with pytest.raises(InputError, match="label"):
+            render_svg(circles, RenderOptions(labels=labels))
+    listed = RenderOptions(labels=iter(options.labels), mark_infinity=True)
+    assert listed == options
+    assert render_svg(circles, listed) == render_svg(circles, options)
 
 
 @pytest.mark.parametrize("model", ["uhs", "ball"])
