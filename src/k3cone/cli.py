@@ -18,6 +18,8 @@ from .heights import SyntheticFibration
 from .models import BallModel
 from .svg import RenderOptions, render_svg
 
+MAX_SCAN_VALUES = 64  # t-values of one specialize-scan; the default has 6
+
 
 def _fail(exc: K3ConeError):
     click.echo(f"ERROR\t{type(exc).__name__}\t{exc}", err=True)
@@ -168,7 +170,8 @@ def curve_heights(a_coeff, b_coeff, points, tolerance, out):
 @main.command("specialize-scan")
 @click.argument("pencil_path", type=click.Path(exists=True))
 @click.option("--t-min", type=str, default="8", show_default=True)
-@click.option("--t-max", type=str, default="256", show_default=True)
+@click.option("--t-max", type=str, default="256", show_default=True,
+              help=f"largest t; at most {MAX_SCAN_VALUES} values of t in all")
 @click.option("--geometric-step", type=str, default="2", show_default=True)
 @click.option("--tolerance", type=float, default=1e-4, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -183,6 +186,9 @@ def specialize_scan(pencil_path, t_min, t_max, geometric_step, tolerance, out):
     ts = []
     t = t0
     while t <= t1:
+        if len(ts) == MAX_SCAN_VALUES:
+            raise InputError(f"the range t = {t0} .. {t1} at step {step} "
+                             f"holds more than {MAX_SCAN_VALUES} values of t")
         ts.append(t)
         t *= step
     result = specialization_scan(pencil, ts, tolerance)

@@ -178,10 +178,16 @@ def canonical_height(curve: CurveQ, p: Point,
     order 1-10 or 12, so one of the two happens within 3 doublings.
     Raises ResourceError with the partial estimate if the x-coordinate
     outgrows `DIGIT_BUDGET` digits.  The tolerance is a
-    `linalg.to_positive_real`.
+    `linalg.to_positive_real`, checked before the point; the loop is
+    `_height`.
     """
     to_positive_real(tolerance, "tolerance")
-    p = curve._require(p)
+    return _height(curve, curve._require(p), tolerance)
+
+
+def _height(curve: CurveQ, p: Point, tolerance: float) -> float:
+    """`canonical_height` of a point checked by `CurveQ._require`, at a
+    checked tolerance."""
     if p is None:
         return 0.0
     num, den = p[0].numerator, p[0].denominator
@@ -220,11 +226,14 @@ def naive_limit_height(curve: CurveQ, p: Point, n_max: int = 12):
 
 def nt_pairing(curve: CurveQ, p: Point, q: Point,
                tolerance: float = 1e-4) -> float:
-    """Neron-Tate pairing hhat(P+Q) - hhat(P) - hhat(Q)."""
-    s = curve.add(p, q)
-    return (canonical_height(curve, s, tolerance)
-            - canonical_height(curve, p, tolerance)
-            - canonical_height(curve, q, tolerance))
+    """Neron-Tate pairing hhat(P+Q) - hhat(P) - hhat(Q).
+
+    P and Q are checked once each by `CurveQ._require`, then the tolerance
+    once, and the three heights run `_height` on the checked points."""
+    p, q = curve._require(p), curve._require(q)
+    to_positive_real(tolerance, "tolerance")
+    return (_height(curve, curve._add(p, q), tolerance)
+            - _height(curve, p, tolerance) - _height(curve, q, tolerance))
 
 
 # -- pencils -----------------------------------------------------------------
@@ -320,12 +329,16 @@ def specialization_scan(pencil: Pencil, t_values,
 
     Singular fibers, and fibers of parameter height 0 (t = 0, 1 or -1),
     which leave nothing to normalize by, are skipped with a recorded
-    reason; a pencil without sections is an `InputError`.  Diagnostics:
+    reason; a pencil without sections is an `InputError`, and so is a
+    tolerance that `linalg.to_positive_real` rejects, before any fiber is
+    specialized.  Each height is `canonical_height`, or its partial
+    estimate past `DIGIT_BUDGET` digits.  Diagnostics:
     successive max-entry differences of the normalized matrices, and a
     per-entry least-squares slope of pairing against parameter height.
     """
     if not pencil.sections:
         raise InputError("a pencil without sections has no pairing to scan")
+    to_positive_real(tolerance, "tolerance")
     rows = []
     skipped = []
     for t0 in map(to_fraction, _items(t_values, "list of t values")):

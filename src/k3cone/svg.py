@@ -4,8 +4,10 @@ Output is plain SVG 1.1 with fixed 6-decimal coordinate formatting, so a
 given scene renders to byte-identical documents across runs.  A ball
 circle is drawn as its orthographic projection: only the two drawn
 coordinates of its points are evaluated, with the expression of
-`walls.ball_circle_points` on the first two of its axes, and each point
-is formatted once.
+`walls._ring` on the first two of its axes, and each point is formatted
+once.  Both two-point traces, a degenerate wall's line and the trace of a
+wall in a 2-dimensional ball, are drawn through one quarter turn of their
+normal (`_across`).
 """
 
 from dataclasses import dataclass
@@ -80,15 +82,21 @@ def _pad2(coords):
     return xs[0], xs[1]
 
 
+def _across(center, normal, t):
+    """The two points c + t (-n1, n0) and c - t (-n1, n0): c moved both ways
+    along the quarter turn of a 2-d normal n."""
+    (cx, cy), (nx, ny) = center, normal
+    return [(cx + s * -ny, cy + s * nx) for s in (t, -t)]
+
+
 def _ball_circle_points(circle: WallCircle):
+    """The drawn points of a ball circle.  A 2-dimensional ball's trace is
+    a pair of boundary points, `_across` its centre.  A larger ball's is
+    its orthographic projection to the first two coordinates: `walls._ring`
+    written out for those two, since `_ring` itself, even on those two
+    axes alone, renders the 25-circle f4 ball scene about 30 % slower."""
     if len(circle.center) == 2:
-        # 2-dimensional ball: the trace is a pair of boundary points
-        normal = circle.normal
-        e1 = (-normal[1], normal[0])
-        return [(circle.center[0] + s * circle.radius * e1[0],
-                 circle.center[1] + s * circle.radius * e1[1])
-                for s in (1.0, -1.0)]
-    # orthographic projection to the first two coordinates
+        return _across(circle.center, circle.normal, circle.radius)
     (cx, ax, bx), (cy, ay, by) = ball_circle_axes(circle)[:2]
     r = circle.radius
     return [(cx + r * (ct * ax + st * bx), cy + r * (ct * ay + st * by))
@@ -110,13 +118,12 @@ def render_svg(scene: Sequence[WallCircle],
                                  extra=' stroke-dasharray="4 3"'))
     for idx, circle in enumerate(scene):
         if circle.degenerate is not None:
-            nx, ny = _pad2(circle.degenerate.normal)
+            n = nx, ny = _pad2(circle.degenerate.normal)
             off = circle.degenerate.offset
-            # line through off*(nx, ny), direction (-ny, nx), clipped crudely
+            # the line through off n along its quarter turn, clipped crudely
             span = max(WIDTH, HEIGHT) / options.scale
-            p1 = (off * nx - span * ny, off * ny + span * nx)
-            p2 = (off * nx + span * ny, off * ny - span * nx)
-            c1, c2 = _px(options, *p1), _px(options, *p2)
+            c1, c2 = (_px(options, *p)
+                      for p in _across((off * nx, off * ny), n, span))
             body.append(f'<line x1="{_fmt(c1[0])}" y1="{_fmt(c1[1])}"'
                         f' x2="{_fmt(c2[0])}" y2="{_fmt(c2[1])}"'
                         f'{_STROKE_ATTRS}/>')

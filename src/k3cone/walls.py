@@ -26,12 +26,17 @@ the closed forms without sampling them; the tests, acceptance criterion
 (`sample_wall_circle`, `max_residual`: |A.D| and |A.A| below 1e-9 for
 reconstructed boundary classes).
 
+Every sampled trace is one ring, `_ring`: c + r (cos t e1 + sin t e2)
+over axes (centre, e1, e2) taken once per circle, with (cos t, sin t)
+from one table per sample count.  Its sample count follows from the
+axes alone: a trace spanned by 0, 1 or 2 nonzero in-plane axes is a
+point, a pair of points or a circle, sampled at most 1, 2 or k times.
+
 Per-scene work is done once: `orbit_walls` shares one `Fraction` per
-distinct numerator among its walls, a ball circle's points read
-(cos t, sin t) from one table per sample count and take its axes
-(centre, e1, e2) once, `max_residual` maps D through the Gram rows of
-`inner_f`'s kernel (`models._image_f`) once per circle, and `svg`
-projects onto the two coordinates it draws without building the others.
+distinct numerator among its walls, `max_residual` maps D through the
+Gram rows of `inner_f`'s kernel (`models._image_f`) once per circle, and
+`svg` projects onto the two coordinates it draws without building the
+others.
 """
 
 import itertools
@@ -172,24 +177,33 @@ def unit_circle(k: int) -> tuple:
                  for t in (2.0 * math.pi * idx / k for idx in range(k)))
 
 
+def _plane_axes(center, normal) -> list:
+    """(centre, e1, e2) entries per coordinate of the plane through center
+    orthogonal to the unit normal: e1 and e2 from `_plane_frame`, padded by
+    zero vectors where its complement has fewer than two dimensions."""
+    e1, e2 = (_plane_frame(list(normal)) + [[0.0] * len(normal)] * 2)[:2]
+    return list(zip(center, e1, e2))
+
+
+def _ring(axes, r: float, k: int) -> list:
+    """k points c + r (cos t a + sin t b), t = 2 pi idx / k, over the
+    (c, a, b) entries of axes: the one formula of every sampled trace."""
+    return [[c + r * (ct * a + st * b) for c, a, b in axes]
+            for ct, st in unit_circle(k)]
+
+
 def ball_circle_axes(circle: WallCircle) -> list:
-    """(centre, e1, e2) entries per coordinate of a ball wall circle; e1, e2
-    span the complement of its normal (e2 = 0 when the ball is
-    2-dimensional).  `InputError` on a 1-dimensional ball."""
+    """`_plane_axes` of a ball wall circle: e1, e2 span the complement of
+    its normal (e2 = 0 when the ball is 2-dimensional).  `InputError` on a
+    1-dimensional ball."""
     if len(circle.center) < 2:
         raise InputError("walls have no boundary trace in a 1-dimensional ball")
-    basis = _plane_frame(list(circle.normal))
-    e1 = basis[0]
-    e2 = basis[1] if len(basis) > 1 else [0.0] * len(e1)
-    return list(zip(circle.center, e1, e2))
+    return _plane_axes(circle.center, circle.normal)
 
 
 def ball_circle_points(circle: WallCircle, k: int):
-    """k points center + r (cos t e1 + sin t e2), t = 2 pi idx / k, on a
-    ball wall circle, over `ball_circle_axes` and `unit_circle`."""
-    axes, r = ball_circle_axes(circle), circle.radius
-    return [[c + r * (ct * a + st * b) for c, a, b in axes]
-            for ct, st in unit_circle(k)]
+    """k points on a ball wall circle: `_ring` over `ball_circle_axes`."""
+    return _ring(ball_circle_axes(circle), circle.radius, k)
 
 
 def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
@@ -201,14 +215,17 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
     coordinates) is the null class with cusp coordinates (1, |a|^2/2, a),
     mapped back by `FibrationFrame.from_cusp`; a ball sample u is the null
     class with signature coordinates (1, u).  The model is checked once per
-    circle, so both lifts skip the per-point checks.  A 1-dimensional trace is
-    two points, sampled min(k, 2) times.  A degenerate (D.E = 0) uhs trace
-    {a : <a, n> = offset} is sampled at offset n + cos t e1 + sin t e2,
-    e1 and e2 from `_plane_frame(n)`: one point on a rank-1 chart, min(k, 2)
-    on rank 2.  `InputError` unless k >= 1 and the model fits the circle
-    (a frame of its chart dimension for uhs, a ball on frame_or_form and of
-    its dimension for ball), and on a 0-dimensional boundary, which walls
-    do not meet.
+    circle, so both lifts skip the per-point checks.
+
+    Every trace is one `_ring` of axes (centre, e1, e2): a ball circle's
+    `ball_circle_axes`, a uhs circle's centre with the chart's first two
+    unit vectors, and a degenerate (D.E = 0) uhs trace {a : <a, n> =
+    offset} as `_plane_axes` at offset n, with r = 1.  A trace spanned by
+    0, 1 or 2 nonzero in-plane axes (a point, a pair of points, a circle)
+    is sampled min(k, 1), min(k, 2) or k times.  `InputError` unless k >= 1
+    and the model fits the circle (a frame of its chart dimension for uhs,
+    a ball on frame_or_form and of its dimension for ball), and on a
+    0-dimensional boundary, which walls do not meet.
     """
     if linalg.to_integer(k, "sample count") < 1:
         raise InputError("a wall circle needs at least one sample")
@@ -222,26 +239,26 @@ def sample_wall_circle(frame_or_form, circle: WallCircle, k: int = 16,
         if r == 0:
             raise InputError("walls have no trace on a 0-dimensional boundary")
         if circle.degenerate is None:
-            chart_pts = ([c + circle.radius * x for c, x in
-                          zip(circle.center, ([ct, st] + [0.0] * r)[:r])]
-                         for ct, st in unit_circle(min(k, 2) if r == 1 else k))
+            units = ([float(i == j) for i in range(r)] for j in (0, 1))
+            axes, radius = list(zip(circle.center, *units)), circle.radius
         else:
             n, offset = circle.degenerate.normal, circle.degenerate.offset
-            e1, e2 = (_plane_frame(list(n)) + [[0.0] * r] * 2)[:2]
-            axes = list(zip([offset * t for t in n], e1, e2))
-            chart_pts = ([c + ct * x + st * y for c, x, y in axes]
-                         for ct, st in unit_circle(min(k, r) if r < 3 else k))
-        return [frame._from_cusp(1.0, sum(t * t for t in a) / 2.0, a)
-                for a in chart_pts]
-    if circle.model == "ball":
+            axes, radius = _plane_axes([offset * t for t in n], n), 1.0
+    elif circle.model == "ball":
         if ball is None:
             raise InputError("ball model required to sample ball circles")
         if (frame_or_form is not ball.form and frame_or_form != ball.form
                 or len(circle.center) != ball.form.dim - 1):
             raise InputError("wall circle and ball model are on different forms")
-        k = min(k, 2) if len(circle.center) == 2 else k
-        return [ball.vector((1.0, *u)) for u in ball_circle_points(circle, k)]
-    raise InputError(f"unknown circle model {circle.model!r}")
+        axes, radius = ball_circle_axes(circle), circle.radius
+    else:
+        raise InputError(f"unknown circle model {circle.model!r}")
+    spans = sum(map(any, list(zip(*axes))[1:]))  # nonzero in-plane axes
+    points = _ring(axes, radius, min(k, (1, 2, k)[spans]))
+    if circle.model == "ball":
+        return [ball.vector((1.0, *u)) for u in points]
+    return [frame._from_cusp(1.0, sum(t * t for t in a) / 2.0, a)
+            for a in points]
 
 
 def max_residual(form, circle: WallCircle, samples) -> float:

@@ -55,4 +55,10 @@ done
 input_error validate configs
 input_error synthetic-pair configs/f4_frame.json --fibers ,,
 input_error render configs/f4_frame.json --out "$tmp/missing/x.svg"
+# a bad tolerance is named before any fibre is scanned
+input_error specialize-scan configs/default_pencil.json --t-min 1 --t-max 1 --tolerance -1
+grep -q 'tolerance' "$tmp/bad.err"
+# a t-range of more values than the scan takes is refused at once
+cmd=(timeout 10 "${cmd[@]}")
+input_error specialize-scan configs/default_pencil.json --t-min 8 --t-max 9 --geometric-step 1.000001
 echo "cli checks passed"

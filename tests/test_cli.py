@@ -205,6 +205,8 @@ def test_specialize_scan_rejects_bad_range(runner):
     ["specialize-scan", PENCIL, "--t-min", "0", "--t-max", "8"],
     ["curve-heights", "--a", "0", "--b", "x", "--point", "3,5"],
     ["curve-heights", "--a", "0", "--b", "-2", "--point", "3"],
+    ["specialize-scan", PENCIL, "--t-min", "8", "--t-max", "9",
+     "--geometric-step", "1.000001"],
 ])
 def test_malformed_input_is_an_input_error(runner, args):
     result = runner.invoke(main, args)
@@ -256,6 +258,7 @@ LOADERS = {"validate": (form_from_dict, configio.frame_from_dict),
                          "sections": []}),
     ("validate", ["gram"]),
     ("validate", 5),
+    ("validate", {"labels": ["E", "P"]}),
 ])
 def test_malformed_config_document_is_an_input_error(runner, tmp_path,
                                                       command, doc):

@@ -87,7 +87,8 @@ def test_group_law_checks_a_point_once(monkeypatch):
 
 def test_group_law_checks_each_point_once(monkeypatch):
     """add(P, Q) runs `_point` once per operand, not again in an on-curve
-    check."""
+    check.  nt_pairing checks P and Q once each and its tolerance once, and
+    none of them again for P + Q or inside the three heights."""
     calls = []
     point = curves._point
 
@@ -100,6 +101,25 @@ def test_group_law_checks_each_point_once(monkeypatch):
     calls.clear()
     assert CURVE.add(P, q) == want
     assert calls == [P, q]
+    curve = CurveQ(0, 17)
+    p, q = (Fraction(-2), Fraction(3)), (Fraction(8), Fraction(23))
+    h_sum, h_p, h_q = (canonical_height(curve, x, 1e-2)
+                       for x in (curve.add(p, q), p, q))
+    on_curve, positive = [], []
+    check_on_curve, check_positive = CurveQ._on_curve, curves.to_positive_real
+
+    def counting_on_curve(self, x):
+        on_curve.append(x)
+        return check_on_curve(self, x)
+
+    def counting_positive(x, what):
+        positive.append(x)
+        return check_positive(x, what)
+
+    monkeypatch.setattr(CurveQ, "_on_curve", counting_on_curve)
+    monkeypatch.setattr(curves, "to_positive_real", counting_positive)
+    assert nt_pairing(curve, p, q, 1e-2) == h_sum - h_p - h_q
+    assert on_curve == [p, q] and positive == [1e-2]
 
 
 def test_doubling_example():
@@ -258,6 +278,20 @@ def test_resource_error_carries_partial(monkeypatch):
     assert exc.value.partial > 0
 
 
+def test_scan_falls_back_to_the_partial_height(monkeypatch):
+    """Past `DIGIT_BUDGET` the scan uses the partial estimate that
+    `canonical_height` raises with, and does not mark the row: at t = 256
+    and a budget of 200 digits, the diagonal entry of (0, 256) is twice
+    that estimate.  A scan that reports partial heights changes this."""
+    monkeypatch.setattr(curves, "DIGIT_BUDGET", 200)
+    curve, (point, _) = default_pencil().specialize(256)
+    with pytest.raises(ResourceError) as exc:
+        canonical_height(curve, point, 1e-4)
+    assert point == (0, 256) and exc.value.partial == 1.4031527571500617
+    row, = specialization_scan(default_pencil(), [256], 1e-4).rows
+    assert row.pairings[0][0] == 2.0 * exc.value.partial == 2.8063055143001234
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf, "1e-3", True,
                                  pytest.param(10**400, id="10**400")])
 def test_tolerance_must_be_positive_and_finite(tol):
@@ -271,6 +305,8 @@ def test_tolerance_must_be_positive_and_finite(tol):
         nt_pairing(CURVE, P, P, tol)
     with pytest.raises(InputError, match="tolerance"):
         specialization_scan(default_pencil(), [8], tolerance=tol)
+    with pytest.raises(InputError, match="tolerance"):
+        specialization_scan(default_pencil(), [0, 1], tolerance=tol)
 
 
 def test_nt_pairing_symmetric_bilinear():

@@ -132,6 +132,8 @@ def test_validate_reports_broken_frame(f4):
 
 def test_constructor_checks_translation_dimension(f4):
     # a short translation fails at construction, like a short E, O or ample
+    with pytest.raises(InputError, match="classE has wrong dimension"):
+        FibrationFrame(f4.form, f4.classE[:3], f4.classO, f4.ample)
     with pytest.raises(InputError, match="translation 0 has wrong dimension"):
         FibrationFrame(f4.form, f4.classE, f4.classO, f4.ample, [(0, 0, 1)])
     with pytest.raises(InputError, match="translation 1 has wrong dimension"):

@@ -162,6 +162,17 @@ def test_invalid_frame_rejected(classE, classO):
         SyntheticFibration(frame, (10.0,))
 
 
+def test_reference_divisor_must_meet_the_fiber_positively():
+    """With the ample class flipped to (-2, -1, 0, 0), that class is ample
+    for the frame but pairs negatively with E."""
+    f4 = f4_frame()
+    flipped = FibrationFrame(f4.form, f4.classE, f4.classO, (-2, -1, 0, 0),
+                             f4.translations)
+    fib = SyntheticFibration(flipped, (10.0,))
+    with pytest.raises(InputError, match="pair positively with the fiber"):
+        canonical_height(fib, FiberPoint(0, (1, 0)), flipped.ample, 5)
+
+
 def _rank_zero_frame():
     form = IntersectionForm(((0, 1), (1, 0)))
     return FibrationFrame.create(form, (1, 0), (-1, 1), (2, 1), ())

@@ -18,6 +18,8 @@ F4_GRAM = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -4, 0], [0, 0, 0, -4]]
 def test_symmetry_enforced():
     with pytest.raises(InputError):
         IntersectionForm(linalg.matrix([[0, 1], [2, 0]]))
+    with pytest.raises(InputError, match="square"):
+        IntersectionForm(linalg.matrix([[0, 1, 0], [1, 0, 0]]))
 
 
 def test_inner_is_exact_and_symmetric():
@@ -83,6 +85,9 @@ def test_in_light_cone():
     assert not in_light_cone(frame.form, frame.classE, frame.ample)
     neg = linalg.vec_scale(-1, frame.ample)
     assert not in_light_cone(frame.form, neg, frame.ample)
+    # the reference must lie inside the cone it picks a half of
+    with pytest.raises(InputError, match="positive self-product"):
+        in_light_cone(frame.form, frame.ample, frame.classE)
 
 
 def test_form_from_dict_rejects_non_lorentzian():

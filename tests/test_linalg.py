@@ -28,6 +28,13 @@ def test_inverse_round_trip():
     assert linalg.mat_mul(m, inv) == identity(3)
 
 
+def test_shape_mismatches_are_input_errors():
+    with pytest.raises(InputError, match="ragged"):
+        linalg.matrix([[1, 2], [3]])
+    with pytest.raises(InputError, match="mat_mul"):
+        linalg.mat_mul(identity(2), identity(3))
+
+
 def test_inverse_singular_raises():
     with pytest.raises(DegenerateFormError):
         linalg.inverse(linalg.matrix([[1, 2], [2, 4]]))

@@ -177,6 +177,21 @@ def test_ball_model_basics(f4):
         ball.ball_point((0, 0, 1, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda f: UpperHalfSpacePoint((0.0, 0.0), -1.0), "height"),
+    (lambda f: to_upper_half_space(f, linalg.vec_scale(-1, f.ample)),
+     "fiber class"),
+    (lambda f: BoundaryChart(FibrationFrame(
+        IntersectionForm(((0, 1, 0), (1, 0, 0), (0, 0, 2))),
+        (1, 0, 0), (-1, 1, 0), (2, 1, 0))), "not positive definite"),
+], ids=["uhs-point-below", "uhs-of-minus-ample", "chart-of-U+<2>"])
+def test_points_outside_a_model_are_domain_errors(f4, call, message):
+    """A UHS point below the boundary, a class on the far sheet of the
+    cone, and a boundary on which the form is not negative definite."""
+    with pytest.raises(DomainError, match=message):
+        call(f4)
+
+
 def test_hyperbolic_distance_beyond_a_double(f4):
     """sinh d past 1e308 still gives d, from logs of the exact integers."""
     a, b = (1e200, 1e-200, 0, 0), (1e-200, 1e200, 0, 0)
@@ -315,12 +330,15 @@ NOT_REAL_CALLS = {
     lambda f: UpperHalfSpacePoint((0, Fraction(-10**400, 3)), 1.0),
     lambda f: UpperHalfSpacePoint((0, 0), 10**400),
     lambda f: UpperHalfSpacePoint((0, 0), Fraction(1, 10**400)),
+    lambda f: inner_f(f.form, f.ample[:3], f.ample),
+    lambda f: cusp_inner((1.0, 2.0, 0.0), (1.0, 2.0)),
 ], ids=["distance-int", "distance-None", "uhs-int", "ball-point-int",
         "signature-None", "ball-distance-int", "ball-distance-str",
         "uhs-point-int", "uhs-point-str", "null-lift-int", *NOT_REAL_CALLS,
         "scale-negative", "scale-zero", "scale-nan", "scale-bool",
         "scale-huge", "uhs-point-x-huge", "uhs-point-x-huge-fraction",
-        "uhs-point-z-huge", "uhs-point-z-tiny"])
+        "uhs-point-z-huge", "uhs-point-z-tiny", "inner-short",
+        "cusp-inner-short"])
 def test_float_entry_points_reject_non_sequences(f4, call):
     """A non-sequence or a non-number is an `InputError`, not a bare
     `TypeError`, and so is every real-valued entry that `linalg.to_real`
@@ -328,7 +346,8 @@ def test_float_entry_points_reject_non_sequences(f4, call):
     that is not positive.  So are a render scale or a UHS coordinate past
     a double's range, and a UHS height that is 0 as a double, which the
     distances and maps would meet as a bare `OverflowError` or
-    `ZeroDivisionError`."""
+    `ZeroDivisionError`, and a vector of another length than the form's or
+    than the other cusp vector."""
     with pytest.raises(InputError):
         call(f4)
 

@@ -214,6 +214,9 @@ def test_wall_circle_ball_makes_no_exact_product(monkeypatch):
 def test_uhs_circle_rejects_non_wall(f4):
     with pytest.raises(InputError):
         wall_circle_uhs(f4, f4.classE)
+    ball = BallModel(f4.form, f4.ample)
+    with pytest.raises(InputError, match="negative self-intersection"):
+        wall_circle_ball(f4.form, f4.ample, ball)
 
 
 def test_non_wall_class_rejected_even_if_negative(f4):
@@ -234,6 +237,11 @@ def test_ball_circle_rejects_a_second_form(f4):
     disc = wall_circle_ball(f4.form, f4.sections[0], ball)
     with pytest.raises(InputError, match="different forms"):
         sample_wall_circle(other, disc, 16, ball)
+    with pytest.raises(InputError, match="ball model required"):
+        sample_wall_circle(f4.form, disc, 16)
+    cone = WallCircle("cone", disc.center, disc.radius, disc.source_class)
+    with pytest.raises(InputError, match="unknown circle model"):
+        sample_wall_circle(f4.form, cone, 16, ball)
     uhs = wall_circle_uhs(f4, f4.sections[0])
     with pytest.raises(InputError, match="on a frame"):
         sample_wall_circle(f4.form, uhs, 16)
@@ -389,6 +397,9 @@ def test_render_rejects_bad_input(f4):
     circles, options = golden_scene(f4)
     with pytest.raises(InputError):
         render_svg(circles, RenderOptions(labels=["only-one"]))
+    cone = WallCircle("cone", (0.0, 0.0), 1.0, f4.sections[0])
+    with pytest.raises(InputError, match="unknown circle model"):
+        render_svg([cone])
     n = len(circles)
     for labels in ([1] * n, [b"O"] * n, [None] * n, "O" * n, 7):
         with pytest.raises(InputError, match="label"):
