@@ -171,11 +171,16 @@ def canonical_height(curve: CurveQ, p: Point,
                      tolerance: float = 1e-4) -> float:
     """Doubling-limit canonical height: h([2^m]P) / 4^m until stable.
 
-    Stops once successive estimates differ by less than tolerance / 2, at
-    the doubling cap, or at exactly 0.0 when P is torsion: a doubling hits
-    infinity or repeats an earlier x, since x(2^a P) = x(2^b P) with a != b
-    gives (2^a -+ 2^b) P = O.  By Mazur's theorem rational torsion has
-    order 1-10 or 12, so one of the two happens within 3 doublings.
+    Stops once successive estimates differ by less than tolerance / 2 and
+    the new one is not 0.0, at the doubling cap, or at exactly 0.0 when P
+    is torsion: a doubling hits infinity or repeats an earlier x, since
+    x(2^a P) = x(2^b P) with a != b gives (2^a -+ 2^b) P = O.  By Mazur's
+    theorem rational torsion has order 1-10 or 12, so one of the two
+    happens within 3 doublings.  An estimate of 0.0 (x(2^m P) in
+    {-1, 0, 1}) never stops the loop: two in a row are no sign of
+    convergence, and a non-torsion orbit cannot stay on those three x for
+    4 doublings without repeating one, so 0.0 is returned for torsion
+    only.
     Raises ResourceError with the partial estimate if the x-coordinate
     outgrows `DIGIT_BUDGET` digits.  The tolerance is a
     `linalg.to_positive_real`, checked before the point; the loop is
@@ -187,7 +192,8 @@ def canonical_height(curve: CurveQ, p: Point,
 
 def _height(curve: CurveQ, p: Point, tolerance: float) -> float:
     """`canonical_height` of a point checked by `CurveQ._require`, at a
-    checked tolerance."""
+    checked tolerance; the successive-difference stop needs a nonzero
+    new estimate."""
     if p is None:
         return 0.0
     num, den = p[0].numerator, p[0].denominator
@@ -205,7 +211,7 @@ def _height(curve: CurveQ, p: Point, tolerance: float) -> float:
                 f"x-coordinate exceeded {DIGIT_BUDGET} digits at doubling {m}",
                 partial=est)
         new_est = _log_height(num, den) / 4.0 ** m
-        done = abs(new_est - est) < tolerance / 2.0
+        done = new_est > 0.0 and abs(new_est - est) < tolerance / 2.0
         est = new_est
         if done:
             break
@@ -329,19 +335,23 @@ def specialization_scan(pencil: Pencil, t_values,
 
     Singular fibers, and fibers of parameter height 0 (t = 0, 1 or -1),
     which leave nothing to normalize by, are skipped with a recorded
-    reason; a pencil without sections is an `InputError`, and so is a
-    tolerance that `linalg.to_positive_real` rejects, before any fiber is
-    specialized.  Each height is `canonical_height`, or its partial
-    estimate past `DIGIT_BUDGET` digits.  Diagnostics:
-    successive max-entry differences of the normalized matrices, and a
-    per-entry least-squares slope of pairing against parameter height.
+    reason; a pencil without sections is an `InputError`, and so are a
+    tolerance that `linalg.to_positive_real` rejects and an empty list of
+    t values, each named before any fiber is specialized.  Each height is
+    `canonical_height`, or its partial estimate past `DIGIT_BUDGET`
+    digits.  Diagnostics: successive max-entry differences of the
+    normalized matrices, and a per-entry least-squares slope of pairing
+    against parameter height.
     """
     if not pencil.sections:
         raise InputError("a pencil without sections has no pairing to scan")
     to_positive_real(tolerance, "tolerance")
+    t_values = list(map(to_fraction, _items(t_values, "list of t values")))
+    if not t_values:
+        raise InputError("no value of t was given to scan")
     rows = []
     skipped = []
-    for t0 in map(to_fraction, _items(t_values, "list of t values")):
+    for t0 in t_values:
         try:
             curve, points = pencil.specialize(t0)
         except SingularFiberError as exc:

@@ -271,13 +271,10 @@ class FibrationFrame:
 
     def from_cusp(self, cusp) -> tuple:
         """The float lattice vector wP + vE + `chart.lattice(y)` of cusp
-        coordinates (w, v, y), each a `linalg.to_real`: the inverse of
-        `cusp`, in doubles."""
-        cusp = [linalg.to_real(t, "cusp coordinate")
-                for t in linalg._items(cusp, "cusp coordinates")]
-        if len(cusp) != self.chart.dim + 2:
-            raise InputError("cusp coordinates do not match the chart dimension")
-        return self._from_cusp(cusp[0], cusp[1], cusp[2:])
+        coordinates (w, v, y), read by `linalg.to_doubles` (`chart.dim` + 2
+        entries): the inverse of `cusp`, in doubles."""
+        w, v, *y = linalg.to_doubles(cusp, "cusp coordinate", self.chart.dim + 2)
+        return self._from_cusp(w, v, y)
 
     def _from_cusp(self, w, v, y) -> tuple:
         """`from_cusp` without the entry checks, for points the package

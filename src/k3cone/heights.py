@@ -49,7 +49,8 @@ from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, mul
 
 from .errors import FrameError, InputError
-from .linalg import _items, dot, left_sum, to_integer, to_real
+from .linalg import (_items, dot, left_sum, to_double, to_integer,
+                     to_positive_real)
 from .models import cusp_inner
 
 _BLOCK = 1024  # steps of the error recurrence run per block
@@ -94,10 +95,11 @@ class FiberPoint:
 class SyntheticFibration:
     """Deterministic height oracle over a list of fibers.
 
-    fiber_heights are the base heights h(E); noise_bound M caps both the
-    boundary and scalar noise components; all draws are reproducible from
-    the seed.  The frame must have E.E = P.P = 0 and E.P = 1, the
-    hypothesis of the cusp product.
+    fiber_heights are the base heights h(E), each a
+    `linalg.to_positive_real`; noise_bound M, a `linalg.to_double` >= 0,
+    caps both the boundary and scalar noise components; all draws are
+    reproducible from the seed.  The frame must have E.E = P.P = 0 and
+    E.P = 1, the hypothesis of the cusp product.
 
     Canonical heights are memoized on the fibration, keyed by (point, D in
     cusp coordinates, n_max) and holding (value, bound).  The memo is exact
@@ -108,19 +110,14 @@ class SyntheticFibration:
     """
 
     def __init__(self, frame, fiber_heights, noise_bound=0.0, seed=0):
-        try:
-            self.noise_bound = float(to_real(noise_bound, "noise bound"))
-            self.fiber_heights = tuple(
-                float(to_real(h, "fiber height"))
-                for h in _items(fiber_heights, "list of fiber heights"))
-        except OverflowError:  # 10**400 or Fraction(10**400)
-            raise InputError("fiber height or noise bound too large") from None
+        self.noise_bound = float(to_double(noise_bound, "noise bound"))
         if self.noise_bound < 0.0:
             raise InputError("noise bound must be nonnegative")
+        self.fiber_heights = tuple(
+            float(to_positive_real(h, "fiber height"))
+            for h in _items(fiber_heights, "list of fiber heights"))
         if not self.fiber_heights:
             raise InputError("at least one fiber height is needed")
-        if not all(h > 0.0 for h in self.fiber_heights):
-            raise InputError("fiber heights must be positive")
         c = frame.fixed
         if (c.ee, c.pp, c.ep) != (0, 0, c.den * c.q):
             raise FrameError("synthetic oracle needs E.E = P.P = 0, E.P = 1")

@@ -15,9 +15,11 @@ pieces directly: `dot`, `int_mat_mul`, `int_mat_pow`, `int_inverse` and
 Kernel operands may mix ints and Fractions (anything with `.numerator`
 and `.denominator`).  Outside input is coerced once, by `vector`,
 `vectors` and `matrix` in constructors and by `IntersectionForm.numerators`
-(malformed: `InputError`); a real-valued argument of the float layer is
-checked once, by `to_real` or `to_positive_real`.  Dimensions are the
-Picard number, i.e. tiny.
+(malformed: `InputError`).  A real-valued argument of the float layer is
+checked once, on entry, by one of two rules: `to_double` (a `to_real`
+within a double's range; `to_doubles` for a list-like of them) or
+`to_positive_real` (a `to_double` that is positive as a double).  Each
+rule is written here only.  Dimensions are the Picard number, i.e. tiny.
 """
 
 import sys
@@ -49,7 +51,7 @@ def to_fraction(x) -> Fraction:
 def to_real(x, what: str):
     """x itself if it is a finite int, float or `Fraction`, so exact input
     stays exact; `InputError` otherwise (a `bool` is not a number here).
-    Range checks are the caller's, such as `to_positive_real`."""
+    Range checks are `to_double`'s and `to_positive_real`'s."""
     if isinstance(x, float):
         if isfinite(x):
             return x
@@ -58,10 +60,35 @@ def to_real(x, what: str):
     raise InputError(f"{what} must be a finite number, not {x!r}")
 
 
+def to_double(x, what: str):
+    """x itself if it is a `to_real` with |x| <= the largest double, so that
+    `float(x)` cannot overflow and exact input stays exact; `InputError`
+    otherwise."""
+    if not abs(to_real(x, what)) <= sys.float_info.max:
+        raise InputError(f"{what} is outside a double's range")
+    return x
+
+
+def to_doubles(x, what: str, n=None) -> list:
+    """`to_double` of each entry of a list-like x, as a list; `InputError`
+    for anything else, and if n is given and x has not n entries."""
+    xs = [to_double(t, what) for t in _items(x, f"list of {what}s")]
+    if n is not None and len(xs) != n:
+        raise InputError(f"{what}s: the dimension needs {n}, not {len(xs)}")
+    return xs
+
+
 def to_positive_real(x, what: str):
-    """x itself if it is a `to_real` with 0 < x <= the largest double;
+    """x itself if it is a `to_double` that is positive as a double,
+    float(x) > 0 (so a tiny `Fraction` that rounds to 0.0 is not);
     `InputError` otherwise."""
-    if not 0 < to_real(x, what) <= sys.float_info.max:
+    return _positive(to_double(x, what), what)
+
+
+def _positive(x, what: str):
+    """x if float(x) > 0, for an x that `to_double` has checked; the one
+    home of "positive as a double"."""
+    if not float(x) > 0:
         raise InputError(f"{what} must be positive and within a double")
     return x
 

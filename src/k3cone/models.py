@@ -15,17 +15,21 @@ Stated tolerances: 1e-12 for identities that are exact underneath, 1e-9
 for cross-model agreement.
 
 Input policy: every real-valued coordinate a public entry point reads is
-checked once, on entry, by `linalg.to_real` (a finite int, float or
-`Fraction`, not a `bool`; otherwise `InputError`), and exact entries stay
-exact.  `inner_f` and `cusp_inner` (the synthetic heights' product) are
-hot and unchecked: plain arithmetic on what they are handed, with a
-length check only.  The Gram row sums of `inner_f` are one kernel,
-`_image_f`, which `walls.max_residual` shares: it maps a wall's class D
-through it once per circle, so its residuals are `inner_f`'s to the bit.
+checked once, on entry, and exact entries stay exact.  The linear maps
+back to the lattice (`FibrationFrame.from_cusp`, `from_signature_coords`,
+`null_lift`), `ball_distance` and `UpperHalfSpacePoint` read them through
+`linalg.to_doubles` (a finite int, float or `Fraction` within a double's
+range, not a `bool`; otherwise `InputError`), and a UHS height is a
+`linalg.to_positive_real` too.  The scale-invariant maps take any finite
+real exactly (`_exact_numerators`, on `linalg.to_real`).  `inner_f` and
+`cusp_inner` (the synthetic heights' product) are hot and unchecked:
+plain arithmetic on what they are handed, with a length check only.  The
+Gram row sums of `inner_f` are one kernel, `_image_f`, which
+`walls.max_residual` shares: it maps a wall's class D through it once per
+circle, so its residuals are `inner_f`'s to the bit.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -185,23 +189,20 @@ def phi(frame, a: Vector) -> Vector:
 @dataclass(frozen=True)
 class UpperHalfSpacePoint:
     """(x, z): x in chart coordinates, like wall circle centres; z > 0.
-    Each entry is a `linalg.to_real` within a double's range, and z is
-    positive as a double too: the maps and distances divide by it."""
+    x is read by `linalg.to_doubles` and z by `linalg.to_double`: each
+    entry is a finite real within a double's range (`InputError`).  A
+    z <= 0 is a `DomainError`, and a z that is 0 as a double an
+    `InputError` (the rule of `linalg.to_positive_real`): the maps and
+    distances divide by it."""
 
     x: tuple
     z: float
 
     def __post_init__(self):
-        for t in (*linalg._items(self.x, "chart point"), self.z):
-            if not abs(linalg.to_real(t, "upper-half-space coordinate")
-                       ) <= sys.float_info.max:
-                raise InputError("upper-half-space coordinate is outside "
-                                 "a double's range")
-        if self.z <= 0:
+        linalg.to_doubles(self.x, "upper-half-space coordinate")
+        if linalg.to_double(self.z, "upper-half-space height") <= 0:
             raise DomainError("upper-half-space height must be positive")
-        if not float(self.z) > 0:
-            raise InputError("upper-half-space height is below a double's "
-                             "range")
+        linalg._positive(self.z, "upper-half-space height")
 
 
 def _uhs_point(point) -> UpperHalfSpacePoint:
@@ -310,13 +311,10 @@ class BallModel(_Axes):
         return self.coords(*_exact_numerators(x, self.form.dim))
 
     def from_signature_coords(self, w):
-        """Inverse of `signature_coords` (float lattice vector); each w_k is a
-        `linalg.to_real`."""
-        w = [linalg.to_real(t, "signature coordinate")
-             for t in linalg._items(w, "signature coordinates")]
-        if len(w) != self.form.dim:
-            raise InputError("vector dimension does not match the form")
-        return self.vector(w)
+        """Inverse of `signature_coords` (float lattice vector); w is read
+        by `linalg.to_doubles`, `form.dim` entries."""
+        return self.vector(linalg.to_doubles(w, "signature coordinate",
+                                             self.form.dim))
 
     def ball_point(self, x):
         """Project a closed-light-cone vector to the ball (interior) or sphere
@@ -339,11 +337,11 @@ class BallModel(_Axes):
 
 
 def ball_distance(b1, b2) -> float:
-    """Distance in the open unit ball; `InputError`, `DomainError` off it."""
-    b1, b2 = ([linalg.to_real(t, "ball point coordinate")
-               for t in linalg._items(p, "ball point")] for p in (b1, b2))
-    if len(b1) != len(b2):
-        raise InputError("ball points must have one dimension")
+    """Distance in the open unit ball.  Both points are read by
+    `linalg.to_doubles`, b2 with as many entries as b1 (`InputError`);
+    a point off the open ball is a `DomainError`."""
+    b1 = linalg.to_doubles(b1, "ball point coordinate")
+    b2 = linalg.to_doubles(b2, "ball point coordinate", len(b1))
     n1, n2 = (sum(t * t for t in p) for p in (b1, b2))
     if n1 >= 1.0 or n2 >= 1.0:
         raise DomainError("ball points must lie strictly inside the unit ball")

@@ -25,6 +25,12 @@ k3cone specialize-scan configs/default_pencil.json --t-min 1 --t-max 4 --toleran
 k3cone curve-heights --a -9 --b 9 --point 3,3 --tolerance 1e-6 > "$tmp/torsion.tsv"
 grep -qx $'canonical\t0\t-\t0' "$tmp/torsion.tsv"
 grep -qx $'pairing\t0\t0\t0' "$tmp/torsion.tsv"
+# a non-torsion point whose first two doublings have x in {-1, 0, 1}
+k3cone curve-heights --a 0 --b 5/4 --point 1,3/2 --tolerance 1e-4 > "$tmp/zero_start.tsv"
+if grep -qx $'canonical\t0\t-\t0' "$tmp/zero_start.tsv"; then
+    echo "a non-torsion point got canonical height 0" >&2
+    exit 1
+fi
 k3cone render configs/f4_frame.json --N 2 --out "$tmp/uhs.svg" > /dev/null
 diff "$tmp/uhs.svg" $data/golden_uhs.svg
 k3cone render configs/f4_frame.json --model ball --N 2 --out "$tmp/ball.svg" > /dev/null
@@ -58,6 +64,9 @@ input_error render configs/f4_frame.json --out "$tmp/missing/x.svg"
 # a bad tolerance is named before any fibre is scanned
 input_error specialize-scan configs/default_pencil.json --t-min 1 --t-max 1 --tolerance -1
 grep -q 'tolerance' "$tmp/bad.err"
+# an empty t-range says so
+input_error specialize-scan configs/default_pencil.json --t-min 9 --t-max 8
+grep -q 'no value of t was given' "$tmp/bad.err"
 # a t-range of more values than the scan takes is refused at once
 cmd=(timeout 10 "${cmd[@]}")
 input_error specialize-scan configs/default_pencil.json --t-min 8 --t-max 9 --geometric-step 1.000001

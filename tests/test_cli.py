@@ -207,6 +207,7 @@ def test_specialize_scan_rejects_bad_range(runner):
     ["curve-heights", "--a", "0", "--b", "-2", "--point", "3"],
     ["specialize-scan", PENCIL, "--t-min", "8", "--t-max", "9",
      "--geometric-step", "1.000001"],
+    ["specialize-scan", PENCIL, "--t-min", "9", "--t-max", "8"],
 ])
 def test_malformed_input_is_an_input_error(runner, args):
     result = runner.invoke(main, args)

@@ -35,12 +35,13 @@ def test_point_membership():
     lambda: naive_height(5),
     lambda: specialization_scan(default_pencil(), 5),
     lambda: specialization_scan(Pencil(a=(0,), b=(1,), sections=()), [2, 4]),
+    lambda: specialization_scan(default_pencil(), []),
     lambda: CURVE.contains((3.0, 5.0)),
     lambda: CURVE.contains((True, 1)),
     lambda: CURVE.contains((1,)),
     lambda: CURVE.contains("ab"),
 ], ids=["pencil-a", "section-y", "section-not-a-pair", "short-point",
-        "point-not-a-pair", "scan-t-values", "scan-no-sections",
+        "point-not-a-pair", "scan-t-values", "scan-no-sections", "scan-no-t",
         "contains-float", "contains-bool", "contains-short",
         "contains-string"])
 def test_malformed_points_and_pencils_are_input_errors(make):
@@ -230,7 +231,7 @@ def _ref_canonical_height(curve, p, tolerance):
             return 0.0
         num, den = step
         new_est = curves._log_height(num, den) / 4.0 ** m
-        done = abs(new_est - est) < tolerance / 2.0
+        done = new_est > 0.0 and abs(new_est - est) < tolerance / 2.0
         est = new_est
         if done:
             break
@@ -260,7 +261,21 @@ def test_the_orbit_check_only_fires_on_torsion():
         kinds[torsion] += 1
         h = canonical_height(curve, p, 1e-3)
         assert h == (0.0 if torsion else _ref_canonical_height(curve, p, 1e-3))
+        assert torsion or h > 0.0
     assert min(kinds.values()) >= 50
+
+
+def test_a_zero_estimate_does_not_stop_the_loop():
+    """P = (1, 3/2) on y^2 = x^3 + 5/4 has x(2^m P) = 1, -1, 11, ...: its
+    first two estimates are 0.0, yet P is not torsion.  Its height is
+    that of its image (4, 12) on the isomorphic y^2 = x^3 + 80: x -> 4x
+    moves a naive height by at most log 4, which the doubling limit
+    divides away."""
+    p, image = (Fraction(1), Fraction(3, 2)), (Fraction(4), Fraction(12))
+    want = canonical_height(CurveQ(0, 80), image, 1e-6)
+    for tol in (1e-4, 1e-8):
+        h = canonical_height(CurveQ(0, Fraction(5, 4)), p, tol)
+        assert h > 0.0 and abs(h - want) < 1e-4
 
 
 def test_oracle_agreement():
@@ -366,6 +381,38 @@ def test_specialization_scan_skips_zero_parameter_height():
     result = specialization_scan(smooth, [0, 2], tolerance=1e-2)
     assert result.skipped == ((0, "parameter height 0 at t = 0"),)
     assert [row.t for row in result.rows] == [2]
+
+
+def test_an_empty_scan_names_itself():
+    """No value of t is its own `InputError`, not "no fiber could be
+    scanned"; the tolerance is still checked first."""
+    with pytest.raises(InputError, match="no value of t was given"):
+        specialization_scan(default_pencil(), [])
+    with pytest.raises(InputError, match="no value of t was given"):
+        specialization_scan(default_pencil(), iter(()))
+    with pytest.raises(InputError, match="tolerance"):
+        specialization_scan(default_pencil(), [], tolerance=0.0)
+
+
+# Shioda's height pairing of the default pencil's sections (0, t) and
+# (t, t), (1/6) [[2, -1], [-1, 2]], doubled by this package's naive height
+# (see the README): the scan's pairing matrix is h(t) times this plus a
+# bounded term (Tate, Amer. J. Math. 105, 1983).
+SHIODA_TARGET = ((Fraction(2, 3), Fraction(-1, 3)),
+                 (Fraction(-1, 3), Fraction(2, 3)))
+
+
+def test_the_scan_approaches_shiodas_target():
+    """|pairing - h(t) target| <= 0.3 on every entry at t = 2^k + 1,
+    k = 4..10.  The largest deviation is the (1, 1) entry's -0.28 at
+    t = 17, settling near -0.23; the other entries fall towards 0."""
+    ts = [2 ** k + 1 for k in range(4, 11)]
+    result = specialization_scan(default_pencil(), ts, tolerance=1e-3)
+    assert [row.t for row in result.rows] == ts
+    for row in result.rows:
+        for got, want in zip(row.pairings, SHIODA_TARGET):
+            for x, w in zip(got, want):
+                assert abs(x - row.height * w) <= 0.3
 
 
 def test_specialization_scan_skips_singular():

@@ -145,7 +145,8 @@ def test_input_validation():
     ("123", 0.0), ((True, 10.0), 0.0), ((10.0,), "1"), ((10.0,), True),
     pytest.param((10 ** 400,), 0.0, id="height-overflow"),
     pytest.param((10.0,), 10 ** 400, id="noise-overflow"),
-    pytest.param((10.0,), Fraction(10 ** 400), id="noise-Fraction-overflow")])
+    pytest.param((10.0,), Fraction(10 ** 400), id="noise-Fraction-overflow"),
+    pytest.param((Fraction(1, 10 ** 400),), 0.0, id="height-zero-as-double")])
 def test_non_finite_inputs_rejected(heights, noise):
     with pytest.raises(InputError):
         SyntheticFibration(f4_frame(), heights, noise)

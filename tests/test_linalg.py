@@ -127,3 +127,30 @@ def test_to_integer():
             linalg.to_integer(bad, "n")
     with pytest.raises(InputError, match="n must be at least 1"):
         linalg.to_integer(0, "n", least=1)
+
+
+def test_real_input_rules():
+    """`to_double` keeps a real within a double's range as it is, exact
+    input exact; `to_doubles` does so entrywise, with an optional length;
+    `to_positive_real` also needs float(x) > 0."""
+    huge, tiny = 10 ** 400, Fraction(1, 10 ** 400)
+    for x in (0, -3, 2.5, Fraction(-7, 3), tiny, 10 ** 308, -1.7e308):
+        assert linalg.to_double(x, "x") is x
+    for bad in (huge, Fraction(-huge, 3), True, "1", None, float("nan"),
+                float("inf")):
+        with pytest.raises(InputError, match="x"):
+            linalg.to_double(bad, "x")
+    assert linalg.to_doubles((1, Fraction(1, 2), 0.5), "x") == [
+        1, Fraction(1, 2), 0.5]
+    assert linalg.to_doubles(iter([2]), "x", 1) == [2]
+    assert linalg.to_doubles([], "x", 0) == []
+    with pytest.raises(InputError, match="dimension"):
+        linalg.to_doubles((1, 2), "x", 3)
+    for bad in (5, "12", {"a": 1}, (1, huge), (1, True)):
+        with pytest.raises(InputError):
+            linalg.to_doubles(bad, "x")
+    for x in (1, 1e-300, Fraction(1, 10 ** 300), 1.7e308):
+        assert linalg.to_positive_real(x, "x") is x
+    for bad in (0, -1, 0.0, -1e-300, tiny, huge, True, float("nan")):
+        with pytest.raises(InputError, match="x"):
+            linalg.to_positive_real(bad, "x")

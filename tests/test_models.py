@@ -284,8 +284,11 @@ def _ball(f):
     return BallModel(f.form, f.ample)
 
 
-# entries that `linalg.to_real` rejects, each in place of one coordinate
-NOT_REAL = {"bool": True, "decimal": Decimal(2), "str": "a", "nan": math.nan}
+# entries that `linalg.to_double` rejects, each in place of one coordinate:
+# the first four are not `linalg.to_real`s, and 10**400 is past a double,
+# which the scale-invariant maps take exactly
+NOT_REAL = {"bool": True, "decimal": Decimal(2), "str": "a", "nan": math.nan,
+            "huge": 10 ** 400}
 # name: (call on a point (t, 0, 0, 0), the NOT_REAL entries t it takes).
 # Where a string or a NaN was an `InputError` before `to_real` too, only
 # the bool and the Decimal are new here.
@@ -305,7 +308,7 @@ REAL_ENTRY_POINTS = {
     "uhs-point-z": (lambda f, p: UpperHalfSpacePoint((0.0, 0.0), p[0]),
                     ("bool", "decimal")),
     "ball-distance": (lambda f, p: ball_distance(p[:2], (0.0, 0.0)),
-                      ("bool", "decimal")),
+                      ("bool", "decimal", "huge")),
 }
 NOT_REAL_CALLS = {
     f"{name}-{bad}": lambda f, call=call, t=NOT_REAL[bad]: call(f, (t, 0, 0, 0))
